@@ -24,8 +24,8 @@ use crate::config::{CoreConfig, FetchPolicy, MemoryModel, SteerPolicy};
 use crate::counters::{acc, Counters, LocalStall};
 use crate::inst::{InstId, Slab, Slot, Stage, Steer};
 use crate::skip::{
-    consider, ParkCert, ParkDispatch, ParkIssue, ProbePhase, ProbeRecord, SkipCause, SkipEngine,
-    SkipStats, StableSnapshot, ThreadLens, MAX_SKIP_THREADS, MIN_PARK_JUMP_SPAN,
+    consider, ParkCert, ParkDispatch, ParkIssue, SkipCause, SkipEngine, SkipStats, TickDelta,
+    Verdict, MAX_SKIP_THREADS, MIN_PARK_JUMP_SPAN,
 };
 use crate::steer::{OracleSteer, PracticalSteer};
 use rand::rngs::SmallRng;
@@ -506,7 +506,7 @@ pub struct Core {
     scratch_mshr_losers: Vec<InstId>,
     scratch_counts: Vec<usize>,
     scratch_eligible: Vec<bool>,
-    /// Event-driven cycle skipping (probe state + accounting); see
+    /// Event-driven cycle skipping (park certificates + accounting); see
     /// [`crate::skip`]. Runtime-toggleable, on by default, used only via
     /// [`Core::tick_bounded`] — plain [`Core::tick`] never skips.
     skip: SkipEngine,
@@ -1169,7 +1169,6 @@ impl Core {
     pub fn set_cycle_skipping(&mut self, on: bool) {
         self.skip.enabled = on;
         if !on {
-            self.skip.phase = ProbePhase::Idle;
             self.skip.unpark_all();
         }
     }
@@ -1184,9 +1183,9 @@ impl Core {
         &self.skip.stats
     }
 
-    /// Advances the core by exactly `limit` cycles, fast-forwarding provably
-    /// idle spans via the probe-and-diff protocol and running *reduced
-    /// ticks* while a subset of threads hold park certificates (see
+    /// Advances the core by exactly `limit` cycles, running *reduced ticks*
+    /// while a subset of threads hold park certificates and fast-forwarding
+    /// whole spans once every thread is parked or held (see
     /// [`crate::skip`]). Bit-identical to `limit` calls of [`Core::tick`] —
     /// counters, commit stream, and trace tallies included. Returns the
     /// cycles advanced (always `limit`).
@@ -1200,6 +1199,10 @@ impl Core {
         let nthreads = self.threads.len();
         let full_mask: u64 = (1 << nthreads) - 1;
         let mut advanced = 0u64;
+        // Threads `try_park` found held after the last walked tick. Held
+        // verdicts carry no certificate and no revocation path, so they
+        // live for exactly one loop iteration and never outlive this call.
+        let mut held = 0u64;
         // Horizon cache for the current all-parked window. The window only
         // runs reduced ticks strictly before the cached horizon, where by
         // definition nothing fires and no parked thread progresses, so
@@ -1214,55 +1217,47 @@ impl Core {
             if self.skip.parked != 0 {
                 self.unpark_expired_and_due();
             }
-            if self.skip.parked == full_mask {
-                // Every thread holds a certificate, so the coming tick is a
-                // whole-core fixed point by construction: one captured
-                // reduced tick replaces the legacy arm/probe/probe warm-up
-                // and the span jump fires immediately. But a jump only
-                // repays its fixed costs (counter clones, stable snapshot,
-                // scaled replay) over a long enough span — staggered
+            let parked = self.skip.parked;
+            let still = parked | std::mem::take(&mut held);
+            if still == full_mask {
+                // Every thread is parked or held, so the coming tick repeats
+                // until the event horizon: one captured tick supplies the
+                // per-cycle delta. A jump only repays its fixed costs
+                // (counter clones, scaled replay) over a long enough span
+                // when the alternative is cheap reduced ticks — staggered
                 // per-thread fills in SMT mixes open many short all-parked
-                // windows where plain reduced ticks are cheaper — so the
-                // probe capture is gated on the window horizon.
+                // windows — so the capture is gated on the window horizon
+                // unless a held thread would walk full ticks anyway.
                 let (horizon, cause) = *window.get_or_insert_with(|| self.skip_horizon());
-                if horizon <= self.now {
-                    // A wheel entry (or other horizon term) fires this very
-                    // cycle, so the coming tick is not a fixed point: fall
-                    // through to the normal path below (which resets the
-                    // window cache), where the in-tick wheel drains wake the
-                    // owners at full fidelity.
-                } else {
-                    let will_jump = horizon.saturating_sub(self.now + 1) >= MIN_PARK_JUMP_SPAN;
+                let span = horizon.saturating_sub(self.now + 1);
+                let all_parked = parked == full_mask;
+                // A horizon term due this very cycle means the coming tick
+                // is not a fixed point (the in-tick wheel drains wake the
+                // owners at full fidelity); a held thread with no span to
+                // jump walks a normal tick to be re-examined.
+                if horizon > self.now && (all_parked || span > 0) {
+                    let will_jump = !all_parked || span >= MIN_PARK_JUMP_SPAN;
                     let pre = will_jump.then(|| (self.counters.clone(), self.hierarchy.counters()));
-                    self.skip.progress = false;
-                    self.skip.progress_mask = 0;
-                    self.skip.streak_bumped = 0;
-                    self.tick();
+                    self.walk_tick();
                     advanced += 1;
-                    self.skip.stats.reduced_ticks += 1;
-                    self.skip.stats.parked_thread_cycles += nthreads as u64;
-                    self.skip.phase = ProbePhase::Idle;
                     if self.skip.progress {
-                        // A certificate lied. The per-tick soundness net:
-                        // revoke everything and fall back to tick-by-tick
-                        // (the legacy probe pair re-proves any real fixed
-                        // point from scratch).
+                        // A verdict lied. The per-tick soundness net: revoke
+                        // everything and fall back to walked ticks, which
+                        // re-examine every thread from scratch.
                         self.skip.stats.park_aborts += 1;
                         self.skip.unpark_all();
                         window = None;
                         continue;
                     }
                     let Some((pre_c, pre_m)) = pre else {
-                        // Short window: reduced ticks walk it cycle by cycle
-                        // and the cached horizon stays valid until the
-                        // revocation pass ends the window.
+                        // Short all-parked window: reduced ticks walk it
+                        // cycle by cycle and the cached horizon stays valid
+                        // until the revocation pass ends the window.
                         continue;
                     };
-                    let rec = ProbeRecord {
-                        end_cycle: self.now,
+                    let rec = TickDelta {
                         delta: self.counters.diff(&pre_c),
                         mem_delta: self.hierarchy.counters().diff(&pre_m),
-                        snap: self.stable_snapshot(),
                         streak_bumped: self.skip.streak_bumped,
                     };
                     // Every certificate horizon term (fetch stall, frontend
@@ -1281,6 +1276,9 @@ impl Core {
                         self.fast_forward(k, &rec, cause);
                         advanced += k;
                         self.skip.stats.park_jumps += 1;
+                        if !all_parked {
+                            self.skip.stats.held_jump_cycles += k;
+                        }
                     }
                     // The jump lands on the horizon (or the budget cap): the
                     // window is over either way.
@@ -1289,76 +1287,38 @@ impl Core {
                 }
             }
             window = None;
-            // Probe captures are lazy: a tick is instrumented with
-            // pre-state clones only once the previous tick made no
-            // progress, so the hot (progressing) path pays one branch.
-            let pre = match self.skip.phase {
-                ProbePhase::Idle => None,
-                _ => Some((self.counters.clone(), self.hierarchy.counters())),
-            };
-            self.skip.progress = false;
-            self.skip.progress_mask = 0;
-            self.skip.streak_bumped = 0;
-            self.tick();
+            let parked = self.walk_tick();
             advanced += 1;
-            let parked = self.skip.parked;
-            if parked != 0 {
-                self.skip.stats.reduced_ticks += 1;
-                self.skip.stats.parked_thread_cycles += u64::from(parked.count_ones());
-            }
-            // Offer certificates to threads that sat completely still this
-            // tick and aren't already parked.
+            // Examine threads that sat completely still this tick and
+            // aren't already parked.
             let idle = !(self.skip.progress_mask | parked) & full_mask;
-            if idle != 0 {
-                for t in 0..nthreads {
-                    if idle & (1 << t) != 0 {
-                        self.try_park(t);
+            for t in 0..nthreads {
+                if idle & (1 << t) != 0 {
+                    match self.try_park(t) {
+                        Verdict::Park(cert) => self.skip.park(t, cert),
+                        Verdict::Held => held |= 1 << t,
+                        Verdict::Reject => {}
                     }
                 }
             }
-            if self.skip.progress {
-                self.skip.phase = ProbePhase::Idle;
-                continue;
-            }
-            let Some((pre_c, pre_m)) = pre else {
-                self.skip.phase = ProbePhase::Armed;
-                continue;
-            };
-            let rec = ProbeRecord {
-                end_cycle: self.now,
-                delta: self.counters.diff(&pre_c),
-                mem_delta: self.hierarchy.counters().diff(&pre_m),
-                snap: self.stable_snapshot(),
-                streak_bumped: self.skip.streak_bumped,
-            };
-            let prev = std::mem::replace(&mut self.skip.phase, ProbePhase::Idle);
-            if let ProbePhase::Probed(p) = prev {
-                if p.end_cycle + 1 == rec.end_cycle
-                    && p.streak_bumped == rec.streak_bumped
-                    && p.delta == rec.delta
-                    && p.mem_delta == rec.mem_delta
-                    && p.snap == rec.snap
-                {
-                    // Fixed point: every cycle up to the horizon repeats
-                    // the probed cycle exactly.
-                    let (horizon, mut cause) = self.skip_horizon();
-                    let budget = limit - advanced;
-                    let mut k = horizon.saturating_sub(self.now);
-                    if k > budget {
-                        k = budget;
-                        cause = SkipCause::LimitCap;
-                    }
-                    if k > 0 {
-                        self.fast_forward(k, &rec, cause);
-                        advanced += k;
-                    }
-                    continue;
-                }
-                self.skip.stats.probe_mismatches += 1;
-            }
-            self.skip.phase = ProbePhase::Probed(Box::new(rec));
         }
         advanced
+    }
+
+    /// One tick under fresh per-tick progress tracking, booking the parked
+    /// coverage it ran with. Returns the threads still parked after it
+    /// (event wake-ups inside the tick clear bits).
+    fn walk_tick(&mut self) -> u64 {
+        self.skip.progress = false;
+        self.skip.progress_mask = 0;
+        self.skip.streak_bumped = 0;
+        self.tick();
+        let parked = self.skip.parked;
+        if parked != 0 {
+            self.skip.stats.reduced_ticks += 1;
+            self.skip.stats.parked_thread_cycles += u64::from(parked.count_ones());
+        }
+        parked
     }
 
     /// The per-tick certificate revocation pass: unparks any thread whose
@@ -1483,21 +1443,25 @@ impl Core {
         }
     }
 
-    /// Attempts to grant thread `t` a park certificate (see [`crate::skip`]
-    /// module docs). Every early return is a condition whose per-cycle
-    /// replay the reduced tick could not keep exact, or a passive state
-    /// flip with no event or horizon term to wake the thread.
-    fn try_park(&mut self, t: usize) {
+    /// Decides whether thread `t`, which made no progress in the tick just
+    /// walked, is still (see the [`crate::skip`] module docs). Every
+    /// `Reject` is a condition whose per-cycle replay the reduced tick could
+    /// not keep exact, or a passive state flip with no event or horizon term
+    /// to wake the thread. Every hold is a shared input — MSHR, FU, IQ or
+    /// free-list space — that changes only at a `skip_horizon` term or
+    /// through another thread's progress.
+    fn try_park(&self, t: usize) -> Verdict {
         let now = self.now;
 
         // SSR decay must be a provable no-op; quiescence also pins the
         // classification chain's SSR branch false and `shelf_allows` true
         // for the whole park.
         if !self.threads[t].ssr.is_quiescent() {
-            return;
+            return Verdict::Reject;
         }
 
         let mut horizon = u64::MAX;
+        let mut held = false;
 
         {
             let th = &self.threads[t];
@@ -1507,7 +1471,7 @@ impl Core {
                 // The stall expires passively at a known cycle.
                 horizon = horizon.min(th.fetch_stalled_until);
             } else if room && (th.waiting_branch.is_none() || self.cfg.wrong_path_fetch) {
-                return; // eligible: the fetch selector could pick it
+                return Verdict::Reject; // eligible: the fetch selector could pick it
             }
             // (`!room` is frozen — fetch can't push and a parked dispatch
             // never pops; `waiting_branch` clears only at the branch's own
@@ -1515,27 +1479,37 @@ impl Core {
 
             // ---- store buffer: drain attempts must be provable no-ops ----
             if let Some(&(_, ready)) = th.store_buffer.front() {
-                if ready <= now {
-                    // A due drain retries the hierarchy every cycle and
-                    // mutates MSHR/port state even when it fails.
-                    return;
+                if ready < now {
+                    // Due last tick and still queued: the hierarchy rejected
+                    // the drain for want of an MSHR, and rejects every retry
+                    // identically until the next fill frees one. A front
+                    // due exactly now is a `skip_horizon` term instead.
+                    held = true;
+                } else {
+                    horizon = horizon.min(ready);
                 }
-                horizon = horizon.min(ready);
             }
         }
 
         // ---- issue: none of `t`'s IQ work may be selectable ----
         // (Future ready-wheel arrivals are fine: the ready-wheel drain at
         // the top of `tick` unparks the thread the cycle they come due.)
+        // A load blocked by `t`'s own store set may stay: the block clears
+        // only at the elder store's writeback (or squash), `t`'s own event.
+        // Any other resident is ready but unissued after a still tick: it
+        // lost to a busy FU or to MSHR arbitration.
         for &(age, id) in &self.ready_pool {
             if self.slab.live_with_age(id, age) && self.slab.thread_of(id) == t {
-                return;
+                let slot = self.slab.get(id);
+                if !slot.inst.is_load() || self.store_set_clear(id, slot) {
+                    held = true;
+                }
             }
         }
 
         // ---- commit: the window head must be provably uncommittable ----
         if !self.commit_frozen(t) {
-            return;
+            return Verdict::Reject;
         }
 
         // ---- dispatch head: record the frozen resource verdict ----
@@ -1551,7 +1525,7 @@ impl Core {
                 let inst = slot.inst;
                 if inst.op == OpClass::MemBarrier {
                     if th.window.is_empty() && th.store_buffer.is_empty() {
-                        return; // would dispatch
+                        return Verdict::Reject; // would dispatch
                     }
                     // The window shrinks only at commit (frozen above) and
                     // the store buffer is frozen, so the barrier stays put.
@@ -1560,7 +1534,7 @@ impl Core {
                     // A first dispatch attempt would mutate predictor
                     // state; only already-memoized heads can park.
                     let Some((steer, _)) = slot.steer_memo else {
-                        return;
+                        return Verdict::Reject;
                     };
                     match steer {
                         Steer::Iq => {
@@ -1570,7 +1544,7 @@ impl Core {
                             // threads: the IQ is re-checked live by the
                             // mirror (the real walk checks it before any
                             // local), and a head held back *only* by a
-                            // shared input cannot park at all.
+                            // shared input is held, not parked.
                             if th.rob.is_full() {
                                 ParkDispatch::IqBlocked(LocalStall::RobFull)
                             } else if inst.is_load() && th.lq.is_full() {
@@ -1578,7 +1552,8 @@ impl Core {
                             } else if inst.is_store() && th.sq.is_full() {
                                 ParkDispatch::IqBlocked(LocalStall::SqFull)
                             } else {
-                                return;
+                                held = true;
+                                ParkDispatch::NoHead
                             }
                         }
                         Steer::Shelf => {
@@ -1594,7 +1569,8 @@ impl Core {
                             {
                                 ParkDispatch::ShelfBlocked(LocalStall::ShelfIndexFull)
                             } else {
-                                return;
+                                held = true; // only the shared extension tags
+                                ParkDispatch::NoHead
                             }
                         }
                     }
@@ -1622,7 +1598,7 @@ impl Core {
                         && base <= now
                         && now < base + self.cfg.cluster_forward_penalty as u64
                     {
-                        return;
+                        return Verdict::Reject;
                     }
                 }
             }
@@ -1674,15 +1650,19 @@ impl Core {
                 }
             } else {
                 // Every remaining chain outcome (a pure FU-busy bump, or
-                // no bump at all for a TSO-held or issue-ready head)
-                // depends on shared FU state that fluctuates with live
-                // threads: not certifiable.
-                return;
+                // no bump at all for a TSO-held head or one that lost MSHR
+                // arbitration) depends on shared FU or MSHR state that
+                // fluctuates with live threads: not certifiable, but held.
+                held = true;
+                ParkIssue::default()
             }
         } else {
             ParkIssue::default()
         };
 
+        if held {
+            return Verdict::Held;
+        }
         // A fill for a line this thread is waiting on can change fetch or
         // store-buffer behavior the cycle it lands; bound the park by it.
         if let Some(c) = self.hierarchy.next_fill_after_for(now.saturating_sub(1), t) {
@@ -1690,60 +1670,18 @@ impl Core {
         }
         if horizon <= now {
             // Would expire before the next tick: not worth a certificate.
-            return;
+            return Verdict::Reject;
         }
-        self.skip.park(
-            t,
-            ParkCert {
-                horizon,
-                issue,
-                dispatch,
-            },
-        );
-    }
-
-    /// Snapshot of every piece of engine state that can change from one
-    /// idle cycle to the next (probe-pair equality certificate).
-    fn stable_snapshot(&self) -> StableSnapshot {
-        let mut threads = [ThreadLens::default(); MAX_SKIP_THREADS];
-        for (lens, th) in threads.iter_mut().zip(self.threads.iter()) {
-            *lens = ThreadLens {
-                frontend: th.frontend.len(),
-                window: th.window.len(),
-                shelf: th.shelf.len(),
-                rob: th.rob.len(),
-                lq: th.lq.len(),
-                sq: th.sq.len(),
-                store_buffer: th.store_buffer.len(),
-                inflight_loads: th.inflight_loads.len(),
-                inflight_stores: th.inflight_stores.len(),
-                pre_issue_count: th.pre_issue_count,
-                fetch_stalled_until: th.fetch_stalled_until,
-                waiting_branch: th.waiting_branch,
-                next_fetch_seq: th.trace.next_fetch_seq(),
-                head_blocked_id: th.head_blocked_id,
-                tracker_head: th.issue_tracker.head(),
-                shelf_retire_ptr: th.shelf_retire_ptr,
-                shelf_next_idx: th.shelf_next_idx,
-                ssr_iq: th.ssr.iq_value(),
-                ssr_shelf: th.ssr.shelf_value(),
-            };
-        }
-        StableSnapshot {
-            threads,
-            icount_last: self.icount.last_selected(),
-            fetch_rr: self.fetch_rr,
-            slab_live: self.slab.len(),
-            iq_len: self.iq.len(),
-            iq_waiting: self.iq_waiting,
-            ready_pool_len: self.ready_pool.len(),
-            events_len: self.events.len(),
-            ready_wheel_len: self.ready_wheel.len(),
-        }
+        Verdict::Park(ParkCert {
+            horizon,
+            issue,
+            dispatch,
+        })
     }
 
     /// The event horizon: the earliest future cycle at which any stage's
-    /// inputs can change. Conservative — an undershoot merely re-probes.
+    /// inputs can change. Conservative — an undershoot merely shortens a
+    /// jump.
     /// `u64::MAX` means nothing is pending at all (a true deadlock; the
     /// caller's budget bounds the jump and the driver's watchdog, keyed on
     /// retired instructions, still diagnoses it).
@@ -1796,10 +1734,11 @@ impl Core {
         best
     }
 
-    /// Fast-forwards `k` provably idle cycles: counters replay scaled,
-    /// decaying state replays exactly, the tracer receives the span's
-    /// attribution and grid samples, and the cycle counter jumps.
-    fn fast_forward(&mut self, k: u64, rec: &ProbeRecord, cause: SkipCause) {
+    /// Fast-forwards `k` provably idle cycles, each a copy of the captured
+    /// tick `rec`: counters replay scaled, decaying state replays exactly,
+    /// the tracer receives the span's attribution and grid samples, and the
+    /// cycle counter jumps.
+    fn fast_forward(&mut self, k: u64, rec: &TickDelta, cause: SkipCause) {
         debug_assert!(k > 0);
         // Skip-path cycle arithmetic deals in multi-thousand-cycle jumps:
         // guard the addition like `counters::acc` does.
@@ -1817,9 +1756,9 @@ impl Core {
         self.counters.add_scaled(&rec.delta, k);
         self.hierarchy.add_scaled_counters(&rec.mem_delta, k);
 
-        // Exact replay of decaying state. SSRs are zero at any fixed point
-        // (the snapshot pins their values and decaying values defeat the
-        // probe pair), so `tick_many` is belt-and-braces.
+        // Exact replay of decaying state. SSRs are zero at any jump
+        // (`try_park` parks or holds only threads with a quiescent SSR
+        // pair), so `tick_many` is belt-and-braces.
         for th in &mut self.threads {
             th.ssr.tick_many(k);
         }
@@ -1844,7 +1783,7 @@ impl Core {
             }
         }
 
-        // Blocked shelf heads saw their streak bumped each probed cycle;
+        // Blocked shelf heads saw their streak bumped in the captured tick;
         // the whole span repeats that.
         let bump = u32::try_from(k).unwrap_or(u32::MAX);
         for (ti, th) in self.threads.iter_mut().enumerate() {
@@ -1853,7 +1792,7 @@ impl Core {
             }
         }
 
-        // Tracer: every skipped cycle repeats the probe's stall
+        // Tracer: every skipped cycle repeats the captured tick's stall
         // attribution, and sampling-grid cycles inside the span record the
         // (constant) pre-skip occupancy, exactly as tick-by-tick would.
         if self.tracer.is_some() {

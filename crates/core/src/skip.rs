@@ -1,71 +1,66 @@
-//! Event-driven cycle skipping: the probe-and-diff protocol.
+//! Event-driven cycle skipping: one certificate protocol.
 //!
 //! A memory-bound core spends most of its cycles doing *nothing*: every
-//! stage blocked, waiting for a DRAM fill hundreds of cycles away. The
-//! engine's hot loop still pays the full per-cycle walk for each of those
-//! cycles. This module provides the bookkeeping for skipping them.
+//! stage blocked, waiting for a DRAM fill hundreds of cycles away. Under
+//! SMT the stall is per thread: one thread waits on its own shelf head,
+//! store set or MSHR fill while its siblings run. This module provides the
+//! bookkeeping for skipping that dead work, first per thread and then, when
+//! every thread is still, for the whole core.
 //!
-//! # Protocol
+//! # Verdicts
 //!
-//! The engine cannot prove a cycle is idle a priori — too many stages have
-//! data-dependent side conditions. Instead it *observes* idleness:
+//! After each walked tick, every thread that made no architectural
+//! progress (no fetch, dispatch, issue, writeback, commit or store-buffer
+//! drain) and is not already parked is examined analytically by
+//! `Core::try_park`, the only stillness predicate. It returns a
+//! [`Verdict`]:
 //!
-//! 1. A tick in which no stage made architectural progress (no fetch,
-//!    dispatch, issue, writeback, commit, or store-buffer drain) **arms**
-//!    the engine.
-//! 2. The next tick is run as **probe 1**: the full [`Counters`] delta,
-//!    [`HierarchyCounters`] delta, and a [`StableSnapshot`] of every piece
-//!    of cycle-varying control state are captured.
-//! 3. The tick after that is **probe 2**, captured the same way. If both
-//!    probes made no progress and their deltas, snapshots, and
-//!    streak-bump masks are *identical*, the core is at a fixed point:
-//!    every subsequent cycle repeats the probe cycle exactly, until the
-//!    first externally scheduled event fires.
-//! 4. The engine computes the **event horizon** — the earliest cycle at
-//!    which anything can change (pending pipeline event, ready-wheel
-//!    entry, MSHR fill, functional unit release, fetch-stall expiry,
-//!    fetch-to-dispatch pipe maturation, store-buffer drain eligibility)
-//!    — and fast-forwards to it: counters are replayed scaled
-//!    (`delta * k`), decaying state (SSRs, steering tables) is replayed
-//!    exactly, and the cycle counter jumps.
+//! * **Park** — the thread is still by its own state alone: fetch
+//!   ineligible, frontend head absent, immature or blocked on a persistent
+//!   *local* (partitioned) resource, shelf head blocked on a stable local
+//!   cause, ready-pool residents (if any) all loads blocked by the thread's
+//!   own store set, store buffer quiet, SSR pair quiescent, commit frozen.
+//!   The thread gets a [`ParkCert`].
+//! * **Held** — the thread passes every local check, but at least one
+//!   obstacle is a *shared* input that changes solely at a
+//!   `skip_horizon` term: a ready load losing MSHR arbitration, a due
+//!   store-buffer drain the hierarchy rejects, a ready entry or shelf head
+//!   waiting on a busy functional unit, an IQ- or shelf-steered dispatch
+//!   head held only by shared IQ or free-list space. No certificate: the
+//!   thread runs real stages, but counts toward the whole-core jump.
+//! * **Reject** — anything else.
 //!
-//! Anything the protocol cannot prove constant simply prevents the skip
-//! (the probes disagree), so the fast-forwarded run is *bit-identical* to
-//! the tick-by-tick run — counters, commit stream, and trace tallies.
+//! # Reduced ticks
 //!
-//! # Per-thread partial progress: park certificates
+//! Ticks with a parked thread skip its issue-stage head classification,
+//! shelf-candidate evaluation and dispatch resource walk, replaying the
+//! certificate's recorded per-cycle counter bumps instead (with the one
+//! shared input of the dispatch walk, IQ occupancy, re-checked live each
+//! cycle). Everything cheap or shared (commit, decay, occupancy integrals,
+//! tracer sampling, the ready-pool scan) still runs for real, so reduced
+//! ticks are bit-identical to full ticks.
 //!
-//! The whole-core protocol above only fires when *every* thread is idle
-//! simultaneously — rare under SMT, where the design's whole point is that
-//! some threads commit while others sit on DRAM fills. The partial-progress
-//! layer proves a *subset* of threads fixed:
+//! A certificate carries a **horizon**: the earliest passive wake-up
+//! (fetch-stall expiry, frontend maturation, store-buffer readiness, the
+//! thread's own next MSHR fill). Event wake-ups need no horizon term: the
+//! wheel drains inside the tick clear a parked owner's bit the moment an
+//! entry comes due, ahead of every stage that consults parked state, so
+//! the moment a shared structure couples a parked thread back in it runs a
+//! full tick again.
 //!
-//! * A thread that made no progress this tick is examined analytically by
-//!   `Core::try_park`: if its fetch is ineligible, its frontend head is
-//!   absent/immature/blocked on a persistent *local* (partitioned) resource,
-//!   its shelf head is blocked on a stable local cause, it owns no ready
-//!   work, its store buffer is quiet, and its SSR pair is quiescent, the
-//!   thread is **parked** under a [`ParkCert`].
-//! * Subsequent *reduced ticks* skip the parked thread's issue-stage head
-//!   classification, shelf-candidate evaluation, and dispatch resource
-//!   walk, replaying the certificate's recorded per-cycle counter bumps
-//!   instead (with the one *shared* input — IQ occupancy — re-checked
-//!   live each cycle). Everything cheap or shared (commit, decay,
-//!   occupancy integrals, tracer sampling) still runs for real, so reduced
-//!   ticks are bit-identical to full ticks.
-//! * The certificate carries a **horizon**: the earliest passive wake-up
-//!   (fetch-stall expiry, frontend maturation, store-buffer readiness, the
-//!   thread's own next MSHR fill). Event wake-ups need no horizon term:
-//!   the wheel drains inside the tick clear a parked owner's bit the
-//!   moment an entry comes due, ahead of every stage that consults parked
-//!   state — the moment a shared structure couples a parked thread back
-//!   in, it runs a full tick again.
-//! * When **all** threads hold certificates the engine jumps whole-core
-//!   spans directly: one captured reduced tick supplies the per-cycle
-//!   delta (the certificates prove it constant — no arm + probe-pair
-//!   warm-up), and the existing `fast_forward` replay machinery is reused
-//!   verbatim. If the capture tick unexpectedly progresses, the jump is
-//!   abandoned (`park_aborts`) and every certificate is revoked.
+//! # Whole-core jumps
+//!
+//! When every thread is parked or held, nothing can change before the
+//! event horizon — the earliest pending pipeline event, ready-wheel entry,
+//! MSHR fill, functional-unit release, fetch-stall expiry, frontend
+//! maturation or store-buffer readiness — so every cycle up to it repeats
+//! the next one. The engine runs that one tick as a capture, recording the
+//! [`Counters`] delta, the [`HierarchyCounters`] delta and the streak-bump
+//! mask in a [`TickDelta`]. If the capture made progress, a verdict was
+//! wrong: the jump is abandoned (`park_aborts`) and every certificate is
+//! revoked. Otherwise `fast_forward` replays the delta scaled to the
+//! horizon (`delta * k`), replays decaying state (SSRs, steering tables)
+//! exactly, and jumps the cycle counter.
 //!
 //! Skipped cycles are accounted per horizon cause in [`SkipStats`] so runs
 //! can report where their idle time went; parked coverage (thread-cycles
@@ -73,14 +68,12 @@
 
 use crate::config::CoreConfig;
 use crate::counters::{Counters, LocalStall};
-use crate::inst::InstId;
 use shelfsim_mem::HierarchyCounters;
 use shelfsim_trace::StallCause;
 
-/// Maximum hardware threads the snapshot covers. Tied by definition to the
-/// config validator's thread cap: a config that validates can never carry
-/// more threads than the skip engine has snapshot lenses / park
-/// certificates for.
+/// Maximum hardware threads the skip engine covers. Tied by definition to
+/// the config validator's thread cap: a config that validates can never
+/// carry more threads than the skip engine has park certificates for.
 pub(crate) const MAX_SKIP_THREADS: usize = CoreConfig::MAX_THREADS;
 
 // The pipeline tracks threads in u64 bitmasks (progress, parked, streak
@@ -157,17 +150,19 @@ pub(crate) fn consider(best: &mut (u64, SkipCause), cycle: u64, cause: SkipCause
     }
 }
 
-/// Cycle-skip accounting: every skipped cycle is attributed to the horizon
-/// cause that bounded its span, so `skipped_cycles == by_cause.sum()`.
 /// Minimum estimated all-parked span (cycles) worth converting into a
-/// probe-and-jump. A jump's fixed costs — two counter-block clones, a
-/// stable snapshot, and the scaled fast-forward replay — amortize to
-/// roughly a dozen reduced ticks, and SMT mixes with staggered per-thread
-/// fills open a stream of shorter all-parked windows than that. Those
-/// windows run as plain reduced ticks instead; correctness is unaffected
-/// either way (the gate consults a pre-tick horizon estimate only).
+/// capture-and-jump. A jump's fixed costs — two counter-block clones and
+/// the scaled fast-forward replay — amortize to roughly a dozen reduced
+/// ticks, and SMT mixes with staggered per-thread fills open a stream of
+/// shorter all-parked windows than that. Those windows run as plain
+/// reduced ticks instead; correctness is unaffected either way (the gate
+/// consults a pre-tick horizon estimate only). The gate never applies
+/// while a thread is held: a held thread walks full ticks, so any jump is
+/// cheaper than walking.
 pub const MIN_PARK_JUMP_SPAN: u64 = 16;
 
+/// Cycle-skip accounting: every skipped cycle is attributed to the horizon
+/// cause that bounded its span, so `skipped_cycles == by_cause.sum()`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SkipStats {
     /// Cycles fast-forwarded instead of ticked.
@@ -176,9 +171,9 @@ pub struct SkipStats {
     pub spans: u64,
     /// Skipped cycles by bounding cause, indexed by `SkipCause as usize`.
     pub by_cause: [u64; SKIP_CAUSES],
-    /// Probe pairs that failed the fixed-point comparison (diagnostic: a
-    /// high ratio against `spans` means idle spans exist but something
-    /// cycle-varying keeps defeating the protocol).
+    /// Always 0. Counted failed fixed-point comparisons of the retired
+    /// probe-pair protocol; kept so existing readers of the field still
+    /// build. Every jump now comes from certificates (`park_jumps`).
     pub probe_mismatches: u64,
     /// Thread-cycles spent parked: each reduced tick contributes one per
     /// parked thread. The partial-progress coverage metric — these are
@@ -189,13 +184,17 @@ pub struct SkipStats {
     pub reduced_ticks: u64,
     /// Park certificates granted.
     pub parks: u64,
-    /// Whole-core fast-forwards entered directly from an all-parked state
-    /// (no arm + probe-pair warm-up; also counted in `spans`).
+    /// Whole-core fast-forwards taken with every thread parked or held.
+    /// The only way to jump, so always equal to `spans`.
     pub park_jumps: u64,
-    /// All-parked capture ticks that unexpectedly made progress, forcing
-    /// the jump to be abandoned and every certificate revoked. Nonzero
-    /// values indicate a certificate soundness bug — the release-mode
-    /// safety net caught it, but coverage is being lost.
+    /// Skipped cycles of jumps taken with at least one thread held rather
+    /// than parked (a subset of `skipped_cycles`): the coverage that
+    /// shared-input holds add on top of certificates alone.
+    pub held_jump_cycles: u64,
+    /// Capture ticks that unexpectedly made progress, forcing the jump to
+    /// be abandoned and every certificate revoked. Nonzero values indicate
+    /// a verdict soundness bug — the release-mode safety net caught it,
+    /// but coverage is being lost.
     pub park_aborts: u64,
 }
 
@@ -205,8 +204,8 @@ pub struct SkipStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ParkIssue {
     /// `Counters::shelf_head_stalls` bucket bumped each cycle (`None`: no
-    /// shelf head, or a head blocked outside the diagnostic chain, e.g. a
-    /// TSO elder-load hold, which bumps nothing).
+    /// shelf head; a head blocked outside the diagnostic chain, e.g. by a
+    /// TSO elder load, is held rather than parked).
     pub bucket: Option<u8>,
     /// Whether the head-blocked streak (and the engine's streak-bump mask)
     /// advances each cycle.
@@ -258,78 +257,33 @@ pub(crate) struct ParkCert {
     pub dispatch: ParkDispatch,
 }
 
-/// Per-thread lens of cycle-varying control state. Equality between the
-/// two probes is (part of) the fixed-point certificate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ThreadLens {
-    pub frontend: usize,
-    pub window: usize,
-    pub shelf: usize,
-    pub rob: usize,
-    pub lq: usize,
-    pub sq: usize,
-    pub store_buffer: usize,
-    pub inflight_loads: usize,
-    pub inflight_stores: usize,
-    pub pre_issue_count: usize,
-    pub fetch_stalled_until: u64,
-    pub waiting_branch: Option<InstId>,
-    pub next_fetch_seq: u64,
-    pub head_blocked_id: Option<InstId>,
-    pub tracker_head: u64,
-    pub shelf_retire_ptr: u64,
-    pub shelf_next_idx: u64,
-    /// SSR values are included directly: while they decay the probes
-    /// disagree, so a skip can only fire once both registers reached zero —
-    /// exactly when their decay stops mattering.
-    pub ssr_iq: u32,
-    pub ssr_shelf: u32,
+/// `Core::try_park`'s verdict on a thread that made no progress in a tick
+/// (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Still by its own state alone: replayed by reduced ticks under the
+    /// certificate.
+    Park(ParkCert),
+    /// Still, but only because of shared inputs that change solely at a
+    /// `skip_horizon` term: walks full ticks, yet counts toward the
+    /// whole-core jump.
+    Held,
+    /// Not provably still.
+    Reject,
 }
 
-/// Snapshot of every piece of engine state that can change from one idle
-/// cycle to the next. Two equal consecutive snapshots (with equal counter
-/// deltas) prove the core is at a fixed point.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct StableSnapshot {
-    pub threads: [ThreadLens; MAX_SKIP_THREADS],
-    pub icount_last: usize,
-    pub fetch_rr: usize,
-    pub slab_live: usize,
-    pub iq_len: usize,
-    pub iq_waiting: usize,
-    pub ready_pool_len: usize,
-    pub events_len: usize,
-    pub ready_wheel_len: usize,
-}
-
-/// One captured probe: the per-cycle counter deltas, the state snapshot at
-/// the probe's end, and the streak-bump mask observed during the tick.
+/// One captured tick: the per-cycle counter deltas and the streak-bump
+/// mask that `fast_forward` replays across a jump.
 #[derive(Clone, Debug)]
-pub(crate) struct ProbeRecord {
-    /// `Core::now` immediately after the probe tick (continuity check: a
-    /// record is only comparable to one ending exactly one cycle earlier).
-    pub end_cycle: u64,
+pub(crate) struct TickDelta {
     pub delta: Counters,
     pub mem_delta: HierarchyCounters,
-    pub snap: StableSnapshot,
     /// Threads whose `head_blocked_streak` was bumped during the tick.
     pub streak_bumped: u64,
 }
 
-/// Probe state machine (see the module docs for the protocol).
-#[derive(Clone, Debug, Default)]
-pub(crate) enum ProbePhase {
-    /// Last tick made progress; nothing captured.
-    #[default]
-    Idle,
-    /// Last tick made no progress; the next no-progress tick is probed.
-    Armed,
-    /// One probe captured, awaiting its pair (boxed: a record embeds full
-    /// counter blocks and would otherwise dwarf the no-data variants).
-    Probed(Box<ProbeRecord>),
-}
-
-/// The per-core skip engine: runtime toggle, probe state, and accounting.
+/// The per-core skip engine: runtime toggle, park certificates, and
+/// accounting.
 ///
 /// Deliberately *not* part of [`crate::CoreConfig`]: skipping is an engine
 /// execution strategy with no architectural effect, and config hashes feed
@@ -337,7 +291,6 @@ pub(crate) enum ProbePhase {
 #[derive(Clone, Debug)]
 pub(crate) struct SkipEngine {
     pub enabled: bool,
-    pub phase: ProbePhase,
     /// Set by stage code whenever architectural progress happens this tick.
     pub progress: bool,
     /// Per-thread bitmask of this tick's progress (feeds the park
@@ -366,7 +319,6 @@ impl SkipEngine {
     pub(crate) fn new() -> Self {
         SkipEngine {
             enabled: true,
-            phase: ProbePhase::Idle,
             progress: false,
             progress_mask: 0,
             streak_bumped: 0,
@@ -383,7 +335,7 @@ impl SkipEngine {
     /// A parked thread making progress would mean its certificate replay
     /// diverged from reality — the debug assertion is the partial-progress
     /// layer's soundness tripwire (release builds additionally guard the
-    /// all-parked jump with a progress check).
+    /// capture tick of every jump with a progress check).
     #[inline]
     pub(crate) fn note_progress(&mut self, t: usize) {
         self.progress = true;
@@ -435,17 +387,19 @@ mod tests {
         assert_eq!(s.skipped_cycles, 0);
         assert_eq!(s.spans, 0);
         assert_eq!(s.by_cause, [0; SKIP_CAUSES]);
+        assert_eq!(s.probe_mismatches, 0);
         assert_eq!(s.parked_thread_cycles, 0);
         assert_eq!(s.reduced_ticks, 0);
         assert_eq!(s.parks, 0);
         assert_eq!(s.park_jumps, 0);
+        assert_eq!(s.held_jump_cycles, 0);
         assert_eq!(s.park_aborts, 0);
     }
 
     #[test]
     fn skip_thread_cap_matches_config_thread_cap() {
-        // `CoreConfig::validate` rejects anything the snapshot arrays and
-        // certificate file cannot hold; this pins the tie so neither side
+        // `CoreConfig::validate` rejects anything the certificate file
+        // cannot hold; this pins the tie so neither side
         // can drift silently.
         assert_eq!(MAX_SKIP_THREADS, CoreConfig::MAX_THREADS);
     }

@@ -3,20 +3,39 @@
 //! commit stream, trace tallies, occupancy samples, everything. These tests
 //! drive the same workload through both engines and diff the results.
 
-use shelfsim_core::{Core, CoreConfig, SteerPolicy};
+use shelfsim_core::{Core, CoreConfig, SkipStats, SteerPolicy};
+use shelfsim_workload::asm::assemble;
 use shelfsim_workload::kernels;
 use shelfsim_workload::TraceSource;
 
-/// Builds a core running the named library kernels, one per thread.
+/// A pointer chase whose result is stored to a cell that the next load
+/// reads back. After the first memory-order violation trains the store
+/// set, that load sits data-ready in the issue pool, blocked only by its
+/// elder store, which in turn waits on the chase's DRAM fill.
+const STORE_SET_CHASE: &str = "\
+top:
+    load  r24, [r24], chase, region=mem
+    store [r0], r24, stride=0, region=l1
+    load  r10, [r0], stride=0, region=l1
+    add   r9, r10
+    loop  top, trips=300
+";
+
+/// Builds a core running the named kernels, one per thread: library
+/// kernels, plus `store_set_chase` ([`STORE_SET_CHASE`]).
 fn core_for(cfg: CoreConfig, kernel_names: &[&str]) -> Core {
     let sources = kernel_names
         .iter()
         .enumerate()
         .map(|(t, name)| {
-            let program = kernels::by_name(name)
-                .unwrap_or_else(|| panic!("kernel `{name}` in library"))
-                .assemble()
-                .expect("library kernels assemble");
+            let program = if *name == "store_set_chase" {
+                assemble(STORE_SET_CHASE).expect("store_set_chase assembles")
+            } else {
+                kernels::by_name(name)
+                    .unwrap_or_else(|| panic!("kernel `{name}` in library"))
+                    .assemble()
+                    .expect("library kernels assemble")
+            };
             TraceSource::new(program, t)
         })
         .collect();
@@ -26,9 +45,9 @@ fn core_for(cfg: CoreConfig, kernel_names: &[&str]) -> Core {
 }
 
 /// Runs the same workload twice — tick-by-tick and skip-enabled — and
-/// asserts the architectural results are identical. Returns the skipped
-/// cycle count so callers can assert the skip engine actually engaged.
-fn assert_equivalent(cfg: CoreConfig, kernel_names: &[&str], cycles: u64) -> u64 {
+/// asserts the architectural results are identical. Returns the skip
+/// statistics so callers can assert the skip engine actually engaged.
+fn assert_equivalent(cfg: CoreConfig, kernel_names: &[&str], cycles: u64) -> SkipStats {
     let mut plain = core_for(cfg.clone(), kernel_names);
     plain.set_cycle_skipping(false);
     plain.enable_commit_observer();
@@ -72,13 +91,19 @@ fn assert_equivalent(cfg: CoreConfig, kernel_names: &[&str], cycles: u64) -> u64
         assert_eq!(x.inst, y.inst);
     }
 
-    let stats = skip.skip_stats();
+    let stats = skip.skip_stats().clone();
     assert_eq!(
         stats.skipped_cycles,
         stats.by_cause.iter().sum::<u64>(),
         "every skipped cycle must be attributed to a cause"
     );
-    stats.skipped_cycles
+    // One skip protocol: every span is a certificate-derived jump, and
+    // no capture tick ever contradicted its verdicts.
+    assert_eq!(stats.spans, stats.park_jumps, "{stats:?}");
+    assert_eq!(stats.probe_mismatches, 0, "{stats:?}");
+    assert_eq!(stats.park_aborts, 0, "{stats:?}");
+    assert!(stats.held_jump_cycles <= stats.skipped_cycles, "{stats:?}");
+    stats
 }
 
 #[test]
@@ -86,7 +111,7 @@ fn skip_matches_tick_on_memory_bound_chase() {
     // A serialized pointer chase is the skip engine's best case: every DRAM
     // miss opens a multi-hundred-cycle idle span.
     let cfg = CoreConfig::base64_shelf64(1, SteerPolicy::Practical, true);
-    let skipped = assert_equivalent(cfg, &["chase"], 40_000);
+    let skipped = assert_equivalent(cfg, &["chase"], 40_000).skipped_cycles;
     assert!(
         skipped > 20_000,
         "chase should skip most of its cycles, skipped only {skipped}"
@@ -95,11 +120,36 @@ fn skip_matches_tick_on_memory_bound_chase() {
 
 #[test]
 fn skip_matches_tick_on_two_thread_memory_bound_mix() {
-    // Two threads: idle spans only open when *both* are blocked, so fixed
-    // points are rarer and interleaved with bursts of progress.
+    // Two threads: idle spans only open when *both* are still, so jumps are
+    // rarer and interleaved with bursts of progress.
+    let cycles = 40_000;
     let cfg = CoreConfig::base64_shelf64(2, SteerPolicy::Practical, true);
-    let skipped = assert_equivalent(cfg, &["chase", "chase2"], 40_000);
-    assert!(skipped > 0, "two blocked chases must still yield skips");
+    let stats = assert_equivalent(cfg.clone(), &["chase", "chase2"], cycles);
+    assert!(
+        stats.skipped_cycles > 0,
+        "two blocked chases must still yield skips"
+    );
+
+    // A data-ready load blocked by its own thread's store set earns a park
+    // certificate: the block clears only at the elder store's writeback,
+    // the thread's own event. Without that, the chase thread next to a
+    // live compute kernel would never park.
+    let stats = assert_equivalent(cfg.clone(), &["store_set_chase", "reduce"], cycles);
+    assert!(
+        stats.parked_thread_cycles > cycles / 2,
+        "store-set-blocked chase should park most cycles: {stats:?}"
+    );
+
+    // Two MSHRs for four independent chases: ready loads lose MSHR
+    // arbitration every cycle. Such threads are held rather than parked,
+    // and the jumps fire with them held.
+    let mut saturated = cfg;
+    saturated.hierarchy.data_mshrs = 2;
+    let stats = assert_equivalent(saturated, &["chase2", "chase2"], cycles);
+    assert!(
+        stats.held_jump_cycles > cycles / 2,
+        "MSHR-saturated chases should jump while held: {stats:?}"
+    );
 }
 
 #[test]
@@ -245,7 +295,7 @@ fn partial_skip_parks_blocked_threads_in_asymmetric_four_thread_mix() {
 }
 
 #[test]
-fn probe_state_resets_when_toggled_off() {
+fn skip_state_resets_when_toggled_off() {
     let cfg = CoreConfig::base64_shelf64(1, SteerPolicy::Practical, true);
     let mut core = core_for(cfg, &["chase"]);
     core.tick_bounded(5_000);

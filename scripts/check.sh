@@ -87,6 +87,14 @@ echo "== partial-skip smoke: per-thread parking bit-identical on asymmetric mixe
 cargo test -q -p shelfsim-validate --test skip_matrix skip_matrix_asymmetric
 cargo test -q -p shelfsim-core --test cycle_skipping partial_skip
 
+echo "== skip sanitizer smoke: cycle_skipping under per-cycle pipeline audits"
+cargo test -q -p shelfsim-core --features sanitize --test cycle_skipping
+
+echo "== perfbench: the benchmark package builds against the core API and passes"
+# perfbench is its own workspace, so neither tier-1 nor clippy above
+# compiles it; a core API change that breaks it would otherwise go unseen.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== chaos smoke: an armed commit-path mutation must be detected (exit 3)"
 set +e
 out="$(cargo run --release -q -p shelfsim-cli --features chaos -- validate \
