@@ -77,7 +77,8 @@ pub use pareto::{pareto_report, ParetoPoint, ParetoReport};
 pub use pool::{shard_plan, StealQueues};
 pub use report::CampaignReport;
 pub use runner::{
-    run_campaign, FailureKind, RunFailure, RunOutcome, RunRecord, RunStatus, WorkerScratch,
+    run_campaign, warmups_needed, FailureKind, RunFailure, RunOutcome, RunRecord, RunStatus,
+    WorkerScratch,
 };
 pub use spec::{CampaignSpec, RunSpec};
 pub use sweep::SweepSpec;

@@ -13,12 +13,21 @@ pub struct CampaignReport {
     pub records: Vec<RunRecord>,
     /// Runs restored from the journal instead of executed.
     pub resumed: usize,
+    /// Warm-ups the workers ran from scratch.
+    pub warm_builds: usize,
+    /// Executed runs that started from a clone of a kept warmed state.
+    pub warm_hits: usize,
 }
 
 impl CampaignReport {
     /// Builds a report over `records`.
     pub fn new(records: Vec<RunRecord>, resumed: usize) -> Self {
-        CampaignReport { records, resumed }
+        CampaignReport {
+            records,
+            resumed,
+            warm_builds: 0,
+            warm_hits: 0,
+        }
     }
 
     /// Runs that produced results.

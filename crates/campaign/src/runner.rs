@@ -9,24 +9,33 @@ use crate::journal::{Journal, JournalEntry, ShardWriter, ShardedJournal};
 use crate::pool::StealQueues;
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, RunSpec};
-use shelfsim_core::{Completion, SimError, Simulation, Watchdog};
+use shelfsim_core::{Completion, CoreConfig, SimError, Simulation, WarmKey, WarmState, Watchdog};
 use shelfsim_workload::Program;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Per-worker scratch reused across runs (arena-style): memoizes
-/// `build_program` results keyed by `(benchmark, program seed)`. A sweep
-/// matrix re-runs the same mixes against every design point, and a single
-/// run builds its programs up to three times (pre-flight, validation tier,
-/// attempt) — the memo collapses all of those to one generation each.
+/// `build_program` results keyed by `(benchmark, program seed)`, and keeps
+/// the last warmed state under its [`WarmKey`]. A sweep matrix re-runs the
+/// same mixes against every design point, and a single run builds its
+/// programs up to three times (pre-flight, validation tier, attempt) — the
+/// memo collapses all of those to one generation each. The warm-up is
+/// design-independent, so consecutive runs of one mix on different designs
+/// clone the kept state instead of warming again; [`run_campaign`] orders
+/// its runs to make such runs consecutive.
 #[derive(Default)]
 pub struct WorkerScratch {
     programs: HashMap<(String, u64), Program>,
+    warm: Option<(WarmKey, WarmState)>,
     /// Programs generated from scratch (memo misses).
     pub builds: usize,
     /// Programs served from the memo.
     pub hits: usize,
+    /// Warm-ups run from scratch.
+    pub warm_builds: usize,
+    /// Runs started from a clone of the kept warmed state.
+    pub warm_hits: usize,
 }
 
 impl WorkerScratch {
@@ -58,6 +67,59 @@ impl WorkerScratch {
         }
         Ok(out)
     }
+
+    /// The warmed state `spec` starts from on `cfg` (its resolved config):
+    /// a clone of the kept state when the [`WarmKey`] matches, otherwise a
+    /// fresh [`WarmState::new`] over [`WorkerScratch::programs_for`], which
+    /// then replaces the kept one. Errors as `programs_for` does.
+    pub fn warm_for(&mut self, spec: &RunSpec, cfg: &CoreConfig) -> Result<WarmState, String> {
+        let key = WarmKey::new(cfg, &spec.mix, spec.seed);
+        if let Some((kept, warm)) = &self.warm {
+            if *kept == key {
+                self.warm_hits += 1;
+                return Ok(warm.clone());
+            }
+        }
+        // Drop the old state first: at most one is kept alive.
+        self.warm = None;
+        let programs = self.programs_for(spec)?;
+        let warm = WarmState::new(cfg, programs.into_iter().map(|(_, p)| p));
+        self.warm_builds += 1;
+        self.warm = Some((key, warm.clone()));
+        Ok(warm)
+    }
+}
+
+/// The warm-up key of `spec`, or `None` when its design does not resolve
+/// (the run fails before any warm-up).
+fn warm_key(spec: &RunSpec) -> Option<WarmKey> {
+    let cfg = spec.resolved_config().ok()?;
+    Some(WarmKey::new(&cfg, &spec.mix, spec.seed))
+}
+
+/// Reorders `pending` run indices so that runs sharing a [`WarmKey`] are
+/// adjacent: groups in the order of their first run, runs inside a group
+/// in `pending` order. A worker walking the result warms once per group.
+fn warm_order(runs: &[RunSpec], pending: &[usize]) -> Vec<usize> {
+    let mut first: HashMap<WarmKey, usize> = HashMap::new();
+    let mut order: Vec<(usize, usize)> = pending
+        .iter()
+        .enumerate()
+        .map(|(pos, &i)| {
+            let group = warm_key(&runs[i]).map_or(pos, |key| *first.entry(key).or_insert(pos));
+            (group, i)
+        })
+        .collect();
+    // Stable: runs inside a group keep their `pending` order.
+    order.sort_by_key(|&(group, _)| group);
+    order.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Warm-ups the `pending` runs need on one worker, which runs them
+/// grouped by key: the number of distinct [`WarmKey`]s among them.
+pub fn warmups_needed(runs: &[RunSpec], pending: &[usize]) -> usize {
+    let keys: HashSet<WarmKey> = pending.iter().filter_map(|&i| warm_key(&runs[i])).collect();
+    keys.len()
 }
 
 /// Final status of one campaign run.
@@ -389,19 +451,24 @@ fn run_attempt(
         let cfg = spec
             .resolved_config()
             .map_err(|msg| fail(FailureKind::Config, None, msg))?;
-        let programs = scratch
-            .programs_for(spec)
-            .map_err(|msg| fail(FailureKind::Config, None, msg))?;
         if validate {
             // Differential tier: the run's exact config and programs must
             // track the functional reference before the timing run counts.
-            let bare: Vec<Program> = programs.iter().map(|(_, p)| p.clone()).collect();
+            let bare: Vec<Program> = scratch
+                .programs_for(spec)
+                .map_err(|msg| fail(FailureKind::Config, None, msg))?
+                .into_iter()
+                .map(|(_, p)| p)
+                .collect();
             validate_run(&cfg, &bare, &fail)?;
         }
+        let warm = scratch
+            .warm_for(spec, &cfg)
+            .map_err(|msg| fail(FailureKind::Config, None, msg))?;
         // The energy model depends only on the config; capture it before
         // `cfg` moves into the simulation.
         let energy = shelfsim_energy::EnergyModel::for_config(&cfg);
-        let mut sim = Simulation::from_programs(cfg, programs, spec.seed);
+        let mut sim = Simulation::from_warm(cfg, warm, spec.mix.clone(), spec.seed);
         if diagnostics {
             // Escalation tier: keep a commit log so a reproduced failure
             // carries pipeline context. With `--features sanitize` the
@@ -563,9 +630,13 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
 /// never aborts the campaign — failed runs are retried, then quarantined,
 /// and the report carries partial results plus the error taxonomy.
 ///
-/// Each worker keeps a scratch arena (memoized program builds) for its
-/// whole lifetime and, when `spec.journal_dir` is set, appends outcomes to
-/// its own journal shard with no shared lock.
+/// Each worker keeps a scratch arena (memoized program builds and the last
+/// warmed state) for its whole lifetime and, when `spec.journal_dir` is
+/// set, appends outcomes to its own journal shard with no shared lock.
+/// Misses run grouped by warm-up key, so runs that share a warm-up are
+/// adjacent and a worker warms once per group; records still land at
+/// their matrix index, and merged shard bytes do not depend on execution
+/// order.
 ///
 /// # Errors
 ///
@@ -596,8 +667,17 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
     }
 
     let _quiet = QuietPanics::new(spec.quiet_panics);
-    let queues = StealQueues::new(admission.misses, workers);
+    // A single-file journal's bytes are its execution order, and resumed
+    // journals are pinned byte for byte, so it keeps matrix order. The
+    // exception goes away once the single-file journal is retired.
+    let order = if journal_file.is_some() {
+        admission.misses
+    } else {
+        warm_order(&spec.runs, &admission.misses)
+    };
+    let queues = StealQueues::new(order, workers);
     let finished: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
+    let warm_counts: Mutex<(usize, usize)> = Mutex::new((0, 0));
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
@@ -606,6 +686,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
             let finished = &finished;
             let io_error = &io_error;
             let journal_file = &journal_file;
+            let warm_counts = &warm_counts;
             scope.spawn(move || {
                 let mut scratch = WorkerScratch::new();
                 while let Some(i) = queues.next(w) {
@@ -628,6 +709,9 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
                     }
                     finished.lock().expect("results").push((i, record));
                 }
+                let mut counts = warm_counts.lock().expect("warm counts");
+                counts.0 += scratch.warm_builds;
+                counts.1 += scratch.warm_hits;
             });
         }
     });
@@ -642,5 +726,39 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
         .into_iter()
         .map(|r| r.expect("every run either resumed or executed"))
         .collect();
-    Ok(CampaignReport::new(records, resumed))
+    let mut report = CampaignReport::new(records, resumed);
+    (report.warm_builds, report.warm_hits) = warm_counts.into_inner().expect("warm counts");
+    Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::SweepSpec;
+
+    #[test]
+    fn warm_order_groups_design_points_of_a_mix() {
+        let runs = SweepSpec {
+            designs: vec!["base64".to_owned(), "shelf-opt".to_owned()],
+            thread_counts: vec![2],
+            mixes_per_count: 2,
+            seed: 3,
+            warmup: 100,
+            measure: 100,
+        }
+        .expand();
+        let per_design = runs.len() / 2;
+        // Designs outer: run `i` and run `i + per_design` share a mix.
+        let all: Vec<usize> = (0..runs.len()).collect();
+        let expected: Vec<usize> = (0..per_design).flat_map(|i| [i, i + per_design]).collect();
+        assert_eq!(warm_order(&runs, &all), expected);
+        assert_eq!(warmups_needed(&runs, &all), per_design);
+        // A pending subset keeps group-of-first-run order.
+        let pending = [1, per_design, per_design + 1, per_design + 2];
+        assert_eq!(
+            warm_order(&runs, &pending),
+            vec![1, per_design + 1, per_design, per_design + 2]
+        );
+        assert_eq!(warmups_needed(&runs, &pending), 3);
+    }
 }

@@ -1336,9 +1336,9 @@ fn cmd_validate(args: &[String]) -> Result<String, CliError> {
 /// [`shelfsim::SweepSpec`], deduplicated against merged journal history
 /// by the config-hash [`shelfsim::ResultCache`], and executed on the
 /// work-stealing campaign pool with one journal shard per worker.
-/// `--dry-run` prints the matrix size, initial shard plan, and cache-hit
-/// preview without simulating a cycle; `--pareto` appends the
-/// STP/EDP/area Pareto report over the merged history.
+/// `--dry-run` prints the matrix size, initial shard plan, cache-hit
+/// preview and warm-up count without simulating a cycle; `--pareto`
+/// appends the STP/EDP/area Pareto report over the merged history.
 fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
     let mut designs: Vec<String> = vec!["base64".to_owned(), "shelf-opt".to_owned()];
     let mut thread_counts: Vec<usize> = vec![2, 4];
@@ -1455,13 +1455,15 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
 
     if dry_run {
         let plan = shelfsim::shard_plan(admission.misses.len(), workers);
+        // Design points of one mix share a warm-up (see `WarmKey`).
+        let warmups = shelfsim::warmups_needed(&runs, &admission.misses);
         if json {
             let shards: Vec<String> = plan
                 .iter()
                 .map(|&(start, len)| format!("{{\"start\":{start},\"len\":{len}}}"))
                 .collect();
             return Ok(format!(
-                "{{\"runs\":{},\"hits\":{},\"misses\":{},\"workers\":{},\"shards\":[{}]}}\n",
+                "{{\"runs\":{},\"hits\":{},\"misses\":{},\"warmups\":{warmups},\"workers\":{},\"shards\":[{}]}}\n",
                 runs.len(),
                 admission.hits.len(),
                 admission.misses.len(),
@@ -1470,6 +1472,12 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
             ));
         }
         let mut out = header;
+        writeln!(
+            out,
+            "{warmups} warm-ups for {} pending runs",
+            admission.misses.len()
+        )
+        .expect("write");
         for (w, &(start, len)) in plan.iter().enumerate() {
             writeln!(
                 out,
@@ -1527,6 +1535,12 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
     }
     let mut out = header;
     out.push_str(&report.render_text());
+    writeln!(
+        out,
+        "warm-ups: {} built, {} reused",
+        report.warm_builds, report.warm_hits
+    )
+    .expect("write");
     if let Some(entries) = &pareto_entries {
         out.push_str(&shelfsim::pareto_report(entries, workers).render_text());
     }
@@ -1554,7 +1568,8 @@ USAGE:
                    worker under --journal-dir; requested runs dedupe against
                    all merged journal history by config hash, so re-invoking
                    the same sweep re-simulates nothing. --dry-run prints the
-                   matrix size, initial shard plan, and cache-hit preview
+                   matrix size, initial shard plan, cache-hit preview and
+                   warm-ups needed (design points of one mix share one)
                    without simulating a cycle; --pareto appends the
                    STP vs energy-delay vs area Pareto frontier over the
                    merged history)
@@ -2130,7 +2145,16 @@ mod tests {
         let out = run_cli(&args(&format!("{cmd} --dry-run"))).expect("dry run");
         assert!(out.contains("sweep matrix: 1 designs"), "{out}");
         assert!(out.contains("0 hits, 3 misses"), "{out}");
+        // One 2-thread mix plus its two single-thread references: three
+        // distinct warm-ups.
+        assert!(out.contains("3 warm-ups for 3 pending runs"), "{out}");
         assert!(out.contains("dry run: 0 cycles simulated"), "{out}");
+        let out = run_cli(&args(&format!(
+            "sweep --designs base64,shelf-opt,base128 --thread-counts 2 --mixes 1 \
+             --warmup 100 --measure 400 --journal-dir {dir} --dry-run"
+        )))
+        .expect("three-design dry run");
+        assert!(out.contains("3 warm-ups for 9 pending runs"), "{out}");
         assert!(!std::path::Path::new(&dir).exists(), "dry run wrote files");
 
         // Real run, then a warm preview: everything dedupes by config hash.
@@ -2138,9 +2162,11 @@ mod tests {
         assert!(out.contains("3 completed"), "{out}");
         let out = run_cli(&args(&format!("{cmd} --dry-run"))).expect("warm dry run");
         assert!(out.contains("3 hits, 0 misses (100.0% cached"), "{out}");
+        assert!(out.contains("0 warm-ups for 0 pending runs"), "{out}");
 
         let out = run_cli(&args(&format!("{cmd} --dry-run --json"))).expect("json dry run");
         assert!(out.contains("\"misses\":0"), "{out}");
+        assert!(out.contains("\"warmups\":0"), "{out}");
         assert!(out.contains("\"shards\":["), "{out}");
     }
 

@@ -33,6 +33,7 @@ pub mod pipeline;
 pub mod sim;
 pub mod skip;
 pub mod steer;
+pub mod warm;
 
 pub use classify::Classifier;
 pub use config::{CoreConfig, FetchPolicy, MemoryModel, SteerPolicy};
@@ -47,6 +48,7 @@ pub use sim::{
 };
 pub use skip::{SkipCause, SkipStats, SKIP_CAUSES};
 pub use steer::{OracleSteer, PracticalSteer};
+pub use warm::{WarmKey, WarmState};
 // Re-export the observability types so downstream users of the core don't
 // need a separate `shelfsim-trace` dependency to consume traces.
 pub use shelfsim_trace::{

@@ -28,14 +28,15 @@ use crate::skip::{
     Verdict, MAX_SKIP_THREADS, MIN_PARK_JUMP_SPAN,
 };
 use crate::steer::{OracleSteer, PracticalSteer};
+use crate::warm::{self, WarmState};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use shelfsim_isa::{ArchReg, DynInst, FuKind, MemInfo, OpClass};
 use shelfsim_mem::{Hierarchy, Level};
 use shelfsim_trace::{EndKind, Lifecycle, OccupancySample, QueueKind, StallCause, Tracer};
 use shelfsim_uarch::{
-    BranchPredictor, BranchPredictorConfig, FreeList, Icount, IssueTracker, Mapping, OrderedQueue,
-    PhysReg, RenameTable, Scoreboard, SsrPair, StoreSets, Tag,
+    BranchPredictor, FreeList, Icount, IssueTracker, Mapping, OrderedQueue, PhysReg, RenameTable,
+    Scoreboard, SsrPair, StoreSets, Tag,
 };
 use shelfsim_workload::TraceSource;
 use std::collections::{BinaryHeap, VecDeque};
@@ -520,8 +521,33 @@ impl Core {
     /// Panics if the trace count does not match `cfg.threads` or the
     /// configuration is invalid.
     pub fn new(cfg: CoreConfig, traces: Vec<TraceSource>) -> Self {
+        // Validate before `cold` builds the hierarchy from the config.
         cfg.validate();
-        assert_eq!(traces.len(), cfg.threads, "one trace per hardware thread");
+        let cold = WarmState::cold(&cfg, traces);
+        Self::from_warm(cfg, cold)
+    }
+
+    /// Builds a core around an already warmed hierarchy, trace positions
+    /// and branch predictors (see [`WarmState`]). Equivalent to
+    /// [`Core::new`] followed by the warm-up that produced `warm`, without
+    /// repeating it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid, or if `warm` was built for
+    /// another thread count, hierarchy or predictor.
+    pub fn from_warm(cfg: CoreConfig, warm: WarmState) -> Self {
+        cfg.validate();
+        let WarmState {
+            hierarchy,
+            threads: parts,
+        } = warm;
+        assert_eq!(parts.len(), cfg.threads, "one trace per hardware thread");
+        assert_eq!(
+            hierarchy.config(),
+            &cfg.hierarchy,
+            "warm state built for another hierarchy"
+        );
         let num_phys = cfg.num_phys_regs();
         let num_arch = shelfsim_isa::NUM_ARCH_REGS;
 
@@ -529,7 +555,12 @@ impl Core {
         // [t*num_arch, (t+1)*num_arch); the remainder form the shared rename
         // pool managed by the physical free list.
         let mut threads = Vec::with_capacity(cfg.threads);
-        for (t, trace) in traces.into_iter().enumerate() {
+        for (t, (trace, bpred)) in parts.into_iter().enumerate() {
+            assert_eq!(
+                bpred.config().kind,
+                cfg.predictor,
+                "warm state built for another predictor"
+            );
             let base = (t * num_arch) as u32;
             threads.push(Thread {
                 trace,
@@ -557,10 +588,7 @@ impl Core {
                 inflight_stores: VecDeque::new(),
                 recent_shelf_loads: VecDeque::new(),
                 inflight_loads: Vec::new(),
-                bpred: BranchPredictor::new(BranchPredictorConfig {
-                    kind: cfg.predictor,
-                    ..BranchPredictorConfig::default()
-                }),
+                bpred,
                 practical: PracticalSteer::new(cfg.rct_bits, cfg.plt_columns),
                 oracle: OracleSteer::new(),
                 shadow_oracle: OracleSteer::new(),
@@ -602,7 +630,7 @@ impl Core {
                 vec![0; cfg.fu_fp],
                 vec![0; cfg.fu_mem_ports],
             ],
-            hierarchy: Hierarchy::new(cfg.hierarchy),
+            hierarchy,
             cfg,
             now: 0,
             slab: Slab::new(),
@@ -1016,61 +1044,26 @@ impl Core {
     /// (cold compulsory misses would otherwise dominate short sampling
     /// windows). Warms the L2-resident data region, then code, then the
     /// L1-resident data region, leaving a realistic steady-state residency.
+    /// Runs the same code as [`WarmState::new`].
     pub fn warm_caches(&mut self) {
-        let block = self.cfg.hierarchy.l1d.block_bytes as u64;
-        for t in 0..self.threads.len() {
-            let (code_start, code_end) = self.threads[t].trace.code_range();
-            let regions = self.threads[t].trace.data_region_ranges();
-            // L2-resident region (fills L2).
-            let (l2s, l2e) = regions[1];
-            let mut a = l2s;
-            while a < l2e {
-                self.hierarchy.warm_data(a);
-                a += block;
-            }
-            // Code.
-            let mut a = code_start;
-            while a < code_end {
-                self.hierarchy.warm_inst(a);
-                a += block;
-            }
-            // L1-resident region last so it stays L1-resident.
-            let (l1s, l1e) = regions[0];
-            let mut a = l1s;
-            while a < l1e {
-                self.hierarchy.warm_data(a);
-                a += block;
-            }
-        }
+        warm::warm_caches(&mut self.hierarchy, self.threads.iter().map(|t| &t.trace));
     }
 
     /// Functionally fast-forwards every thread by `insts` instructions,
     /// training the branch predictors and warming the caches without timing
     /// — the analogue of the paper's atomic-mode warm-up ("We warm
     /// microarchitectural structures for 100 million instructions"). The
-    /// timed run continues from where the fast-forward stopped.
+    /// timed run continues from where the fast-forward stopped. Runs the
+    /// same code as [`WarmState::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics once the core has ticked: warm-up instructions bypass the
+    /// replay buffer, which is sound only while nothing is in flight.
     pub fn warm_functional(&mut self, insts: u64) {
-        for t in 0..self.threads.len() {
-            for _ in 0..insts {
-                let (_, inst) = self.threads[t].trace.fetch();
-                self.hierarchy.warm_inst(inst.pc);
-                if let Some(mem) = inst.mem {
-                    self.hierarchy.warm_data(mem.addr);
-                }
-                if let Some(br) = inst.branch {
-                    let bp = &mut self.threads[t].bpred;
-                    let pred = bp.predict(inst.pc, br.is_return);
-                    bp.update(
-                        inst.pc,
-                        pred,
-                        br.taken,
-                        br.next_pc,
-                        br.is_call,
-                        br.is_return,
-                        inst.pc + 4,
-                    );
-                }
-            }
+        assert_eq!(self.now, 0, "functional warm-up after the first tick");
+        for th in &mut self.threads {
+            warm::warm_functional(&mut self.hierarchy, &mut th.trace, &mut th.bpred, insts);
         }
     }
 

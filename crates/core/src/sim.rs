@@ -5,14 +5,15 @@
 use crate::config::CoreConfig;
 use crate::counters::Counters;
 use crate::pipeline::{Core, ThreadOccupancy};
+use crate::warm::WarmState;
 use shelfsim_mem::CacheStats;
 use shelfsim_stats::WeightedCdf;
-use shelfsim_workload::{suite, BenchmarkProfile, Program, TraceSource};
+use shelfsim_workload::{suite, BenchmarkProfile, Program};
 
 /// Instructions of functional (atomic-mode) warm-up per thread applied when
-/// a [`Simulation`] is built: trains branch predictors and warms caches
-/// before the timed run, standing in for the paper's 100M-instruction
-/// warm-up. Override with [`Simulation::with_functional_warmup`].
+/// a [`Simulation`] is built ([`WarmState::new`]): trains branch predictors
+/// and warms caches before the timed run, standing in for the paper's
+/// 100M-instruction warm-up.
 pub const DEFAULT_FUNCTIONAL_WARMUP: u64 = 100_000;
 
 /// Error returned when a benchmark name is not in the suite.
@@ -286,23 +287,32 @@ impl Simulation {
     ///
     /// Panics if the program count does not match `cfg.threads`.
     pub fn from_programs(cfg: CoreConfig, programs: Vec<(String, Program)>, seed: u64) -> Self {
-        assert_eq!(programs.len(), cfg.threads, "one program per thread");
-        let names: Vec<String> = programs.iter().map(|(n, _)| n.clone()).collect();
+        let (names, programs): (Vec<String>, Vec<Program>) = programs.into_iter().unzip();
+        let warm = WarmState::new(&cfg, programs);
+        Self::from_warm(cfg, warm, names, seed)
+    }
+
+    /// Builds a simulation around an already warmed state (one built by
+    /// [`WarmState::new`], or a clone of one): callers that run many design
+    /// points over the same mix (the campaign worker pool) warm once and
+    /// reuse the state, which is design-independent (see
+    /// [`crate::WarmKey`]). `names` are the per-thread benchmark names and
+    /// `seed` the workload seed the state's programs were built from;
+    /// both feed [`RunMeta`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `warm` does not fit `cfg` (see [`Core::from_warm`]) or the
+    /// name count does not match `cfg.threads`.
+    pub fn from_warm(cfg: CoreConfig, warm: WarmState, names: Vec<String>, seed: u64) -> Self {
+        assert_eq!(names.len(), cfg.threads, "one benchmark name per thread");
         let meta = RunMeta {
             seed,
             benchmarks: names.clone(),
             config_hash: cfg.stable_hash(),
         };
-        let traces: Vec<TraceSource> = programs
-            .into_iter()
-            .enumerate()
-            .map(|(t, (_, p))| TraceSource::new(p, t))
-            .collect();
-        let mut core = Core::new(cfg, traces);
-        core.warm_caches();
-        core.warm_functional(DEFAULT_FUNCTIONAL_WARMUP);
         Simulation {
-            core,
+            core: Core::from_warm(cfg, warm),
             names,
             meta,
             driven: 0,
@@ -585,13 +595,6 @@ impl Simulation {
             l1d0,
             l20,
         ))
-    }
-
-    /// Applies `insts` additional instructions of functional warm-up per
-    /// thread (on top of the default applied at construction).
-    pub fn with_functional_warmup(mut self, insts: u64) -> Self {
-        self.core.warm_functional(insts);
-        self
     }
 
     /// Warms the core for `warmup_cycles`, then measures `measure_cycles`

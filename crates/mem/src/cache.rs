@@ -1,7 +1,7 @@
 //! A set-associative cache with true-LRU replacement.
 
 /// Geometry and latency of one cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,

@@ -38,7 +38,7 @@ pub struct Access {
 /// Hierarchy geometry and latencies.
 ///
 /// The default matches paper Table I at a 2 GHz clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct HierarchyConfig {
     /// L1 instruction cache.
     pub l1i: CacheConfig,

@@ -10,7 +10,7 @@
 //!   prefetched ahead of the demand stream.
 
 /// Prefetcher organization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum PrefetchKind {
     /// No prefetching (the paper's Table I configuration).
     #[default]

@@ -76,8 +76,8 @@ pub use shelfsim_analyze::{
     IpcBoundReport, Report, Severity,
 };
 pub use shelfsim_campaign::{
-    pareto_report, run_campaign, shard_plan, CampaignReport, CampaignSpec, FaultKind, FaultMix,
-    FaultPlan, ParetoReport, ResultCache, RunSpec, ShardedJournal, SweepSpec,
+    pareto_report, run_campaign, shard_plan, warmups_needed, CampaignReport, CampaignSpec,
+    FaultKind, FaultMix, FaultPlan, ParetoReport, ResultCache, RunSpec, ShardedJournal, SweepSpec,
 };
 pub use shelfsim_core::{
     Completion, Core, CoreConfig, Counters, MemoryModel, RunMeta, RunResult, SimError, Simulation,

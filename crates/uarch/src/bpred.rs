@@ -8,7 +8,7 @@
 //! branches).
 
 /// Direction-predictor organization.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum PredictorKind {
     /// PC-indexed 2-bit counters only (no history).
     Bimodal,
@@ -257,6 +257,11 @@ impl BranchPredictor {
             return 0.0;
         }
         (self.direction_mispredicts + self.target_mispredicts) as f64 / self.lookups as f64
+    }
+
+    /// The configuration this predictor was built with.
+    pub fn config(&self) -> &BranchPredictorConfig {
+        &self.config
     }
 }
 

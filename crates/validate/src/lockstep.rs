@@ -244,13 +244,15 @@ pub fn run_lockstep(cfg: &CoreConfig, programs: &[Program], lcfg: &LockstepConfi
 
     // Build each thread's reference source and fast-forward it to the
     // core's post-warm-up fetch position: warm-up consumes fetches without
-    // committing, so the observed stream starts exactly there.
+    // committing, so the observed stream starts exactly there. The
+    // reference never rewinds, so the skipped prefix bypasses its replay
+    // buffer.
     let mut refs: Vec<RefThread> = (0..threads)
         .map(|t| {
             let mut src = TraceSource::new(programs[t].clone(), t);
             let skip = core.next_fetch_seq(t);
             for _ in 0..skip {
-                let _ = src.fetch();
+                let _ = src.advance_unbuffered();
             }
             RefThread {
                 src,

@@ -75,7 +75,8 @@ impl TraceSource {
             chase_state: (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect(),
             rng: SmallRng::seed_from_u64(seed),
             next_seq: 0,
-            buffer: VecDeque::with_capacity(REPLAY_CAPACITY),
+            // Allocated by the first buffered fetch.
+            buffer: VecDeque::new(),
             cursor: None,
             program,
         }
@@ -133,8 +134,35 @@ impl TraceSource {
         self.next_seq += 1;
         if self.buffer.len() == REPLAY_CAPACITY {
             self.buffer.pop_front();
+        } else if self.buffer.capacity() == 0 {
+            self.buffer.reserve_exact(REPLAY_CAPACITY);
         }
         self.buffer.push_back((seq, inst));
+        (seq, inst)
+    }
+
+    /// Generates the next dynamic instruction without retaining it for
+    /// replay: the stream advances exactly as [`TraceSource::fetch`] would,
+    /// but nothing before the returned sequence can be rewound to
+    /// afterwards. For functional warm-up, whose instructions never enter
+    /// the pipeline: it skips the replay-buffer copy, and a source that
+    /// has only been warmed never allocates its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics while a rewind is pending (the next fetch must replay).
+    pub fn advance_unbuffered(&mut self) -> (u64, DynInst) {
+        assert!(
+            self.cursor.is_none(),
+            "unbuffered advance during a pending replay"
+        );
+        if !self.buffer.is_empty() {
+            // Keep the buffer contiguous: everything older is unrewindable.
+            self.buffer.clear();
+        }
+        let inst = self.generate();
+        let seq = self.next_seq;
+        self.next_seq += 1;
         (seq, inst)
     }
 
@@ -329,6 +357,52 @@ mod tests {
         let mut t = source("gcc", 0);
         t.fetch();
         t.rewind_to(5);
+    }
+
+    #[test]
+    fn unbuffered_advance_matches_fetch_stream() {
+        for name in ["gcc", "mcf", "xalancbmk"] {
+            let (n, m) = (3_000u64, 500u64);
+            let mut plain = source(name, 1);
+            let mut warmed = source(name, 1);
+            let expected: Vec<(u64, DynInst)> = (0..n + m).map(|_| plain.fetch()).collect();
+            for item in &expected[..n as usize] {
+                assert_eq!(warmed.advance_unbuffered(), *item);
+            }
+            assert_eq!(warmed.next_fetch_seq(), n);
+            for item in &expected[n as usize..] {
+                assert_eq!(warmed.fetch(), *item);
+            }
+            // Rewinds inside the post-warm-up stream still replay exactly.
+            warmed.rewind_to(n + 10);
+            for item in &expected[(n + 10) as usize..] {
+                assert_eq!(warmed.fetch(), *item);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fell out of the replay window")]
+    fn rewind_into_unbuffered_warmup_panics() {
+        let mut t = source("gcc", 0);
+        for _ in 0..100 {
+            t.advance_unbuffered();
+        }
+        for _ in 0..20 {
+            t.fetch();
+        }
+        t.rewind_to(99);
+    }
+
+    #[test]
+    #[should_panic(expected = "pending replay")]
+    fn unbuffered_advance_refuses_a_pending_replay() {
+        let mut t = source("gcc", 0);
+        for _ in 0..10 {
+            t.fetch();
+        }
+        t.rewind_to(5);
+        t.advance_unbuffered();
     }
 
     #[test]

@@ -146,6 +146,19 @@ out="$(sweep 2 --dry-run)"
 echo "$out" | head -2
 echo "$out" | grep -q "dry run: 0 cycles simulated" \
   || { echo "FAIL: --dry-run must not simulate"; echo "$out"; exit 1; }
+# Both designs of a mix share one warm-up: 3 mixes (one 2-thread mix and
+# its two single-thread references) for 6 runs.
+echo "$out" | grep -q "3 warm-ups for 6 pending runs" \
+  || { echo "FAIL: dry run must count one warm-up per mix"; echo "$out"; exit 1; }
+# Cold sweeps on 1 and 2 workers (different warm-up sharing) must
+# journal identical entries.
+cold_a="$(mktemp -d)/shards"
+cold_b="$(mktemp -d)/shards"
+sweep_dir="$cold_a" sweep 1 >/dev/null
+sweep_dir="$cold_b" sweep 2 >/dev/null
+[ "$(cat "$cold_a"/shard-*.jsonl | sort)" = "$(cat "$cold_b"/shard-*.jsonl | sort)" ] \
+  || { echo "FAIL: 1- and 2-worker cold sweeps must journal identical entries"; exit 1; }
+rm -rf "$cold_a" "$cold_b"
 # Real run with 2 workers, then an identical re-run with 3: everything
 # must dedupe against the shards (zero misses, all resumed).
 out="$(sweep 2)"
