@@ -6,10 +6,10 @@
 //! overrides), and the simulator is deterministic — so a journaled `ok`
 //! entry for a key *is* the run's result. Admission splits a requested
 //! matrix into cache hits (restored without simulating) and misses (queued
-//! for the pool). History can come from any combination of a legacy
-//! single-file journal and a sharded journal directory.
+//! for the pool). History is a journal directory's shards, merged by the
+//! same rule [`ShardedJournal::load_merged`] uses.
 
-use crate::journal::{Journal, JournalEntry, ShardedJournal};
+use crate::journal::{merge_journal_files, JournalEntry, ShardedJournal};
 use crate::spec::RunSpec;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -43,30 +43,24 @@ impl Admission {
 }
 
 impl ResultCache {
-    /// An empty cache (every admission misses).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Builds the cache from merged history: a sharded journal directory,
-    /// a legacy single-file journal, or both. When both hold the same key,
-    /// the sharded entry wins only by the same better-status rule the shard
-    /// merge itself uses — here the simpler precedence "legacy first, then
-    /// sharded overrides" suffices because identical keys mean identical
-    /// results for `ok` entries.
+    /// Builds the cache from merged history: every shard of `sharded`
+    /// plus, when given, one `extra` journal file merged as one more shard
+    /// (after the directory's own). Within a file the last entry per key
+    /// wins; across files the better status wins (`ok` > `rejected` >
+    /// `quarantined`).
     ///
     /// # Errors
     ///
     /// Propagates journal I/O errors.
-    pub fn load(sharded: Option<&ShardedJournal>, legacy: Option<&Path>) -> std::io::Result<Self> {
-        let mut entries = BTreeMap::new();
-        if let Some(path) = legacy {
-            entries.extend(Journal::new(path).load()?);
-        }
-        if let Some(sj) = sharded {
-            entries.extend(sj.load_merged()?);
-        }
-        Ok(ResultCache { entries })
+    pub fn load(sharded: Option<&ShardedJournal>, extra: Option<&Path>) -> std::io::Result<Self> {
+        let mut files = sharded
+            .map(ShardedJournal::shard_files)
+            .transpose()?
+            .unwrap_or_default();
+        files.extend(extra.map(Path::to_path_buf));
+        Ok(ResultCache {
+            entries: merge_journal_files(files)?,
+        })
     }
 
     /// Number of cached entries.
@@ -86,8 +80,7 @@ impl ResultCache {
 
     /// Splits a requested matrix into hits and misses. Only final entries
     /// count as hits (every journaled status is final — `ok`,
-    /// `quarantined`, and `rejected` all resume without re-execution, the
-    /// same contract the single-file journal has always had).
+    /// `quarantined`, and `rejected` all resume without re-execution).
     pub fn admit(&self, runs: &[RunSpec]) -> Admission {
         let mut hits = Vec::new();
         let mut misses = Vec::new();
@@ -143,7 +136,7 @@ mod tests {
     #[test]
     fn admission_splits_hits_and_misses() {
         let hit_spec = spec(7);
-        let mut cache = ResultCache::empty();
+        let mut cache = ResultCache::default();
         cache.entries.insert(hit_spec.key(), entry(&hit_spec.key()));
         let runs = vec![hit_spec, spec(8)];
         let adm = cache.admit(&runs);
@@ -156,19 +149,39 @@ mod tests {
     fn merges_legacy_and_sharded_history() {
         let dir = std::env::temp_dir().join("shelfsim_cache_test_merge");
         let _ = std::fs::remove_dir_all(&dir);
+        let sj = ShardedJournal::new(&dir);
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let legacy = dir.join("legacy.jsonl");
-        let j = Journal::new(&legacy);
-        let mut f = j.open_append().expect("open");
-        Journal::append_to(&mut f, &entry("ka")).expect("write");
-        drop(f);
-        let sj = ShardedJournal::new(dir.join("shards"));
+        // An old single-file journal dropped into the directory is read as
+        // one more shard.
+        std::fs::write(dir.join("legacy.jsonl"), entry("ka").to_json_line()).expect("write");
         let mut w = sj.open_writer(0).expect("shard");
         w.buffer(&entry("kb"));
         w.flush().expect("flush");
 
-        let cache = ResultCache::load(Some(&sj), Some(&legacy)).expect("load");
+        let cache = ResultCache::load(Some(&sj), None).expect("load");
         assert_eq!(cache.len(), 2);
         assert!(cache.get("ka").is_some() && cache.get("kb").is_some());
+    }
+
+    #[test]
+    fn extra_file_ok_beats_a_quarantined_shard_entry() {
+        let dir = std::env::temp_dir().join("shelfsim_cache_test_precedence");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let extra = dir.join("legacy.jsonl");
+        std::fs::write(&extra, entry("k").to_json_line()).expect("write");
+        let sj = ShardedJournal::new(dir.join("shards"));
+        let mut w = sj.open_writer(0).expect("shard");
+        let mut quarantined = entry("k");
+        quarantined.status = "quarantined".to_owned();
+        w.buffer(&quarantined);
+        w.flush().expect("flush");
+
+        // The cache merges by the shard rule: a completed result is never
+        // shadowed by a quarantine for the same key, whichever file holds
+        // which.
+        let cache = ResultCache::load(Some(&sj), Some(&extra)).expect("load");
+        assert_eq!(cache.get("k").expect("cached").status, "ok");
+        assert_eq!(sj.load_merged().expect("shards")["k"].status, "quarantined");
     }
 }

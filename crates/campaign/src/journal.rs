@@ -11,8 +11,8 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::path::PathBuf;
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
@@ -235,112 +235,46 @@ impl JournalEntry {
     }
 }
 
-/// An append-only JSONL journal on disk.
-#[derive(Clone, Debug)]
-pub struct Journal {
-    path: PathBuf,
-}
-
-impl Journal {
-    /// A journal at `path` (the file need not exist yet).
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Journal { path: path.into() }
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Loads the journal: the last entry per key wins. A missing file is an
-    /// empty journal; malformed lines (e.g. a crash-truncated tail) are
-    /// skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "file not found".
-    pub fn load(&self) -> std::io::Result<BTreeMap<String, JournalEntry>> {
-        load_journal_file(&self.path)
-    }
-
-    /// Opens the journal for appending (creating parent directories and the
-    /// file as needed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn open_append(&self) -> std::io::Result<File> {
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
+/// Merges journal files into one view: within a file the last entry per
+/// key wins, and when the same key appears in several files the better
+/// status wins (`ok` > `rejected` > `quarantined`; ties keep the earlier
+/// file's entry). Missing files are empty; malformed lines (e.g. a
+/// crash-truncated tail) are skipped. This is the only journal reader:
+/// shard directories and the result cache both merge through it.
+///
+/// # Errors
+///
+/// Propagates I/O errors other than "file not found".
+pub(crate) fn merge_journal_files(
+    paths: impl IntoIterator<Item = PathBuf>,
+) -> std::io::Result<BTreeMap<String, JournalEntry>> {
+    let mut merged: BTreeMap<String, JournalEntry> = BTreeMap::new();
+    for path in paths {
+        let file = match File::open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        };
+        let mut latest: BTreeMap<String, JournalEntry> = BTreeMap::new();
+        for line in BufReader::new(file).lines() {
+            if let Some(entry) = parse_flat_json(&line?)
+                .as_ref()
+                .and_then(JournalEntry::from_map)
+            {
+                latest.insert(entry.key.clone(), entry);
             }
         }
-        repair_torn_tail(&self.path)?;
-        OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-    }
-
-    /// Appends one entry (a single `write_all` of the full line, so a crash
-    /// can truncate at most the final line).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors.
-    pub fn append_to(file: &mut File, entry: &JournalEntry) -> std::io::Result<()> {
-        let mut line = entry.to_json_line();
-        line.push('\n');
-        file.write_all(line.as_bytes())
-    }
-}
-
-/// Loads one JSONL journal file into a last-entry-per-key map. A missing
-/// file is an empty journal; malformed lines (e.g. a crash-truncated tail)
-/// are skipped.
-fn load_journal_file(path: &Path) -> std::io::Result<BTreeMap<String, JournalEntry>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(e),
-    };
-    let mut entries = BTreeMap::new();
-    for line in BufReader::new(file).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some(entry) = parse_flat_json(&line)
-            .as_ref()
-            .and_then(JournalEntry::from_map)
-        {
-            entries.insert(entry.key.clone(), entry);
+        for (key, entry) in latest {
+            let rank = status_rank(&entry.status);
+            if merged
+                .get(&key)
+                .is_none_or(|old| rank > status_rank(&old.status))
+            {
+                merged.insert(key, entry);
+            }
         }
     }
-    Ok(entries)
-}
-
-/// Newline-terminates a crash-torn final line so the next append starts a
-/// fresh line instead of concatenating into the garbage (which would lose
-/// both entries to the parser). The torn fragment itself stays in place —
-/// it fails to parse and the run re-executes, exactly as before.
-fn repair_torn_tail(path: &Path) -> std::io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = match OpenOptions::new().read(true).write(true).open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    if f.metadata()?.len() == 0 {
-        return Ok(());
-    }
-    f.seek(SeekFrom::End(-1))?;
-    let mut last = [0u8; 1];
-    f.read_exact(&mut last)?;
-    if last[0] != b'\n' {
-        f.write_all(b"\n")?;
-    }
-    Ok(())
+    Ok(merged)
 }
 
 /// Merge preference when the same key appears in multiple shards: a
@@ -367,26 +301,6 @@ pub struct ShardWriter {
 }
 
 impl ShardWriter {
-    /// Opens `path` for appending (creating parent directories as needed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation errors.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        repair_torn_tail(&path)?;
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(ShardWriter {
-            file,
-            buf: String::new(),
-        })
-    }
-
     /// Buffers one entry locally; nothing reaches the file until
     /// [`ShardWriter::flush`].
     pub fn buffer(&mut self, entry: &JournalEntry) {
@@ -431,23 +345,40 @@ impl ShardedJournal {
         ShardedJournal { dir: dir.into() }
     }
 
-    /// The journal's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The shard file a given worker appends to.
     pub fn shard_path(&self, worker: usize) -> PathBuf {
         self.dir.join(format!("shard-{worker:03}.jsonl"))
     }
 
-    /// Opens worker `worker`'s shard for buffered appending.
+    /// Opens worker `worker`'s shard for buffered appending, creating the
+    /// directory and the file as needed.
     ///
     /// # Errors
     ///
     /// Propagates file-creation errors.
     pub fn open_writer(&self, worker: usize) -> std::io::Result<ShardWriter> {
-        ShardWriter::open(self.shard_path(worker))
+        std::fs::create_dir_all(&self.dir)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(self.shard_path(worker))?;
+        // Newline-terminate a crash-torn final line so the next append
+        // starts a fresh line instead of concatenating into the garbage
+        // (which would lose both entries to the parser). The torn fragment
+        // stays: it fails to parse and its run re-executes.
+        if file.metadata()?.len() > 0 {
+            let mut last = [0u8; 1];
+            file.seek(SeekFrom::End(-1))?;
+            file.read_exact(&mut last)?;
+            if last[0] != b'\n' {
+                file.write_all(b"\n")?;
+            }
+        }
+        Ok(ShardWriter {
+            file,
+            buf: String::new(),
+        })
     }
 
     /// Every `*.jsonl` shard in the directory, sorted by filename so the
@@ -471,29 +402,15 @@ impl ShardedJournal {
         Ok(files)
     }
 
-    /// Loads the merged view: shards are read in sorted filename order
-    /// (last entry per key within a shard), and when the same key appears
-    /// in several shards the better status wins (`ok` > `rejected` >
-    /// `quarantined`; ties keep the earlier shard's entry). The result is
-    /// a deterministic function of the completed run set, independent of
-    /// the shard layout that produced it.
+    /// Loads the merged view of every shard in sorted filename order (see
+    /// `merge_journal_files`): a deterministic function of the completed
+    /// run set, independent of the shard layout that produced it.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn load_merged(&self) -> std::io::Result<BTreeMap<String, JournalEntry>> {
-        let mut merged: BTreeMap<String, JournalEntry> = BTreeMap::new();
-        for path in self.shard_files()? {
-            for (key, entry) in load_journal_file(&path)? {
-                match merged.get(&key) {
-                    Some(old) if status_rank(&old.status) >= status_rank(&entry.status) => {}
-                    _ => {
-                        merged.insert(key, entry);
-                    }
-                }
-            }
-        }
-        Ok(merged)
+        merge_journal_files(self.shard_files()?)
     }
 
     /// Renders the merged view as canonical bytes: one JSON line per key in
@@ -505,13 +422,11 @@ impl ShardedJournal {
     ///
     /// Propagates I/O errors.
     pub fn merged_bytes(&self) -> std::io::Result<String> {
-        let merged = self.load_merged()?;
-        let mut out = String::new();
-        for entry in merged.values() {
-            out.push_str(&entry.to_json_line());
-            out.push('\n');
-        }
-        Ok(out)
+        Ok(self
+            .load_merged()?
+            .values()
+            .map(|entry| entry.to_json_line() + "\n")
+            .collect())
     }
 }
 
@@ -604,46 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_writer_is_byte_identical_to_unbuffered_appends() {
-        let dir = std::env::temp_dir().join("shelfsim_journal_test_buffered");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let entries: Vec<JournalEntry> = (0..5)
-            .map(|i| {
-                let mut e = entry(
-                    &format!("k{i}"),
-                    if i % 2 == 0 { "ok" } else { "quarantined" },
-                );
-                e.seed = i;
-                e
-            })
-            .collect();
-
-        // Unbuffered path: one locked append per line (the legacy journal).
-        let unbuffered = dir.join("unbuffered.jsonl");
-        let mut f = Journal::new(&unbuffered).open_append().expect("open");
-        for e in &entries {
-            Journal::append_to(&mut f, e).expect("append");
-        }
-        drop(f);
-
-        // Buffered path: everything staged locally, one flush at the end.
-        let buffered = dir.join("buffered.jsonl");
-        let mut w = ShardWriter::open(&buffered).expect("open");
-        for e in &entries {
-            w.buffer(e);
-        }
-        w.flush().expect("flush");
-        drop(w);
-
-        assert_eq!(
-            std::fs::read(&unbuffered).expect("read"),
-            std::fs::read(&buffered).expect("read"),
-            "buffering must not change journal bytes"
-        );
-    }
-
-    #[test]
     fn missing_shard_dir_is_empty() {
         let sj = ShardedJournal::new("/nonexistent/definitely/missing-dir");
         assert!(sj.load_merged().expect("missing dir is fine").is_empty());
@@ -662,30 +537,28 @@ mod tests {
     #[test]
     fn load_skips_malformed_lines_and_keeps_last_entry_per_key() {
         let dir = std::env::temp_dir().join("shelfsim_journal_test_load");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("j.jsonl");
-        let j = Journal::new(&path);
-        let _ = std::fs::remove_file(&path);
-        let mut f = j.open_append().expect("open");
-        Journal::append_to(&mut f, &entry("k1", "quarantined")).expect("write");
-        Journal::append_to(&mut f, &entry("k2", "ok")).expect("write");
+        let _ = std::fs::remove_dir_all(&dir);
+        let sj = ShardedJournal::new(&dir);
+        let mut w = sj.open_writer(0).expect("open");
+        w.buffer(&entry("k1", "quarantined"));
+        w.buffer(&entry("k2", "ok"));
         // A retry later overwrote k1's outcome, and a crash truncated the
         // final line mid-write.
-        Journal::append_to(&mut f, &entry("k1", "ok")).expect("write");
+        w.buffer(&entry("k1", "ok"));
+        w.flush().expect("flush");
+        drop(w);
         use std::io::Write as _;
-        f.write_all(br#"{"key":"k3","status":"ok","trunc"#)
+        let mut raw = OpenOptions::new()
+            .append(true)
+            .open(sj.shard_path(0))
+            .expect("reopen");
+        raw.write_all(br#"{"key":"k3","status":"ok","trunc"#)
             .expect("write");
-        drop(f);
-        let loaded = j.load().expect("load");
+        drop(raw);
+        let loaded = sj.load_merged().expect("load");
         assert_eq!(loaded.len(), 2, "k3's torn line is skipped");
         assert_eq!(loaded["k1"].status, "ok", "last entry per key wins");
         assert_eq!(loaded["k2"].ipc, 1.25);
-    }
-
-    #[test]
-    fn missing_journal_is_empty() {
-        let j = Journal::new("/nonexistent/definitely/missing.jsonl");
-        assert!(j.load().expect("missing file is fine").is_empty());
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   log enabled, invariant sanitizer when compiled with `--features
 //!   sanitize`); runs that keep failing are quarantined and the campaign
 //!   completes with partial results plus an error-taxonomy summary.
-//! * **Resumable journal** ([`Journal`]) — every final run outcome is
-//!   appended to a JSONL journal keyed by a configuration fingerprint;
-//!   re-invoking the same campaign skips completed runs idempotently.
+//! * **Resumable journal** ([`ShardedJournal`]) — every final run outcome
+//!   is appended to its worker's JSONL shard keyed by a configuration
+//!   fingerprint; re-invoking the same campaign skips completed runs
+//!   idempotently.
 //! * **Deterministic fault injection** ([`FaultPlan`]) — seeded injection
 //!   of panics, artificial stalls, and watchdog-window violations into
 //!   chosen runs, so the isolation/retry/resume machinery is itself
@@ -51,14 +52,11 @@
 //! ```
 
 //!
-//! PR 10 scaled the runner from a handful of runs to the paper's full
-//! sweep surface: [`SweepSpec`] expands the benchmark × mix × design ×
+//! At sweep scale, [`SweepSpec`] expands the benchmark × mix × design ×
 //! thread-count matrix, [`pool::StealQueues`] distributes it over
-//! work-stealing per-worker deques, [`ShardedJournal`] gives every worker
-//! a lock-free journal shard merged deterministically on read,
-//! [`ResultCache`] dedupes requested runs against all merged history by
-//! config-hash key, and [`pareto_report`] reproduces the paper's Fig 13
-//! STP / energy-delay / area trade-off over the journal.
+//! work-stealing per-worker deques, [`ResultCache`] dedupes requested runs
+//! against the merged journal by config-hash key, and [`pareto_report`]
+//! reproduces the paper's Fig 13 STP / energy-delay / area trade-off.
 
 pub mod cache;
 pub mod fault;
@@ -72,7 +70,7 @@ pub mod sweep;
 
 pub use cache::{Admission, ResultCache};
 pub use fault::{Fault, FaultKind, FaultMix, FaultPlan};
-pub use journal::{Journal, JournalEntry, ShardWriter, ShardedJournal};
+pub use journal::{JournalEntry, ShardWriter, ShardedJournal};
 pub use pareto::{pareto_report, ParetoPoint, ParetoReport};
 pub use pool::{shard_plan, StealQueues};
 pub use report::CampaignReport;

@@ -5,7 +5,7 @@
 
 use crate::cache::ResultCache;
 use crate::fault::FaultKind;
-use crate::journal::{Journal, JournalEntry, ShardWriter, ShardedJournal};
+use crate::journal::{JournalEntry, ShardWriter, ShardedJournal};
 use crate::pool::StealQueues;
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, RunSpec};
@@ -623,8 +623,8 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
     }
 }
 
-/// Runs a campaign to completion: dedupes the matrix against all merged
-/// journal history (legacy single-file and/or sharded), executes the cache
+/// Runs a campaign to completion: dedupes the matrix against the merged
+/// journal history in `spec.journal_dir`, executes the cache
 /// misses on `spec.workers` threads via work-stealing deques with per-run
 /// isolation, and returns the aggregate report. Individual-run failure
 /// never aborts the campaign — failed runs are retried, then quarantined,
@@ -644,7 +644,7 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
 /// journal, opening a shard, or failing to append an outcome).
 pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
     let sharded = spec.journal_dir.as_ref().map(ShardedJournal::new);
-    let cache = ResultCache::load(sharded.as_ref(), spec.journal.as_deref())?;
+    let cache = ResultCache::load(sharded.as_ref(), None)?;
     let admission = cache.admit(&spec.runs);
 
     let mut records: Vec<Option<RunRecord>> = vec![None; spec.runs.len()];
@@ -653,29 +653,13 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
     }
     let resumed = admission.hits.len();
 
-    let journal_file = match &spec.journal {
-        Some(p) => Some(Mutex::new(Journal::new(p).open_append()?)),
-        None => None,
-    };
     let workers = spec.workers.clamp(1, spec.runs.len().max(1));
-    let mut shard_writers: Vec<Option<ShardWriter>> = Vec::with_capacity(workers);
-    for w in 0..workers {
-        shard_writers.push(match &sharded {
-            Some(sj) => Some(sj.open_writer(w)?),
-            None => None,
-        });
-    }
+    let shard_writers = (0..workers)
+        .map(|w| sharded.as_ref().map(|sj| sj.open_writer(w)).transpose())
+        .collect::<std::io::Result<Vec<Option<ShardWriter>>>>()?;
 
     let _quiet = QuietPanics::new(spec.quiet_panics);
-    // A single-file journal's bytes are its execution order, and resumed
-    // journals are pinned byte for byte, so it keeps matrix order. The
-    // exception goes away once the single-file journal is retired.
-    let order = if journal_file.is_some() {
-        admission.misses
-    } else {
-        warm_order(&spec.runs, &admission.misses)
-    };
-    let queues = StealQueues::new(order, workers);
+    let queues = StealQueues::new(warm_order(&spec.runs, &admission.misses), workers);
     let finished: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
     let warm_counts: Mutex<(usize, usize)> = Mutex::new((0, 0));
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
@@ -685,25 +669,17 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
             let queues = &queues;
             let finished = &finished;
             let io_error = &io_error;
-            let journal_file = &journal_file;
             let warm_counts = &warm_counts;
             scope.spawn(move || {
                 let mut scratch = WorkerScratch::new();
                 while let Some(i) = queues.next(w) {
                     let record = execute(&spec.runs[i], spec, &mut scratch);
-                    let entry = record.to_journal_entry();
                     if let Some(sw) = &mut shard {
                         // Lock-free: this worker owns the shard file. The
                         // entry is buffered and flushed with one write per
                         // run completion.
-                        sw.buffer(&entry);
+                        sw.buffer(&record.to_journal_entry());
                         if let Err(e) = sw.flush() {
-                            io_error.lock().expect("io error slot").get_or_insert(e);
-                        }
-                    }
-                    if let Some(file) = &journal_file {
-                        let mut guard = file.lock().expect("journal file");
-                        if let Err(e) = Journal::append_to(&mut guard, &entry) {
                             io_error.lock().expect("io error slot").get_or_insert(e);
                         }
                     }

@@ -110,13 +110,10 @@ pub struct CampaignSpec {
     pub max_attempts: u32,
     /// Worker threads executing runs concurrently.
     pub workers: usize,
-    /// JSONL journal path; when set, outcomes are appended as they complete
-    /// and already-journaled runs are skipped on the next invocation.
-    pub journal: Option<PathBuf>,
-    /// Sharded journal directory (`shard-NNN.jsonl`, one per worker); when
-    /// set, each worker appends to its own shard lock-free and resume reads
-    /// the deterministically merged view. Composes with `journal`: history
-    /// from both is merged into the result cache.
+    /// Journal directory (`shard-NNN.jsonl`, one per worker); when set,
+    /// each worker appends outcomes to its own shard lock-free as they
+    /// complete, and the next invocation skips every run found in the
+    /// deterministically merged view of all `*.jsonl` files there.
     pub journal_dir: Option<PathBuf>,
     /// Deterministic fault injection plan (empty = no faults).
     pub faults: FaultPlan,
@@ -150,7 +147,6 @@ impl CampaignSpec {
             watchdog: Some(100_000),
             max_attempts: 3,
             workers: 2,
-            journal: None,
             journal_dir: None,
             faults: FaultPlan::new(),
             trace_dir: None,
@@ -187,12 +183,6 @@ impl CampaignSpec {
     /// Sets the worker-thread count (clamped to ≥ 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the journal path.
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
         self
     }
 

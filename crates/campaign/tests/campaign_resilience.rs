@@ -3,7 +3,9 @@
 //! quarantine persistent ones, finish with partial results plus an error
 //! taxonomy, and resume idempotently from its journal.
 
-use shelfsim_campaign::{run_campaign, CampaignSpec, FailureKind, FaultKind, FaultPlan, RunStatus};
+use shelfsim_campaign::{
+    run_campaign, CampaignSpec, FailureKind, FaultKind, FaultPlan, RunStatus, ShardedJournal,
+};
 
 fn matrix() -> Vec<shelfsim_campaign::RunSpec> {
     CampaignSpec::matrix(
@@ -18,12 +20,21 @@ fn matrix() -> Vec<shelfsim_campaign::RunSpec> {
     )
 }
 
-fn temp_journal(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("shelfsim_campaign_tests");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+/// A fresh (nonexistent) journal directory.
+fn temp_journal_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("shelfsim_campaign_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every journal line in a directory, across all shards.
+fn journal_text(dir: &std::path::Path) -> String {
+    ShardedJournal::new(dir)
+        .shard_files()
+        .expect("list shards")
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("read shard"))
+        .collect()
 }
 
 /// The acceptance scenario: injected panics and one injected deadlock; the
@@ -31,7 +42,7 @@ fn temp_journal(name: &str) -> std::path::PathBuf {
 /// invocation resumes from the journal without re-running anything.
 #[test]
 fn faulty_campaign_retries_quarantines_and_resumes() {
-    let journal = temp_journal("faulty.jsonl");
+    let journal = temp_journal_dir("faulty");
     let faults = FaultPlan::new()
         .inject(0, FaultKind::Panic, 1) // transient: retry succeeds
         .inject(1, FaultKind::Livelock, 1) // watchdog aborts attempt 1; retry succeeds
@@ -40,7 +51,7 @@ fn faulty_campaign_retries_quarantines_and_resumes() {
         .with_watchdog(Some(600))
         .with_max_attempts(3)
         .with_workers(2)
-        .with_journal(&journal)
+        .with_journal_dir(&journal)
         .with_faults(faults);
 
     let report = run_campaign(&spec).expect("campaign itself must not fail");
@@ -126,7 +137,7 @@ fn faulty_campaign_retries_quarantines_and_resumes() {
 /// campaign.
 #[test]
 fn killed_campaign_resumes_with_identical_results() {
-    let journal = temp_journal("killed.jsonl");
+    let journal = temp_journal_dir("killed");
     let runs = matrix();
 
     // Reference: the same matrix run in one uninterrupted campaign.
@@ -136,7 +147,7 @@ fn killed_campaign_resumes_with_identical_results() {
     // "Kill" after two runs: execute only a prefix against the journal.
     let prefix = CampaignSpec::new(runs[..2].to_vec())
         .with_watchdog(Some(5_000))
-        .with_journal(&journal);
+        .with_journal_dir(&journal);
     let partial = run_campaign(&prefix).expect("prefix campaign");
     assert_eq!(partial.completed(), 2);
 
@@ -144,7 +155,7 @@ fn killed_campaign_resumes_with_identical_results() {
     // the remaining half executes, and results match the reference exactly.
     let full = CampaignSpec::new(runs)
         .with_watchdog(Some(5_000))
-        .with_journal(&journal);
+        .with_journal_dir(&journal);
     let resumed = run_campaign(&full).expect("resumed campaign");
     assert_eq!(resumed.resumed, 2, "the journaled prefix was skipped");
     assert_eq!(resumed.completed(), 4);
@@ -159,6 +170,44 @@ fn killed_campaign_resumes_with_identical_results() {
         );
         assert_eq!(ra.committed, rb.committed);
     }
+}
+
+/// A journal written by the retired single-file writer — including an
+/// entry that predates the `validated` and `mix` fields — resumes when it
+/// sits in a journal directory: every `*.jsonl` there is read as a shard.
+/// New outcomes land in the worker's own shard and the old file is never
+/// written.
+#[test]
+fn old_single_file_journal_resumes_from_a_journal_dir() {
+    let spec = |runs: &[shelfsim_campaign::RunSpec], dir: &std::path::Path| {
+        let spec = CampaignSpec::new(runs.to_vec()).with_watchdog(Some(5_000));
+        spec.with_workers(1).with_journal_dir(dir)
+    };
+    let source = temp_journal_dir("legacy_source");
+    run_campaign(&spec(&matrix()[..2], &source)).expect("source campaign");
+    let lines: Vec<String> = journal_text(&source).lines().map(str::to_owned).collect();
+    assert_eq!(lines.len(), 2);
+    // The pre-validation-tier format ends after `message`.
+    let cut = lines[1].find(",\"validated\"").expect("current format");
+    let old_format = format!("{}}}", &lines[1][..cut]);
+    assert!(!old_format.contains("\"mix\""), "{old_format}");
+
+    let dir = temp_journal_dir("legacy_resume");
+    std::fs::create_dir_all(&dir).expect("journal dir");
+    let legacy = dir.join("legacy.jsonl");
+    let legacy_bytes = format!("{}\n{old_format}\n", lines[0]);
+    std::fs::write(&legacy, &legacy_bytes).expect("write legacy journal");
+
+    let report = run_campaign(&spec(&matrix()[..3], &dir)).expect("resumed campaign");
+    assert_eq!(report.resumed, 2, "both old-file entries resume");
+    assert_eq!(report.completed(), 3);
+    let shard = std::fs::read_to_string(dir.join("shard-000.jsonl")).expect("new shard");
+    assert_eq!(shard.lines().count(), 1, "only the miss lands: {shard}");
+    assert_eq!(
+        std::fs::read_to_string(&legacy).expect("legacy journal"),
+        legacy_bytes,
+        "the old file stays byte-unchanged"
+    );
 }
 
 /// An injected sub-window stall slows a run down but must neither trip the
@@ -239,7 +288,7 @@ fn config_failures_quarantine_without_retries() {
 /// skipped on resume. Disabling the pre-flight restores the old behavior.
 #[test]
 fn preflight_rejects_starved_shelf_and_resumes_the_rejection() {
-    let journal = temp_journal("preflight.jsonl");
+    let journal = temp_journal_dir("preflight");
     let mut runs = matrix()[..2].to_vec();
     // Run 0 is starved (2 shelf entries for 2 threads of dependent chains);
     // run 1 is untouched and must still complete.
@@ -247,7 +296,7 @@ fn preflight_rejects_starved_shelf_and_resumes_the_rejection() {
     runs[0].overrides = vec![("shelf".to_owned(), "2".to_owned())];
     let spec = CampaignSpec::new(runs.clone())
         .with_watchdog(Some(5_000))
-        .with_journal(&journal);
+        .with_journal_dir(&journal);
 
     let report = run_campaign(&spec).expect("campaign");
     let r0 = &report.records[0];
@@ -294,10 +343,10 @@ fn preflight_rejects_starved_shelf_and_resumes_the_rejection() {
 /// `validated:clean` and the outcome survives resume.
 #[test]
 fn validate_tier_marks_clean_runs_and_survives_resume() {
-    let journal = temp_journal("validated.jsonl");
+    let journal = temp_journal_dir("validated");
     let spec = CampaignSpec::new(matrix()[..2].to_vec())
         .with_watchdog(Some(5_000))
-        .with_journal(&journal)
+        .with_journal_dir(&journal)
         .with_validate(true);
     let report = run_campaign(&spec).expect("campaign");
     assert_eq!(report.completed(), 2);
@@ -305,7 +354,7 @@ fn validate_tier_marks_clean_runs_and_survives_resume() {
         report.records.iter().all(|r| r.validated),
         "every run lockstep-validated clean"
     );
-    let text = std::fs::read_to_string(&journal).expect("journal");
+    let text = journal_text(&journal);
     assert_eq!(text.matches("\"validated\":\"clean\"").count(), 2);
 
     let resumed = run_campaign(&spec).expect("resume");

@@ -148,11 +148,42 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
     Ok(o)
 }
 
-/// Builds the configuration named by `--design` for `threads` contexts.
-/// The design table lives in `shelfsim::analyze` (one source of truth for
-/// the CLI, the linter, and the campaign runner).
+/// Builds the configuration named by `--design` for `threads` contexts
+/// (one per `--mix` benchmark). The design table lives in `analyze` (one
+/// source of truth for the CLI, the linter, and the campaign runner).
 pub fn design_config(name: &str, threads: usize) -> Result<CoreConfig, CliError> {
+    check_threads("--mix", threads)?;
     shelfsim::analyze::design_by_name(name, threads).ok_or_else(|| unknown_design(name))
+}
+
+/// The one thread-count range check: a simulated core has
+/// `1..=CoreConfig::MAX_THREADS` hardware contexts. `flag` names the flag
+/// the count came from.
+fn check_threads(flag: &str, threads: usize) -> Result<usize, CliError> {
+    if (1..=CoreConfig::MAX_THREADS).contains(&threads) {
+        return Ok(threads);
+    }
+    Err(uerr(format!(
+        "{flag}: {threads} threads is outside 1..={} (one per hardware context)",
+        CoreConfig::MAX_THREADS
+    )))
+}
+
+/// Parses a `--threads`-style value and range-checks it.
+fn parse_threads(flag: &str, value: &str) -> Result<usize, CliError> {
+    check_threads(flag, parse_num(flag, value)?)
+}
+
+/// Validates a `--journal-dir` value: an existing regular file (an old
+/// single-file journal) cannot hold shards.
+fn journal_dir_arg(value: &str) -> Result<String, CliError> {
+    if std::path::Path::new(value).is_file() {
+        return Err(uerr(format!(
+            "--journal-dir: `{value}` is a file; to resume an old single-file journal, \
+             move it into a directory and pass that directory"
+        )));
+    }
+    Ok(value.to_owned())
 }
 
 /// The standard "unknown design" error, listing every valid name. A bad
@@ -295,7 +326,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     .next()
                     .ok_or_else(|| uerr(format!("{a} requires a value")))?;
                 match a.as_str() {
-                    "--threads" => threads = parse_num("--threads", v)?,
+                    "--threads" => threads = parse_threads("--threads", v)?,
                     "--count" => count = parse_num("--count", v)?,
                     "--seed" => seed = parse_num("--seed", v)?,
                     other => return Err(uerr(format!("unknown option `{other}`"))),
@@ -405,7 +436,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
             let o = parse_options(&rest)?;
             if o.mix.is_empty() || param.is_empty() || values.is_empty() {
-                return Err(err("sweep requires --param, --values and --mix"));
+                return Err(uerr("sweep requires --param, --values and --mix"));
             }
             for v in values {
                 let mut cfg = design_config(&o.design, o.mix.len())?;
@@ -417,7 +448,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     "sq" => cfg.sq_entries = v,
                     "rct-bits" => cfg.rct_bits = v as u32,
                     "plt-columns" => cfg.plt_columns = v as u32,
-                    other => return Err(err(format!("unknown sweep parameter `{other}`"))),
+                    other => return Err(uerr(format!("unknown sweep parameter `{other}`"))),
                 }
                 writeln!(out, "== {param} = {v}").expect("write");
                 run_one(cfg, &o.mix.clone(), &o, &mut out)?;
@@ -638,7 +669,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             let mut watchdog: Option<u64> = Some(100_000);
             let mut attempts = 3u32;
             let mut workers = 2usize;
-            let mut journal: Option<String> = None;
+            let mut journal_dir: Option<String> = None;
             let mut trace_dir: Option<String> = None;
             let mut fault_mix = shelfsim::FaultMix::default();
             let mut fault_seed = 0u64;
@@ -670,10 +701,12 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                             design_config(d, 1)?;
                         }
                     }
-                    "--threads" => threads = parse_num("--threads", v)?,
+                    "--threads" => threads = parse_threads("--threads", v)?,
                     "--mixes" => mix_count = parse_num("--mixes", v)?,
                     "--mix" => {
-                        explicit_mixes.push(v.split(',').map(str::to_owned).collect());
+                        let mix: Vec<String> = v.split(',').map(str::to_owned).collect();
+                        check_threads("--mix", mix.len())?;
+                        explicit_mixes.push(mix);
                     }
                     "--seed" => seed = parse_num("--seed", v)?,
                     "--warmup" => warmup = parse_num("--warmup", v)?,
@@ -684,7 +717,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     }
                     "--attempts" => attempts = parse_num("--attempts", v)?,
                     "--workers" => workers = parse_num("--workers", v)?,
-                    "--journal" => journal = Some(v.clone()),
+                    "--journal-dir" => journal_dir = Some(journal_dir_arg(v)?),
                     "--trace-dir" => trace_dir = Some(v.clone()),
                     "--fault-panics" => fault_mix.panics = parse_num("--fault-panics", v)?,
                     "--fault-persistent-panics" => {
@@ -695,7 +728,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     "--fault-seed" => fault_seed = parse_num("--fault-seed", v)?,
                     "--override" => {
                         let (k, val) = v.split_once('=').ok_or_else(|| {
-                            err(format!("--override: expected key=value, got `{v}`"))
+                            uerr(format!("--override: expected key=value, got `{v}`"))
                         })?;
                         overrides.push((k.to_owned(), val.to_owned()));
                     }
@@ -720,7 +753,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 // Surface a malformed override as an argument error up front
                 // rather than quarantining every run one by one.
                 if let Some(r) = runs.first() {
-                    r.resolved_config().map_err(err)?;
+                    r.resolved_config().map_err(uerr)?;
                 }
             }
             let n_runs = runs.len();
@@ -740,8 +773,8 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 .with_workers(workers)
                 .with_preflight(preflight)
                 .with_validate(validate);
-            if let Some(path) = journal {
-                spec = spec.with_journal(path);
+            if let Some(dir) = journal_dir {
+                spec = spec.with_journal_dir(dir);
             }
             if let Some(dir) = trace_dir {
                 spec = spec.with_trace_dir(dir);
@@ -802,7 +835,10 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                      kernel name, or suite benchmark name)",
                 ));
             }
-            let cfg = design_config(&design, threads)?;
+            // Like `lint`, static analysis may study more contexts than
+            // the simulator has, so it skips `design_config`'s range check.
+            let cfg = shelfsim::analyze::design_by_name(&design, threads)
+                .ok_or_else(|| unknown_design(&design))?;
             let mut diags = shelfsim::analyze::lint_config(&cfg);
             // Each target resolves to a program: a `.s` file keeps its
             // source spans, a built-in kernel or suite benchmark does not.
@@ -1153,7 +1189,7 @@ fn parse_validate_options(args: &[String]) -> Result<ValidateOptions, CliError> 
         };
         match a.as_str() {
             "--designs" => o.designs = val("--designs")?.split(',').map(str::to_owned).collect(),
-            "--threads" => o.threads = parse_num("--threads", &val("--threads")?)?,
+            "--threads" => o.threads = parse_threads("--threads", &val("--threads")?)?,
             "--kernels" => o.kernels = val("--kernels")?.split(',').map(str::to_owned).collect(),
             "--suite" => o.suite_mixes = parse_num("--suite", &val("--suite")?)?,
             "--generated" => o.generated = parse_num("--generated", &val("--generated")?)?,
@@ -1182,9 +1218,6 @@ fn parse_validate_options(args: &[String]) -> Result<ValidateOptions, CliError> 
             }
             other => return Err(uerr(format!("unknown option `{other}`"))),
         }
-    }
-    if o.threads == 0 {
-        return Err(uerr("--threads: must be at least 1"));
     }
     if o.designs.len() == 1 && o.designs[0] == "all" {
         o.designs = shelfsim::analyze::DESIGN_NAMES
@@ -1388,7 +1421,7 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
             "--thread-counts" => {
                 thread_counts = v
                     .split(',')
-                    .map(|x| parse_num("--thread-counts", x))
+                    .map(|x| parse_threads("--thread-counts", x))
                     .collect::<Result<_, _>>()?;
             }
             "--mixes" => mixes = parse_num("--mixes", v)?,
@@ -1396,7 +1429,7 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
             "--warmup" => warmup = parse_num("--warmup", v)?,
             "--measure" => measure = parse_num("--measure", v)?,
             "--workers" => workers = parse_num("--workers", v)?,
-            "--journal-dir" => journal_dir = Some(v.clone()),
+            "--journal-dir" => journal_dir = Some(journal_dir_arg(v)?),
             "--watchdog" => {
                 let w: u64 = parse_num("--watchdog", v)?;
                 watchdog = (w > 0).then_some(w);
@@ -1404,9 +1437,6 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
             "--attempts" => attempts = parse_num("--attempts", v)?,
             other => return Err(uerr(format!("unknown option `{other}`"))),
         }
-    }
-    if thread_counts.is_empty() || thread_counts.contains(&0) {
-        return Err(uerr("--thread-counts: need at least one count >= 1"));
     }
     let sweep = shelfsim::SweepSpec {
         designs: designs.clone(),
@@ -1635,7 +1665,7 @@ USAGE:
                    BENCH_campaign.json unless --out -)
   shelfsim campaign [--designs d1,d2] [--threads N] [--mixes N | --mix b1,b2 ...]
                    [--seed N] [--warmup N] [--measure N] [--watchdog N]
-                   [--attempts N] [--workers N] [--journal FILE] [--json]
+                   [--attempts N] [--workers N] [--journal-dir DIR] [--json]
                    [--trace-dir DIR] (dump lifecycle traces of watchdog-
                    diagnosed failures in the diagnostics tier)
                    [--fault-panics N] [--fault-persistent-panics N]
@@ -1643,8 +1673,11 @@ USAGE:
                    [--override key=value ...] [--no-preflight] [--validate]
                    (fault-tolerant design x mix sweep: per-run panic isolation,
                    forward-progress watchdog, retry escalation, quarantine, and
-                   a resumable journal — re-invoking with the same --journal
-                   skips completed runs; --watchdog 0 disables the watchdog.
+                   a resumable journal of one shard per worker — re-invoking
+                   with the same --journal-dir skips completed runs, and any
+                   *.jsonl in it is read as a shard, so an old single-file
+                   journal resumes once moved into a directory; --watchdog 0
+                   disables the watchdog.
                    Every queued run passes a static-analysis pre-flight first:
                    provably misconfigured runs are rejected before simulating
                    a cycle and journaled as analysis-rejected; --no-preflight
@@ -1727,6 +1760,35 @@ mod tests {
         .expect("ok");
         assert!(out.contains("shelf = 16"));
         assert!(out.contains("shelf = 32"));
+    }
+
+    #[test]
+    fn sweep_param_mistakes_are_usage_errors() {
+        let e = run_cli(&args("sweep --param shelf --mix gcc")).unwrap_err();
+        assert!(e.message.contains("--values"), "{}", e.message);
+        assert_eq!(e.code, exit_codes::USAGE);
+        let e = run_cli(&args("sweep --param warp --values 1 --mix gcc")).unwrap_err();
+        assert!(e.message.contains("`warp`"), "{}", e.message);
+        assert_eq!(e.code, exit_codes::USAGE);
+    }
+
+    #[test]
+    fn thread_counts_outside_the_core_are_usage_errors() {
+        let nine = ["gcc"; CoreConfig::MAX_THREADS + 1].join(",");
+        for (cmd, flag) in [
+            ("mixes --threads 0".to_owned(), "--threads"),
+            ("mixes --threads 40".to_owned(), "--threads"),
+            ("campaign --threads 0".to_owned(), "--threads"),
+            ("campaign --threads 9".to_owned(), "--threads"),
+            (format!("campaign --mix {nine}"), "--mix"),
+            (format!("run --mix {nine}"), "--mix"),
+            ("sweep --thread-counts 9".to_owned(), "--thread-counts"),
+            ("validate --threads 9".to_owned(), "--threads"),
+        ] {
+            let e = run_cli(&args(&cmd)).unwrap_err();
+            assert_eq!(e.code, exit_codes::USAGE, "{cmd}: {}", e.message);
+            assert!(e.message.contains(flag), "{cmd}: {}", e.message);
+        }
     }
 
     #[test]
@@ -2077,22 +2139,21 @@ mod tests {
         );
     }
 
-    fn campaign_journal(name: &str) -> String {
-        let dir = std::env::temp_dir().join("shelfsim_cli_campaign");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        path.to_string_lossy().into_owned()
+    fn campaign_journal_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("shelfsim_cli_campaign_{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
     fn campaign_runs_faulted_matrix_and_resumes() {
-        let journal = campaign_journal("cli.jsonl");
+        let journal = campaign_journal_dir("cli");
         let cmd = format!(
             "campaign --designs base64,shelf-opt --mix gcc,mcf --mix hmmer,lbm \
              --warmup 200 --measure 1200 --watchdog 5000 --workers 2 \
              --fault-panics 1 --fault-persistent-panics 1 --fault-seed 3 \
-             --journal {journal}"
+             --journal-dir {}",
+            journal.display()
         );
         let out = run_cli(&args(&cmd)).expect("campaign completes despite faults");
         assert!(out.contains("campaign: 4 runs"), "{out}");
@@ -2101,6 +2162,20 @@ mod tests {
         // Same invocation again: everything resumes from the journal.
         let out = run_cli(&args(&cmd)).expect("resume");
         assert!(out.contains("4 resumed from journal"), "{out}");
+    }
+
+    #[test]
+    fn journal_dir_naming_a_file_is_a_usage_error() {
+        let dir = campaign_journal_dir("file_arg");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let file = dir.join("old.jsonl");
+        std::fs::write(&file, "").expect("write");
+        for verb in ["campaign --mix gcc", "sweep --thread-counts 1 --mixes 1"] {
+            let e =
+                run_cli(&args(&format!("{verb} --journal-dir {}", file.display()))).unwrap_err();
+            assert_eq!(e.code, exit_codes::USAGE, "{verb}: {}", e.message);
+            assert!(e.message.contains("into a directory"), "{}", e.message);
+        }
     }
 
     #[test]
@@ -2322,24 +2397,23 @@ mod tests {
         // Malformed and unknown overrides are argument errors.
         let e = run_cli(&args("campaign --mix gcc --override shelf")).unwrap_err();
         assert!(e.message.contains("key=value"), "{}", e.message);
+        assert_eq!(e.code, exit_codes::USAGE);
         let e = run_cli(&args("campaign --mix gcc --override warp=9")).unwrap_err();
         assert!(e.message.contains("unknown config key"), "{}", e.message);
+        assert_eq!(e.code, exit_codes::USAGE);
     }
 
     #[test]
     fn campaign_validate_tier_journals_clean_runs() {
-        let dir = std::env::temp_dir().join("shelfsim_cli_campaign_validate");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let journal = dir.join("j.jsonl");
-        let _ = std::fs::remove_file(&journal);
+        let journal = campaign_journal_dir("validate");
         let cmd = format!(
             "campaign --designs base64 --mix gcc,mcf --warmup 200 --measure 1200 \
-             --workers 1 --journal {}",
-            journal.to_string_lossy()
+             --workers 1 --journal-dir {}",
+            journal.display()
         );
         let out = run_cli(&args(&format!("{cmd} --validate"))).expect("campaign completes");
         assert!(out.contains("0 quarantined"), "{out}");
-        let text = std::fs::read_to_string(&journal).expect("journal written");
+        let text = std::fs::read_to_string(journal.join("shard-000.jsonl")).expect("journal");
         assert!(
             text.contains("\"validated\":\"clean\""),
             "validated runs are journaled as clean: {text}"

@@ -1,14 +1,14 @@
 //! Golden end-to-end determinism: the simulator is a pure function of
 //! (config, workload, seed). Two fresh processes-worth of state driven with
 //! the same inputs must agree on every architectural counter bit-for-bit,
-//! and a resumed campaign must reproduce its journal byte-for-byte.
+//! and a resumed campaign must reproduce its merged journal byte-for-byte.
 //!
 //! These tests are the safety net for engine-throughput work: any hot-path
 //! "optimization" that changes scheduling order, wakeup timing, or RNG
 //! consumption trips them immediately.
 
 use shelfsim::analyze::design_by_name;
-use shelfsim::campaign::{run_campaign, CampaignSpec};
+use shelfsim::campaign::{run_campaign, CampaignSpec, ShardedJournal};
 use shelfsim::Simulation;
 
 const MIX4: &[&str] = &["gcc", "mcf", "hmmer", "lbm"];
@@ -72,12 +72,23 @@ fn different_seeds_diverge() {
     );
 }
 
-fn temp_journal(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("shelfsim_golden_tests");
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+/// A fresh (nonexistent) journal directory.
+fn temp_journal_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("shelfsim_golden_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A journal directory's lines, sorted.
+fn sorted_lines(dir: &std::path::Path) -> Vec<String> {
+    let shards = ShardedJournal::new(dir).shard_files().expect("list shards");
+    let text: String = shards
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("read"))
+        .collect();
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    lines.sort();
+    lines
 }
 
 fn campaign_matrix() -> Vec<shelfsim::campaign::RunSpec> {
@@ -94,53 +105,55 @@ fn campaign_matrix() -> Vec<shelfsim::campaign::RunSpec> {
 }
 
 /// A campaign journal is a pure function of its spec (single worker), and a
-/// killed-then-resumed campaign reproduces it byte-for-byte.
+/// killed-then-resumed campaign reproduces its merged view byte-for-byte.
 #[test]
 fn campaign_resume_reproduces_journal_byte_for_byte() {
+    let spec = |runs: Vec<shelfsim::campaign::RunSpec>, dir: &std::path::Path| {
+        CampaignSpec::new(runs)
+            .with_watchdog(Some(5_000))
+            .with_workers(1)
+            .with_journal_dir(dir)
+    };
     // Reference: one uninterrupted campaign.
-    let reference = temp_journal("golden_ref.jsonl");
-    let spec = CampaignSpec::new(campaign_matrix())
-        .with_watchdog(Some(5_000))
-        .with_workers(1)
-        .with_journal(&reference);
-    let report = run_campaign(&spec).expect("reference campaign");
+    let reference = temp_journal_dir("ref");
+    let report = run_campaign(&spec(campaign_matrix(), &reference)).expect("reference campaign");
     assert_eq!(report.completed(), 4);
-    let ref_bytes = std::fs::read(&reference).expect("reference journal");
-    assert!(!ref_bytes.is_empty());
+    let ref_shard = std::fs::read(reference.join("shard-000.jsonl")).expect("reference shard");
+    assert!(!ref_shard.is_empty());
 
-    // Determinism: the identical spec into a fresh journal writes the same
-    // bytes.
-    let rerun = temp_journal("golden_rerun.jsonl");
-    let spec2 = CampaignSpec::new(campaign_matrix())
-        .with_watchdog(Some(5_000))
-        .with_workers(1)
-        .with_journal(&rerun);
-    run_campaign(&spec2).expect("rerun campaign");
+    // Determinism: the identical spec into a fresh directory writes the
+    // same shard bytes.
+    let rerun = temp_journal_dir("rerun");
+    run_campaign(&spec(campaign_matrix(), &rerun)).expect("rerun campaign");
     assert_eq!(
-        ref_bytes,
-        std::fs::read(&rerun).expect("rerun journal"),
+        ref_shard,
+        std::fs::read(rerun.join("shard-000.jsonl")).expect("rerun shard"),
         "identical campaigns must journal identical bytes"
     );
 
     // Kill/resume: journal only a prefix, then re-invoke the full campaign
-    // against the same file. The resumed half appends exactly the missing
-    // lines — the final journal is byte-identical to the uninterrupted one.
-    let resumed = temp_journal("golden_resumed.jsonl");
-    let prefix = CampaignSpec::new(campaign_matrix()[..2].to_vec())
-        .with_watchdog(Some(5_000))
-        .with_workers(1)
-        .with_journal(&resumed);
+    // against the same directory. The resumed half appends exactly the
+    // missing lines: the merged view is byte-identical to the uninterrupted
+    // one, and no line is lost or duplicated. (Raw line order differs —
+    // runs execute grouped by warm-up, and resume appends after the
+    // prefix.)
+    let resumed = temp_journal_dir("resumed");
+    let prefix = spec(campaign_matrix()[..2].to_vec(), &resumed);
     assert_eq!(run_campaign(&prefix).expect("prefix").completed(), 2);
-    let full = CampaignSpec::new(campaign_matrix())
-        .with_watchdog(Some(5_000))
-        .with_workers(1)
-        .with_journal(&resumed);
-    let resumed_report = run_campaign(&full).expect("resume");
+    let resumed_report = run_campaign(&spec(campaign_matrix(), &resumed)).expect("resume");
     assert_eq!(resumed_report.resumed, 2, "the journaled prefix is skipped");
+    let merged = |dir| ShardedJournal::new(dir).merged_bytes().expect("merge");
     assert_eq!(
-        ref_bytes,
-        std::fs::read(&resumed).expect("resumed journal"),
-        "resume must reproduce the uninterrupted journal byte-for-byte"
+        merged(&reference),
+        merged(&resumed),
+        "resume must reproduce the uninterrupted merged journal byte-for-byte"
+    );
+    let ref_lines = sorted_lines(&reference);
+    assert_eq!(ref_lines.len(), 4);
+    assert_eq!(
+        ref_lines,
+        sorted_lines(&resumed),
+        "nothing lost, nothing duplicated"
     );
 }
 
