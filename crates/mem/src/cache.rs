@@ -81,10 +81,19 @@ struct Line {
 /// A set-associative, write-back, write-allocate cache with true LRU.
 ///
 /// Timing-only: stores tags and replacement state, never data.
+///
+/// Each set also records the block it touched last (its MRU block), so a
+/// read of that block answers "hit" without scanning the set. Skipping its
+/// LRU stamp rewrite is exact: the MRU block already holds the set's largest
+/// stamp until another block of the set is touched, and victim choice is the
+/// only reader of stamps.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Line>,
+    /// Per set: `block + 1` of the block touched last, or 0 for none, so a
+    /// fresh (all-zero) array stays lazily allocated.
+    mru: Vec<u64>,
     num_sets: usize,
     set_shift: u32,
     set_mask: u64,
@@ -97,9 +106,15 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (see [`CacheConfig::num_sets`]).
+    /// Panics if the geometry is inconsistent (see [`CacheConfig::num_sets`])
+    /// or the block is a single byte (the MRU record's `block + 1` must not
+    /// overflow).
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
+        assert!(
+            config.block_bytes >= 2,
+            "block size must be at least 2 bytes"
+        );
         Cache {
             config,
             sets: vec![
@@ -111,6 +126,7 @@ impl Cache {
                 };
                 num_sets * config.assoc
             ],
+            mru: vec![0; num_sets],
             num_sets,
             set_shift: config.block_bytes.trailing_zeros(),
             set_mask: (num_sets - 1) as u64,
@@ -144,14 +160,16 @@ impl Cache {
             .saturating_add(delta.writebacks.saturating_mul(k));
     }
 
+    /// Splits `addr` into its set index and block number.
     #[inline]
-    fn set_index(&self, addr: u64) -> usize {
-        ((addr >> self.set_shift) & self.set_mask) as usize
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.set_shift;
+        ((block & self.set_mask) as usize, block)
     }
 
     #[inline]
-    fn tag(&self, addr: u64) -> u64 {
-        addr >> self.set_shift >> self.num_sets.trailing_zeros()
+    fn tag(&self, block: u64) -> u64 {
+        block >> self.num_sets.trailing_zeros()
     }
 
     /// Looks up `addr`; on a miss, allocates the block (write-allocate),
@@ -160,11 +178,25 @@ impl Cache {
     /// `is_write` marks the block dirty; a dirty eviction counts as a
     /// writeback (timing of the writeback itself is folded into the miss
     /// latency, a standard simplification).
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set, block) = self.locate(addr);
+        if !is_write && self.mru[set] == block + 1 {
+            self.stats.hits += 1;
+            return true;
+        }
+        self.access_slow(set, block, is_write)
+    }
+
+    /// [`Cache::access`] past the MRU filter: scans the set, refreshes the
+    /// hit way's stamp or fills the LRU way, and records `block` as MRU.
+    /// Inlining is left to the compiler: forcing this out of line slowed
+    /// cache warming, whose sweeps miss the filter on every access.
+    fn access_slow(&mut self, set: usize, block: u64, is_write: bool) -> bool {
+        self.mru[set] = block + 1;
+        let tag = self.tag(block);
         let base = set * self.config.assoc;
         let ways = &mut self.sets[base..base + self.config.assoc];
 
@@ -193,9 +225,13 @@ impl Cache {
     }
 
     /// Reports whether `addr` currently hits, without changing any state.
+    #[inline]
     pub fn peek(&self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
+        let (set, block) = self.locate(addr);
+        if self.mru[set] == block + 1 {
+            return true;
+        }
+        let tag = self.tag(block);
         let base = set * self.config.assoc;
         self.sets[base..base + self.config.assoc]
             .iter()
@@ -208,6 +244,7 @@ impl Cache {
             l.valid = false;
             l.dirty = false;
         }
+        self.mru.fill(0);
     }
 }
 
@@ -272,11 +309,10 @@ mod tests {
         assert!(c.peek(0x0000));
         assert!(!c.peek(0x4000));
         assert_eq!(*c.stats(), before);
-        // Peeking also must not refresh LRU: make A LRU, peek it, then fill.
+        // Peeking must not refresh LRU: after A then B, a peek of A leaves A
+        // the LRU way, so the next fill in the set evicts A and keeps B.
         c.access(0x0100, false);
-        c.peek(0x0000); // if this refreshed LRU the next fill would evict B
-                        // A is older than B; a new block must evict A... actually LRU order:
-                        // A(t1), B(t2). Peek must not bump A, so the victim is A.
+        c.peek(0x0000);
         c.access(0x0200, false);
         assert!(!c.peek(0x0000));
         assert!(c.peek(0x0100));
@@ -291,12 +327,61 @@ mod tests {
     }
 
     #[test]
+    fn filtered_reads_keep_lru_order() {
+        let mut c = small();
+        // A, A, A, B, A, C in one 2-way set: the A streak is filtered, the
+        // later A refreshes A past B, so C evicts B.
+        for addr in [0x0000, 0x0000, 0x0000, 0x0100, 0x0000, 0x0200] {
+            c.access(addr, false);
+        }
+        assert!(c.peek(0x0000));
+        assert!(!c.peek(0x0100));
+        assert!(c.peek(0x0200));
+        assert_eq!(c.stats().accesses, 6);
+        assert_eq!(c.stats().hits, 3);
+    }
+
+    #[test]
+    fn write_after_filtered_reads_marks_dirty() {
+        let mut c = small();
+        c.access(0x0000, false);
+        c.access(0x0000, false);
+        c.access(0x0000, false);
+        assert!(c.access(0x0000, true), "write to the MRU block hits");
+        c.access(0x0100, false);
+        c.access(0x0200, false); // evicts A, now dirty
+        assert!(!c.peek(0x0000));
+        assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn flush_clears_the_mru_record() {
+        let mut c = small();
+        c.access(0x0000, false);
+        c.access(0x0000, false);
+        c.flush();
+        assert!(!c.peek(0x0000));
+        assert!(!c.access(0x0000, false));
+    }
+
+    #[test]
     fn miss_ratio() {
         let mut c = small();
         c.access(0, false);
         c.access(0, false);
         assert!((c.stats().miss_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().miss_ratio(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 2 bytes")]
+    fn one_byte_blocks_panic() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 8,
+            assoc: 2,
+            block_bytes: 1,
+            latency: 1,
+        });
     }
 
     #[test]

@@ -4,13 +4,17 @@
 use proptest::prelude::*;
 use shelfsim_mem::{Cache, CacheConfig, Hierarchy, HierarchyConfig};
 
-/// Reference model: per-set vector of (tag, last_use), true LRU.
+/// Reference model: per-set vector of (tag, last_use, dirty), true LRU,
+/// write-back and write-allocate, with its own hit and writeback counts.
 struct RefCache {
-    sets: Vec<Vec<(u64, u64)>>,
+    sets: Vec<Vec<(u64, u64, bool)>>,
     assoc: usize,
     block_shift: u32,
     set_mask: u64,
     tick: u64,
+    accesses: u64,
+    hits: u64,
+    writebacks: u64,
 }
 
 impl RefCache {
@@ -21,16 +25,26 @@ impl RefCache {
             block_shift: cfg.block_bytes.trailing_zeros(),
             set_mask: (cfg.num_sets() - 1) as u64,
             tick: 0,
+            accesses: 0,
+            hits: 0,
+            writebacks: 0,
         }
     }
 
-    fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
+    fn locate(&self, addr: u64) -> (usize, u64) {
         let set = ((addr >> self.block_shift) & self.set_mask) as usize;
-        let tag = addr >> self.block_shift >> self.set_mask.count_ones();
+        (set, addr >> self.block_shift >> self.set_mask.count_ones())
+    }
+
+    fn access(&mut self, addr: u64, is_write: bool) -> bool {
+        self.tick += 1;
+        self.accesses += 1;
+        let (set, tag) = self.locate(addr);
         let ways = &mut self.sets[set];
         if let Some(e) = ways.iter_mut().find(|e| e.0 == tag) {
             e.1 = self.tick;
+            e.2 |= is_write;
+            self.hits += 1;
             return true;
         }
         if ways.len() == self.assoc {
@@ -40,11 +54,48 @@ impl RefCache {
                 .min_by_key(|(_, e)| e.1)
                 .map(|(i, _)| i)
                 .expect("full");
-            ways.remove(lru);
+            if ways.remove(lru).2 {
+                self.writebacks += 1;
+            }
         }
-        ways.push((tag, self.tick));
+        ways.push((tag, self.tick, is_write));
         false
     }
+
+    fn peek(&self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        self.sets[set].iter().any(|e| e.0 == tag)
+    }
+
+    fn flush(&mut self) {
+        for ways in &mut self.sets {
+            ways.clear();
+        }
+    }
+}
+
+/// One step of a mixed cache stream.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Access(u64, bool),
+    Peek(u64),
+    Flush,
+}
+
+/// Mixed streams over 48 blocks, a third of whose accesses go to four hot
+/// blocks, so same-set streaks (the MRU filter's fast path) and evictions are
+/// both common; flushes are rare.
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let op = (0u8..40, 0u64..48, 0u64..64, any::<bool>()).prop_map(|(kind, block, off, write)| {
+        let addr = block * 64 + off;
+        match kind {
+            0 => Op::Flush,
+            1..=9 => Op::Peek(addr),
+            10..=19 => Op::Access(addr % 256, write),
+            _ => Op::Access(addr, write),
+        }
+    });
+    prop::collection::vec(op, 1..400)
 }
 
 proptest! {
@@ -55,7 +106,7 @@ proptest! {
         let mut reference = RefCache::new(&cfg);
         for a in addrs {
             let got = cache.access(a, false);
-            let want = reference.access(a);
+            let want = reference.access(a, false);
             prop_assert_eq!(got, want, "divergence at address {:#x}", a);
         }
     }
@@ -72,6 +123,34 @@ proptest! {
             let _ = with_peeks.peek(a);
             prop_assert_eq!(with_peeks.access(a, false), without.access(a, false));
         }
+    }
+
+    #[test]
+    fn mixed_streams_match_reference_exactly(
+        assoc in prop_oneof![Just(1usize), Just(2), Just(8)],
+        sets in prop_oneof![Just(2usize), Just(4)],
+        stream in ops(),
+    ) {
+        let cfg = CacheConfig { size_bytes: sets * assoc * 64, assoc, block_bytes: 64, latency: 1 };
+        let mut cache = Cache::new(cfg);
+        let mut reference = RefCache::new(&cfg);
+        for (i, &op) in stream.iter().enumerate() {
+            match op {
+                Op::Access(a, w) => {
+                    prop_assert_eq!(cache.access(a, w), reference.access(a, w), "op {}: {:?}", i, op)
+                }
+                Op::Peek(a) => prop_assert_eq!(cache.peek(a), reference.peek(a), "op {}: {:?}", i, op),
+                Op::Flush => {
+                    cache.flush();
+                    reference.flush();
+                }
+            }
+        }
+        let stats = cache.stats();
+        prop_assert_eq!(
+            (stats.accesses, stats.hits, stats.writebacks),
+            (reference.accesses, reference.hits, reference.writebacks)
+        );
     }
 
     #[test]

@@ -26,6 +26,9 @@ echo "$out" | grep -q "static IPC bounds" \
 echo "== sanitizer smoke: freelist audits under --features sanitize"
 cargo test -q -p shelfsim-uarch --features sanitize
 
+echo "== cache exactness: the set-MRU filter against the reference LRU model"
+PROPTEST_CASES=2000 cargo test -q -p shelfsim-mem --test proptest_cache
+
 echo "== campaign smoke: fault-injected sweep must quarantine and resume"
 journal="$(mktemp -d)/campaign"
 campaign() {
