@@ -22,32 +22,161 @@ use shelfsim_isa::{ArchReg, FuKind, OpClass};
 use shelfsim_workload::asm::PcLineMap;
 use shelfsim_workload::program::{AccessPattern, Program, Region};
 
-/// The longest in-sequence dependence run in any reachable block: the
-/// maximal chain of consecutive instructions each reading the previous
-/// instruction's destination (the runs the shelf steers), plus the PC of
-/// the run's first instruction for spans.
-fn longest_in_sequence_run(program: &Program, cfg: &Cfg) -> (usize, u64) {
-    let mut best = (0usize, 0u64);
-    for bi in cfg.reachable_blocks() {
-        let b = &program.blocks[bi];
-        let mut run = 0usize;
-        let mut run_start_pc = 0u64;
-        let mut prev_dest: Option<ArchReg> = None;
-        for inst in &b.body {
-            let in_seq = prev_dest.is_some_and(|d| inst.srcs.iter().flatten().any(|&s| s == d));
-            if in_seq {
-                run += 1;
-            } else {
-                run = 1;
-                run_start_pc = inst.pc;
+/// Everything the error obligations (SR001, SR004) read from a program,
+/// derived once from its CFG. The facts depend only on the program, so a
+/// campaign keeps them per program and re-checks them against each
+/// config; [`check_adequacy`] checks the same facts, so each obligation
+/// and its message have one implementation.
+#[derive(Clone, Debug)]
+pub(crate) struct AdequacyFacts {
+    name: &'static str,
+    /// The longest in-sequence dependence run in any reachable block (the
+    /// maximal chain of consecutive instructions each reading the previous
+    /// instruction's destination: the runs the shelf steers) and the PC
+    /// of its first instruction (SR001).
+    run: (usize, u64),
+    /// Whether any reachable instruction accesses memory (SR004).
+    has_mem: bool,
+    /// Whether any reachable instruction is a store (SR004).
+    has_store: bool,
+    /// Per [`FuKind::index`], the first reachable operation needing that
+    /// unit and its PC (SR004).
+    first_use: [Option<(OpClass, u64)>; FuKind::ALL.len()],
+}
+
+impl AdequacyFacts {
+    /// Derives the facts in one pass over `program`'s reachable blocks.
+    pub(crate) fn new(program: &Program, graph: &Cfg) -> Self {
+        let mut facts = AdequacyFacts {
+            name: program.name,
+            run: (0, 0),
+            has_mem: false,
+            has_store: false,
+            first_use: [None; FuKind::ALL.len()],
+        };
+        for bi in graph.reachable_blocks() {
+            let b = &program.blocks[bi];
+            let mut run = 0usize;
+            let mut run_start_pc = 0u64;
+            let mut prev_dest: Option<ArchReg> = None;
+            for inst in &b.body {
+                let in_seq = prev_dest.is_some_and(|d| inst.srcs.iter().flatten().any(|&s| s == d));
+                if in_seq {
+                    run += 1;
+                } else {
+                    run = 1;
+                    run_start_pc = inst.pc;
+                }
+                if run > facts.run.0 {
+                    facts.run = (run, run_start_pc);
+                }
+                prev_dest = inst.dest;
+                facts.has_mem |= inst.op.is_mem();
+                facts.has_store |= inst.op == OpClass::Store;
+                facts.first_use[inst.op.fu_kind().index()].get_or_insert((inst.op, inst.pc));
             }
-            if run > best.0 {
-                best = (run, run_start_pc);
-            }
-            prev_dest = inst.dest;
+            let br = &b.branch_inst;
+            facts.first_use[br.op.fu_kind().index()].get_or_insert((br.op, br.pc));
         }
+        facts
     }
-    best
+
+    /// SR001: shelf depth vs. in-sequence dependence runs, with the PC of
+    /// the offending run.
+    ///
+    /// A shelf issues strictly in FIFO order; steering policies move whole
+    /// in-sequence runs there. If a thread's shelf share cannot hold even
+    /// `min(longest run, dispatch width)` instructions, a steered run can
+    /// wedge dispatch with the shelf full while every shelf entry waits on
+    /// an IQ-side producer — the adequacy proof fails.
+    fn sr001(&self, cfg: &CoreConfig) -> Option<(Diagnostic, Option<u64>)> {
+        if cfg.shelf_entries == 0 || cfg.steer == SteerPolicy::AlwaysIq {
+            return None;
+        }
+        let (run, run_pc) = self.run;
+        let need = run.min(cfg.dispatch_width);
+        (cfg.shelf_per_thread() < need).then(|| {
+            let d = Diagnostic::new(
+                "SR001",
+                Severity::Error,
+                format!(
+                    "cannot prove deadlock-freedom: shelf share is {} entries/thread but \
+                     {} has an in-sequence run of {} dependent instruction(s) (need >= {})",
+                    cfg.shelf_per_thread(),
+                    self.name,
+                    run,
+                    need
+                ),
+            );
+            (d, Some(run_pc))
+        })
+    }
+
+    /// SR004: zero-capacity progress resources, each with the PC of the
+    /// first operation that needs the resource when there is one.
+    ///
+    /// A resource on the commit path with zero capacity is an
+    /// unconditional deadlock, not a sizing question.
+    fn sr004(&self, cfg: &CoreConfig) -> Vec<(Diagnostic, Option<u64>)> {
+        let mut out = Vec::new();
+        if self.has_mem && cfg.hierarchy.data_mshrs == 0 {
+            out.push((
+                Diagnostic::new(
+                    "SR004",
+                    Severity::Error,
+                    format!(
+                        "{} performs memory accesses but the config has zero data MSHRs: the \
+                         first miss can never complete",
+                        self.name
+                    ),
+                ),
+                None,
+            ));
+        }
+        if self.has_store && cfg.store_buffer_entries == 0 {
+            out.push((
+                Diagnostic::new(
+                    "SR004",
+                    Severity::Error,
+                    format!(
+                        "{} performs stores but the store buffer has zero entries: committed \
+                         stores can never drain",
+                        self.name
+                    ),
+                ),
+                None,
+            ));
+        }
+        for kind in FuKind::ALL {
+            let Some((op, pc)) = self.first_use[kind.index()] else {
+                continue;
+            };
+            if cfg.fu_count(kind) == 0 {
+                out.push((
+                    Diagnostic::new(
+                        "SR004",
+                        Severity::Error,
+                        format!(
+                            "{} uses a {:?} operation but the config has zero {:?} units: it \
+                             can never issue",
+                            self.name, op, kind
+                        ),
+                    ),
+                    Some(pc),
+                ));
+            }
+        }
+        out
+    }
+
+    /// The failed error obligations on `cfg` in [`check_adequacy`]'s
+    /// order (SR001, then SR004), without spans.
+    pub(crate) fn errors(&self, cfg: &CoreConfig) -> impl Iterator<Item = Diagnostic> {
+        self.sr001(cfg)
+            .into_iter()
+            .chain(self.sr004(cfg))
+            .map(|(d, _)| d)
+    }
 }
 
 /// Checks that `cfg`'s per-thread resource shares are statically adequate
@@ -57,41 +186,28 @@ pub fn check_adequacy(
     cfg: &CoreConfig,
     source: Option<(&str, &PcLineMap)>,
 ) -> Vec<Diagnostic> {
+    check_adequacy_on(program, &Cfg::new(program), cfg, source)
+}
+
+/// [`check_adequacy`] over `program`'s already-built CFG `graph`.
+pub(crate) fn check_adequacy_on(
+    program: &Program,
+    graph: &Cfg,
+    cfg: &CoreConfig,
+    source: Option<(&str, &PcLineMap)>,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let spanned =
-        |d: Diagnostic, pc: u64| match source.and_then(|(f, m)| m.get(&pc).map(|&l| (f, l))) {
-            Some((file, line)) => d.with_span(file, line),
-            None => d,
-        };
-    let graph = Cfg::new(program);
+    let spanned = |(d, pc): (Diagnostic, Option<u64>)| match source
+        .zip(pc)
+        .and_then(|((f, m), pc)| m.get(&pc).map(|&l| (f, l)))
+    {
+        Some((file, line)) => d.with_span(file, line),
+        None => d,
+    };
+    let facts = AdequacyFacts::new(program, graph);
 
     // ---- SR001: shelf depth vs. in-sequence dependence runs --------------
-    // A shelf issues strictly in FIFO order; steering policies move whole
-    // in-sequence runs there. If a thread's shelf share cannot hold even
-    // `min(longest run, dispatch width)` instructions, a steered run can
-    // wedge dispatch with the shelf full while every shelf entry waits on
-    // an IQ-side producer — the adequacy proof fails.
-    if cfg.shelf_entries > 0 && cfg.steer != SteerPolicy::AlwaysIq {
-        let (run, run_pc) = longest_in_sequence_run(program, &graph);
-        let need = run.min(cfg.dispatch_width);
-        if cfg.shelf_per_thread() < need {
-            diags.push(spanned(
-                Diagnostic::new(
-                    "SR001",
-                    Severity::Error,
-                    format!(
-                        "cannot prove deadlock-freedom: shelf share is {} entries/thread but \
-                         {} has an in-sequence run of {} dependent instruction(s) (need >= {})",
-                        cfg.shelf_per_thread(),
-                        program.name,
-                        run,
-                        need
-                    ),
-                ),
-                run_pc,
-            ));
-        }
-    }
+    diags.extend(facts.sr001(cfg).map(spanned));
 
     // ---- SR002: MSHR count vs. static outstanding-miss demand ------------
     // Every static memory access targeting a region larger than the L1 can
@@ -139,7 +255,7 @@ pub fn check_adequacy(
             ("ROB", cfg.rob_per_thread(), b.len()),
         ] {
             if need > have {
-                diags.push(spanned(
+                diags.push(spanned((
                     Diagnostic::new(
                         "SR003",
                         Severity::Warning,
@@ -149,71 +265,14 @@ pub fn check_adequacy(
                             bi, program.name, need, what, have
                         ),
                     ),
-                    first_pc,
-                ));
+                    Some(first_pc),
+                )));
             }
         }
     }
 
     // ---- SR004: zero-capacity progress resources -------------------------
-    // A resource on the commit path with zero capacity is an unconditional
-    // deadlock, not a sizing question.
-    let has_mem = graph
-        .reachable_blocks()
-        .flat_map(|bi| &program.blocks[bi].body)
-        .any(|i| i.op.is_mem());
-    let has_store = graph
-        .reachable_blocks()
-        .flat_map(|bi| &program.blocks[bi].body)
-        .any(|i| i.op == OpClass::Store);
-    if has_mem && cfg.hierarchy.data_mshrs == 0 {
-        diags.push(Diagnostic::new(
-            "SR004",
-            Severity::Error,
-            format!(
-                "{} performs memory accesses but the config has zero data MSHRs: the first \
-                 miss can never complete",
-                program.name
-            ),
-        ));
-    }
-    if has_store && cfg.store_buffer_entries == 0 {
-        diags.push(Diagnostic::new(
-            "SR004",
-            Severity::Error,
-            format!(
-                "{} performs stores but the store buffer has zero entries: committed stores \
-                 can never drain",
-                program.name
-            ),
-        ));
-    }
-    for kind in FuKind::ALL {
-        if cfg.fu_count(kind) > 0 {
-            continue;
-        }
-        let used = graph
-            .reachable_blocks()
-            .flat_map(|bi| {
-                let b = &program.blocks[bi];
-                b.body.iter().chain(std::iter::once(&b.branch_inst))
-            })
-            .find(|i| i.op.fu_kind() == kind);
-        if let Some(inst) = used {
-            diags.push(spanned(
-                Diagnostic::new(
-                    "SR004",
-                    Severity::Error,
-                    format!(
-                        "{} uses a {:?} operation but the config has zero {:?} units: it can \
-                         never issue",
-                        program.name, inst.op, kind
-                    ),
-                ),
-                inst.pc,
-            ));
-        }
-    }
+    diags.extend(facts.sr004(cfg).into_iter().map(spanned));
 
     diags
 }

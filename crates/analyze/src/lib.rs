@@ -22,6 +22,9 @@
 //!   per-thread queue shares, zero-capacity resources.
 //! * [`preflight`] — the campaign pre-flight bundle: config lint + program
 //!   lint + adequacy over the exact per-thread programs of a queued run.
+//!   [`ProgramFacts`] is its design-independent half, computed once per
+//!   program; [`preflight_errors`] re-checks those facts against a config
+//!   and finds the same errors.
 //!
 //! The registry of every code ([`REGISTRY`], [`code_info`],
 //! [`render_code_table`]) is the single source of truth for severities and
@@ -76,10 +79,67 @@ pub fn preflight(
 ) -> Report {
     let mut diags = lint_config(cfg);
     for p in programs {
-        diags.extend(lint_program(p, None));
-        diags.extend(check_adequacy(p, cfg, None));
+        let graph = Cfg::new(p);
+        diags.extend(program_lint::lint_program_on(p, &graph, None));
+        diags.extend(adequacy::check_adequacy_on(p, &graph, cfg, None));
     }
     Report::new(diags)
+}
+
+/// The design-independent half of the campaign pre-flight for one
+/// program: its program-lint errors, plus the CFG facts the error-severity
+/// adequacy obligations (SR001, SR004) read. Built once per program (one
+/// CFG for both passes) and re-checked against any number of configs.
+///
+/// Only errors are kept: warnings never reject a run, and a large program
+/// lints to thousands of them.
+#[derive(Clone, Debug)]
+pub struct ProgramFacts {
+    lint_errors: Vec<Diagnostic>,
+    adequacy: adequacy::AdequacyFacts,
+}
+
+impl ProgramFacts {
+    /// Lints `program` and derives its adequacy facts.
+    pub fn new(program: &shelfsim_workload::program::Program) -> Self {
+        let graph = Cfg::new(program);
+        // Copy into a fresh Vec: `into_iter().filter().collect()` reuses
+        // the lint stream's buffer in place, and a memo holding that
+        // buffer keeps the capacity of thousands of warnings alive.
+        let lint_errors = program_lint::lint_program_on(program, &graph, None)
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .cloned()
+            .collect();
+        ProgramFacts {
+            lint_errors,
+            adequacy: adequacy::AdequacyFacts::new(program, &graph),
+        }
+    }
+
+    /// The program's pre-flight errors on `cfg`: its lint errors, then
+    /// the failed SR001 and SR004 obligations — the errors [`preflight`]
+    /// finds for this program, in its order.
+    pub fn errors(&self, cfg: &shelfsim_core::CoreConfig) -> Vec<Diagnostic> {
+        let mut errors = self.lint_errors.clone();
+        errors.extend(self.adequacy.errors(cfg));
+        errors
+    }
+}
+
+/// The error-severity findings of [`preflight`] on `cfg` and the programs
+/// `facts` were built from, in the same order, without re-analysing the
+/// programs: the config lint's errors plus each program's
+/// [`ProgramFacts::errors`].
+pub fn preflight_errors(cfg: &shelfsim_core::CoreConfig, facts: &[&ProgramFacts]) -> Report {
+    let mut errors: Vec<Diagnostic> = lint_config(cfg)
+        .into_iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    for f in facts {
+        errors.extend(f.errors(cfg));
+    }
+    Report::new(errors)
 }
 
 /// Assembles `.s` kernel `source` and lints it with spans into `file`.

@@ -45,6 +45,15 @@ fn bit(r: ArchReg) -> u64 {
 /// Lints `program`, attaching spans from `source` (file name + PC→line
 /// map from [`shelfsim_workload::asm::assemble_with_lines`]) when given.
 pub fn lint_program(program: &Program, source: Option<(&str, &PcLineMap)>) -> Vec<Diagnostic> {
+    lint_program_on(program, &Cfg::new(program), source)
+}
+
+/// [`lint_program`] over `program`'s already-built `cfg`.
+pub(crate) fn lint_program_on(
+    program: &Program,
+    cfg: &Cfg,
+    source: Option<(&str, &PcLineMap)>,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let span_of = |pc: u64| source.and_then(|(file, map)| map.get(&pc).map(|&l| (file, l)));
     let spanned = |d: Diagnostic, pc: u64| match span_of(pc) {
@@ -54,7 +63,6 @@ pub fn lint_program(program: &Program, source: Option<(&str, &PcLineMap)>) -> Ve
     let n = program.blocks.len();
 
     // ---- SA002: reachability from the entry block -----------------------
-    let cfg = Cfg::new(program);
     let reachable = &cfg.reachable;
     for (i, b) in program.blocks.iter().enumerate() {
         if !reachable[i] {

@@ -13,6 +13,10 @@ pub struct CampaignReport {
     pub records: Vec<RunRecord>,
     /// Runs restored from the journal instead of executed.
     pub resumed: usize,
+    /// Thread programs the workers generated (program-memo misses).
+    pub program_builds: usize,
+    /// Thread-program reads the workers' program memos served.
+    pub program_hits: usize,
     /// Warm-ups the workers ran from scratch.
     pub warm_builds: usize,
     /// Executed runs that started from a clone of a kept warmed state.
@@ -25,6 +29,8 @@ impl CampaignReport {
         CampaignReport {
             records,
             resumed,
+            program_builds: 0,
+            program_hits: 0,
             warm_builds: 0,
             warm_hits: 0,
         }
@@ -163,6 +169,12 @@ impl CampaignReport {
             }
         }
         writeln!(out, "taxonomy: {}", self.taxonomy().render()).expect("write");
+        writeln!(
+            out,
+            "scratch: programs {} built, {} reused; warm-ups {} built, {} reused",
+            self.program_builds, self.program_hits, self.warm_builds, self.warm_hits
+        )
+        .expect("write");
         out
     }
 
@@ -218,13 +230,18 @@ impl CampaignReport {
         format!(
             concat!(
                 r#"{{"runs":{},"completed":{},"quarantined":{},"rejected":{},"resumed":{},"#,
-                r#""taxonomy":{{{}}},"per_design":[{}],"records":[{}]}}"#
+                r#""scratch":{{"program_builds":{},"program_hits":{},"warm_builds":{},"#,
+                r#""warm_hits":{}}},"taxonomy":{{{}}},"per_design":[{}],"records":[{}]}}"#
             ),
             self.records.len(),
             self.completed(),
             self.quarantined(),
             self.rejected(),
             self.resumed,
+            self.program_builds,
+            self.program_hits,
+            self.warm_builds,
+            self.warm_hits,
             taxonomy.join(","),
             per_design.join(","),
             records.join(",")

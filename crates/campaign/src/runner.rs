@@ -9,24 +9,28 @@ use crate::journal::{JournalEntry, ShardWriter, ShardedJournal};
 use crate::pool::StealQueues;
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, RunSpec};
+use shelfsim_analyze::ProgramFacts;
 use shelfsim_core::{Completion, CoreConfig, SimError, Simulation, WarmKey, WarmState, Watchdog};
 use shelfsim_workload::Program;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Per-worker scratch reused across runs (arena-style): memoizes
-/// `build_program` results keyed by `(benchmark, program seed)`, and keeps
-/// the last warmed state under its [`WarmKey`]. A sweep matrix re-runs the
-/// same mixes against every design point, and a single run builds its
-/// programs up to three times (pre-flight, validation tier, attempt) — the
-/// memo collapses all of those to one generation each. The warm-up is
-/// design-independent, so consecutive runs of one mix on different designs
-/// clone the kept state instead of warming again; [`run_campaign`] orders
-/// its runs to make such runs consecutive.
+/// `build_program` results keyed by `(benchmark, program seed)`, with each
+/// program's pre-flight [`ProgramFacts`] once a pre-flight has read them,
+/// and keeps the last warmed state under its [`WarmKey`]. A sweep matrix
+/// re-runs the same mixes against every design point, and a single run
+/// reads its programs up to three times (pre-flight, validation tier,
+/// attempt) — the memo collapses all of those to one generation and one
+/// program analysis each. The warm-up is design-independent, so
+/// consecutive runs of one mix on different designs clone the kept state
+/// instead of warming again; [`run_campaign`] orders its runs to make such
+/// runs consecutive.
 #[derive(Default)]
 pub struct WorkerScratch {
-    programs: HashMap<(String, u64), Program>,
+    programs: HashMap<(String, u64), MemoEntry>,
     warm: Option<(WarmKey, WarmState)>,
     /// Programs generated from scratch (memo misses).
     pub builds: usize,
@@ -38,10 +42,38 @@ pub struct WorkerScratch {
     pub warm_hits: usize,
 }
 
+/// One memoized thread program and, after the first pre-flight that read
+/// it, its pre-flight facts (so campaigns without a pre-flight never
+/// analyse it).
+struct MemoEntry {
+    program: Program,
+    facts: Option<ProgramFacts>,
+}
+
 impl WorkerScratch {
     /// A fresh scratch arena.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The memo entry of thread program `(name, seed)`, built on a miss.
+    /// Errors as [`WorkerScratch::programs_for`] does.
+    fn entry(&mut self, name: &str, seed: u64) -> Result<&mut MemoEntry, String> {
+        match self.programs.entry((name.to_owned(), seed)) {
+            Entry::Occupied(e) => {
+                self.hits += 1;
+                Ok(e.into_mut())
+            }
+            Entry::Vacant(e) => {
+                let profile = shelfsim_workload::suite::by_name(name)
+                    .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+                self.builds += 1;
+                Ok(e.insert(MemoEntry {
+                    program: profile.build_program(seed),
+                    facts: None,
+                }))
+            }
+        }
     }
 
     /// The exact per-thread `(name, program)` pairs `spec` simulates,
@@ -52,20 +84,29 @@ impl WorkerScratch {
         let mut out = Vec::with_capacity(spec.mix.len());
         for (t, name) in spec.mix.iter().enumerate() {
             let seed = shelfsim_core::thread_program_seed(spec.seed, t);
-            let key = (name.clone(), seed);
-            if let Some(p) = self.programs.get(&key) {
-                self.hits += 1;
-                out.push((name.clone(), p.clone()));
-                continue;
-            }
-            let profile = shelfsim_workload::suite::by_name(name)
-                .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
-            let program = profile.build_program(seed);
-            self.builds += 1;
-            self.programs.insert(key, program.clone());
+            let program = self.entry(name, seed)?.program.clone();
             out.push((name.clone(), program));
         }
         Ok(out)
+    }
+
+    /// The pre-flight facts of each of `spec`'s thread programs, derived
+    /// on first use and kept with the memoized program. Errors as
+    /// [`WorkerScratch::programs_for`] does.
+    fn facts_for(&mut self, spec: &RunSpec) -> Result<Vec<&ProgramFacts>, String> {
+        let mut keys = Vec::with_capacity(spec.mix.len());
+        for (t, name) in spec.mix.iter().enumerate() {
+            let seed = shelfsim_core::thread_program_seed(spec.seed, t);
+            let entry = self.entry(name, seed)?;
+            entry
+                .facts
+                .get_or_insert_with(|| ProgramFacts::new(&entry.program));
+            keys.push((name.clone(), seed));
+        }
+        Ok(keys
+            .iter()
+            .map(|key| self.programs[key].facts.as_ref().expect("derived above"))
+            .collect())
     }
 
     /// The warmed state `spec` starts from on `cfg` (its resolved config):
@@ -526,27 +567,18 @@ fn run_attempt(
 }
 
 /// Static-analysis pre-flight over one queued run: lints the resolved
-/// config and the exact per-thread programs the run would simulate, and
-/// proves resource adequacy. Returns the rendered error report when the
-/// run must be rejected; `None` to proceed (including when the spec does
-/// not even resolve — the attempt path owns that `Config` failure, with
-/// its established message).
+/// config and checks the memoized facts of the exact per-thread programs
+/// the run would simulate ([`shelfsim_analyze::preflight_errors`], the
+/// error verdict of [`shelfsim_analyze::preflight`]). Returns the rendered
+/// error report when the run must be rejected; `None` to proceed
+/// (including when the spec does not even resolve — the attempt path owns
+/// that `Config` failure, with its established message).
 fn preflight_check(spec: &RunSpec, scratch: &mut WorkerScratch) -> Option<String> {
     let cfg = spec.resolved_config().ok()?;
-    let programs: Vec<Program> = scratch
-        .programs_for(spec)
-        .ok()?
-        .into_iter()
-        .map(|(_, p)| p)
-        .collect();
-    let report = shelfsim_analyze::preflight(&cfg, &programs);
+    let facts = scratch.facts_for(spec).ok()?;
+    let report = shelfsim_analyze::preflight_errors(&cfg, &facts);
     report.has_errors().then(|| {
-        let lines: Vec<String> = report
-            .diagnostics()
-            .iter()
-            .filter(|d| d.severity == shelfsim_analyze::Severity::Error)
-            .map(|d| d.to_string())
-            .collect();
+        let lines: Vec<String> = report.diagnostics().iter().map(|d| d.to_string()).collect();
         lines.join("; ")
     })
 }
@@ -630,9 +662,10 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
 /// never aborts the campaign — failed runs are retried, then quarantined,
 /// and the report carries partial results plus the error taxonomy.
 ///
-/// Each worker keeps a scratch arena (memoized program builds and the last
-/// warmed state) for its whole lifetime and, when `spec.journal_dir` is
-/// set, appends outcomes to its own journal shard with no shared lock.
+/// Each worker keeps a scratch arena (memoized program builds with their
+/// pre-flight facts, and the last warmed state) for its whole lifetime
+/// and, when `spec.journal_dir` is set, appends outcomes to its own
+/// journal shard with no shared lock.
 /// Misses run grouped by warm-up key, so runs that share a warm-up are
 /// adjacent and a worker warms once per group; records still land at
 /// their matrix index, and merged shard bytes do not depend on execution
@@ -661,7 +694,8 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
     let _quiet = QuietPanics::new(spec.quiet_panics);
     let queues = StealQueues::new(warm_order(&spec.runs, &admission.misses), workers);
     let finished: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-    let warm_counts: Mutex<(usize, usize)> = Mutex::new((0, 0));
+    // Summed scratch counters: programs built/reused, warm-ups built/reused.
+    let scratch_counts: Mutex<[usize; 4]> = Mutex::new([0; 4]);
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
@@ -669,7 +703,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
             let queues = &queues;
             let finished = &finished;
             let io_error = &io_error;
-            let warm_counts = &warm_counts;
+            let scratch_counts = &scratch_counts;
             scope.spawn(move || {
                 let mut scratch = WorkerScratch::new();
                 while let Some(i) = queues.next(w) {
@@ -685,9 +719,16 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
                     }
                     finished.lock().expect("results").push((i, record));
                 }
-                let mut counts = warm_counts.lock().expect("warm counts");
-                counts.0 += scratch.warm_builds;
-                counts.1 += scratch.warm_hits;
+                let mine = [
+                    scratch.builds,
+                    scratch.hits,
+                    scratch.warm_builds,
+                    scratch.warm_hits,
+                ];
+                let mut counts = scratch_counts.lock().expect("scratch counts");
+                for (sum, n) in counts.iter_mut().zip(mine) {
+                    *sum += n;
+                }
             });
         }
     });
@@ -703,7 +744,12 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
         .map(|r| r.expect("every run either resumed or executed"))
         .collect();
     let mut report = CampaignReport::new(records, resumed);
-    (report.warm_builds, report.warm_hits) = warm_counts.into_inner().expect("warm counts");
+    [
+        report.program_builds,
+        report.program_hits,
+        report.warm_builds,
+        report.warm_hits,
+    ] = scratch_counts.into_inner().expect("scratch counts");
     Ok(report)
 }
 
@@ -711,6 +757,42 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
 mod tests {
     use super::*;
     use crate::sweep::SweepSpec;
+
+    fn analysed(scratch: &WorkerScratch) -> usize {
+        scratch
+            .programs
+            .values()
+            .filter(|e| e.facts.is_some())
+            .count()
+    }
+
+    #[test]
+    fn program_facts_are_derived_once_and_only_for_a_preflight() {
+        let runs = CampaignSpec::matrix(
+            &["base64".to_owned(), "shelf-opt".to_owned()],
+            &[vec!["gcc".to_owned(), "mcf".to_owned()]],
+            3,
+            100,
+            300,
+        );
+        let unchecked = CampaignSpec::new(runs.clone()).with_preflight(false);
+        let mut scratch = WorkerScratch::new();
+        for run in &runs {
+            assert_eq!(execute(run, &unchecked, &mut scratch).status, RunStatus::Ok);
+        }
+        assert_eq!(analysed(&scratch), 0, "no pre-flight, no analysis");
+
+        let checked = CampaignSpec::new(runs.clone());
+        let mut scratch = WorkerScratch::new();
+        assert!(preflight_check(&runs[0], &mut scratch).is_none());
+        assert_eq!((scratch.builds, analysed(&scratch)), (2, 2));
+        // The second design point re-checks the kept facts.
+        assert_eq!(
+            execute(&runs[1], &checked, &mut scratch).status,
+            RunStatus::Ok
+        );
+        assert_eq!((scratch.builds, analysed(&scratch)), (2, 2));
+    }
 
     #[test]
     fn warm_order_groups_design_points_of_a_mix() {

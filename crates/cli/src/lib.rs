@@ -1565,12 +1565,6 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
     }
     let mut out = header;
     out.push_str(&report.render_text());
-    writeln!(
-        out,
-        "warm-ups: {} built, {} reused",
-        report.warm_builds, report.warm_hits
-    )
-    .expect("write");
     if let Some(entries) = &pareto_entries {
         out.push_str(&shelfsim::pareto_report(entries, workers).render_text());
     }

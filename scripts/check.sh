@@ -55,15 +55,26 @@ echo "$out2" | grep -q "4 resumed from journal" \
   || { echo "FAIL: second invocation should resume all 4 runs"; echo "$out2"; exit 1; }
 rm -rf "$journal"
 
-echo "== preflight smoke: starved shelf must be rejected before simulating"
-out="$(cargo run --release -q -p shelfsim-cli -- campaign \
-  --designs shelf-inorder --mix gcc,mcf --override shelf=2 \
-  --warmup 500 --measure 3000)"
+echo "== preflight smoke: starved shelves must be rejected before simulating"
+# Two starved runs on two workers are both rejected and journaled, and the
+# rejections resume on one worker.
+preflight_dir="$(mktemp -d)/preflight"
+starved() {
+  cargo run --release -q -p shelfsim-cli -- campaign \
+    --designs shelf-inorder --mix gcc,mcf --mix hmmer,gcc --override shelf=2 \
+    --warmup 500 --measure 3000 --workers "$1" --journal-dir "$preflight_dir"
+}
+out="$(starved 2)"
 echo "$out" | head -1
-echo "$out" | grep -q "1 rejected" \
-  || { echo "FAIL: expected the starved run to be rejected"; echo "$out"; exit 1; }
+echo "$out" | grep -q "2 rejected" \
+  || { echo "FAIL: expected both starved runs to be rejected"; echo "$out"; exit 1; }
 echo "$out" | grep -q "analysis-rejected" \
   || { echo "FAIL: taxonomy should carry analysis-rejected"; echo "$out"; exit 1; }
+out="$(starved 1)"
+echo "$out" | head -1
+echo "$out" | grep -q "2 resumed from journal" \
+  || { echo "FAIL: the rejections should resume from the journal"; echo "$out"; exit 1; }
+rm -rf "$preflight_dir"
 
 echo "== validate smoke: lockstep harness on a kernel + a generated program"
 out="$(cargo run --release -q -p shelfsim-cli -- validate \
