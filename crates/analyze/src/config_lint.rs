@@ -158,65 +158,91 @@ pub fn design_by_name(name: &str, threads: usize) -> Option<CoreConfig> {
     })
 }
 
+/// Every key [`apply_override`] accepts, in documentation order.
+pub const OVERRIDE_KEYS: &[&str] = &[
+    "rob",
+    "iq",
+    "lq",
+    "sq",
+    "shelf",
+    "fetch",
+    "dispatch",
+    "issue",
+    "commit",
+    "store-buffer",
+    "rct-bits",
+    "plt-columns",
+    "steer",
+];
+
 /// Applies one structural `key = value` override to `cfg`.
 ///
-/// The accepted keys are the config-file override keys: `steer`
-/// (`always-iq|always-shelf|practical|oracle`) and the sizing keys `rob`,
-/// `iq`, `lq`, `sq`, `shelf`, `fetch`, `dispatch`, `issue`, `commit`,
-/// `store-buffer` (non-negative integers). Shared by [`lint_config_file`]
-/// and the campaign CLI's `--override` flag so both front ends accept the
-/// same vocabulary.
+/// The accepted keys are [`OVERRIDE_KEYS`]: the sizing keys `rob`, `iq`,
+/// `lq`, `sq`, `shelf`, `fetch`, `dispatch`, `issue`, `commit`,
+/// `store-buffer` (non-negative integers), the RCT counter width
+/// `rct-bits` and PLT column count `plt-columns` (1..=8, the range
+/// [`CoreConfig::validate`] enforces), and `steer`
+/// (`always-iq|always-shelf|practical|oracle`). Shared by
+/// [`lint_config_file`] and the CLI's `--override` flag so both front ends
+/// accept the same vocabulary.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of what was expected.
 pub fn apply_override(cfg: &mut CoreConfig, key: &str, value: &str) -> Result<(), String> {
-    if key == "steer" {
-        cfg.steer = match value {
-            "always-iq" => SteerPolicy::AlwaysIq,
-            "always-shelf" => SteerPolicy::AlwaysShelf,
-            "practical" => SteerPolicy::Practical,
-            "oracle" => SteerPolicy::Oracle,
-            _ => {
-                return Err(format!(
-                    "steer: expected always-iq|always-shelf|practical|oracle, got `{value}`"
-                ))
-            }
-        };
-        return Ok(());
-    }
-    let slot = match key {
-        "rob" => &mut cfg.rob_entries,
-        "iq" => &mut cfg.iq_entries,
-        "lq" => &mut cfg.lq_entries,
-        "sq" => &mut cfg.sq_entries,
-        "shelf" => &mut cfg.shelf_entries,
-        "fetch" => &mut cfg.fetch_width,
-        "dispatch" => &mut cfg.dispatch_width,
-        "issue" => &mut cfg.issue_width,
-        "commit" => &mut cfg.commit_width,
-        "store-buffer" => &mut cfg.store_buffer_entries,
-        _ => return Err(format!("unknown config key `{key}`")),
+    let int = || {
+        value
+            .parse::<usize>()
+            .map_err(|_| format!("{key}: expected a non-negative integer, got `{value}`"))
     };
-    match value.parse::<usize>() {
-        Ok(n) => {
-            *slot = n;
-            Ok(())
-        }
-        Err(_) => Err(format!(
-            "{key}: expected a non-negative integer, got `{value}`"
+    let width = || match value.parse::<u32>() {
+        Ok(n) if (1..=8).contains(&n) => Ok(n),
+        _ => Err(format!(
+            "{key}: expected an integer in 1..=8, got `{value}`"
         )),
+    };
+    match key {
+        "rob" => cfg.rob_entries = int()?,
+        "iq" => cfg.iq_entries = int()?,
+        "lq" => cfg.lq_entries = int()?,
+        "sq" => cfg.sq_entries = int()?,
+        "shelf" => cfg.shelf_entries = int()?,
+        "fetch" => cfg.fetch_width = int()?,
+        "dispatch" => cfg.dispatch_width = int()?,
+        "issue" => cfg.issue_width = int()?,
+        "commit" => cfg.commit_width = int()?,
+        "store-buffer" => cfg.store_buffer_entries = int()?,
+        "rct-bits" => cfg.rct_bits = width()?,
+        "plt-columns" => cfg.plt_columns = width()?,
+        "steer" => {
+            cfg.steer = match value {
+                "always-iq" => SteerPolicy::AlwaysIq,
+                "always-shelf" => SteerPolicy::AlwaysShelf,
+                "practical" => SteerPolicy::Practical,
+                "oracle" => SteerPolicy::Oracle,
+                _ => {
+                    return Err(format!(
+                        "steer: expected always-iq|always-shelf|practical|oracle, got `{value}`"
+                    ))
+                }
+            }
+        }
+        _ => {
+            return Err(format!(
+                "unknown config key `{key}` (expected one of: {})",
+                OVERRIDE_KEYS.join(", ")
+            ))
+        }
     }
+    Ok(())
 }
 
 /// Parses a `key = value` config file into a [`CoreConfig`] and lints it.
 ///
 /// Lines are `key = value`; `#` and `;` start comments. The `design` key
 /// picks a base design point (default `base64`), `threads` its thread
-/// count (default 4); the remaining keys override individual structures:
-/// `rob`, `iq`, `lq`, `sq`, `shelf`, `fetch`, `dispatch`, `issue`,
-/// `commit`, `store-buffer`, and `steer`
-/// (`always-iq|always-shelf|practical|oracle`).
+/// count (default 4); the remaining keys are [`apply_override`]'s
+/// [`OVERRIDE_KEYS`].
 ///
 /// Parse problems are reported as `SC007` errors with the offending line;
 /// the configuration is still built best-effort so the contradiction
@@ -443,5 +469,25 @@ mod tests {
             .collect();
         lines.sort_unstable();
         assert_eq!(lines, vec![2, 3], "{diags:?}");
+    }
+
+    #[test]
+    fn every_listed_override_key_applies_and_others_are_rejected() {
+        for key in OVERRIDE_KEYS {
+            let value = if *key == "steer" { "oracle" } else { "3" };
+            let mut cfg = CoreConfig::base64(2);
+            apply_override(&mut cfg, key, value).unwrap_or_else(|e| panic!("{key}: {e}"));
+            assert_ne!(cfg, CoreConfig::base64(2), "{key} changed nothing");
+        }
+        let mut cfg = CoreConfig::base64(2);
+        let e = apply_override(&mut cfg, "warp", "9").unwrap_err();
+        assert!(e.contains("unknown config key `warp`"), "{e}");
+        assert!(e.contains("rct-bits"), "lists the valid keys: {e}");
+        for bad in ["0", "9", "x"] {
+            let e = apply_override(&mut cfg, "rct-bits", bad).unwrap_err();
+            assert!(e.contains(&format!("`{bad}`")), "{e}");
+        }
+        apply_override(&mut cfg, "plt-columns", "2").expect("in range");
+        assert_eq!(cfg.plt_columns, 2);
     }
 }

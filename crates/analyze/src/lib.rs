@@ -59,7 +59,7 @@ pub use adequacy::check_adequacy;
 pub use bounds::{aggregate_bound, ipc_bound, IpcBoundReport, RecurrenceBound};
 pub use cfg::Cfg;
 pub use config_lint::{
-    apply_override, design_by_name, lint_config, lint_config_file, DESIGN_NAMES,
+    apply_override, design_by_name, lint_config, lint_config_file, DESIGN_NAMES, OVERRIDE_KEYS,
 };
 pub use dataflow::{live_registers, BitSet, DataflowAnalysis, DefUse, ReachingDefs, Solution};
 pub use diagnostic::{

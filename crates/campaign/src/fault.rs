@@ -57,7 +57,8 @@ pub struct FaultMix {
 }
 
 impl FaultMix {
-    fn total(&self) -> usize {
+    /// Victim runs the mix asks for.
+    pub fn total(&self) -> usize {
         self.panics + self.persistent_panics + self.stalls + self.livelocks
     }
 }

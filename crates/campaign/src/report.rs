@@ -81,16 +81,19 @@ impl CampaignReport {
         tally
     }
 
-    /// Per-design geometric-mean IPC over completed runs:
-    /// `(design, geomean IPC, run count)`, design-name order. Quarantined
-    /// runs simply contribute nothing (partial results, not aborts).
+    /// Per-design-point geometric-mean IPC over completed runs:
+    /// `(design point, geomean IPC, run count)`, in name order. A design
+    /// point is the design name plus its override set (`shelf-opt
+    /// [shelf=16]`), so an override axis never averages different
+    /// configurations together. Quarantined runs simply contribute
+    /// nothing (partial results, not aborts).
     pub fn per_design_ipc(&self) -> Vec<(String, f64, usize)> {
         let pairs: Vec<(String, f64)> = self
             .records
             .iter()
             .filter_map(|r| {
                 let o = r.outcome.as_ref()?;
-                (o.ipc > 0.0).then(|| (r.spec.design.clone(), o.ipc))
+                (o.ipc > 0.0).then(|| (r.spec.design_point(), o.ipc))
             })
             .collect();
         grouped_geomean(&pairs)

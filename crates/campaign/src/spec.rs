@@ -41,16 +41,27 @@ impl RunSpec {
     /// Human-readable label, e.g. `shelf-opt gcc+mcf` (overrides, when
     /// present, are appended as `[key=value,…]`).
     pub fn label(&self) -> String {
+        let mix = self.mix.join("+");
+        format!("{} {mix}{}", self.design, self.override_suffix())
+    }
+
+    /// The design point the run measures: the design name plus its
+    /// override set, e.g. `shelf-opt [shelf=16]`.
+    pub fn design_point(&self) -> String {
+        format!("{}{}", self.design, self.override_suffix())
+    }
+
+    /// ` [key=value,…]`, or empty without overrides.
+    fn override_suffix(&self) -> String {
         if self.overrides.is_empty() {
-            format!("{} {}", self.design, self.mix.join("+"))
-        } else {
-            let ovs: Vec<String> = self
-                .overrides
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            format!("{} {} [{}]", self.design, self.mix.join("+"), ovs.join(","))
+            return String::new();
         }
+        let ovs: Vec<String> = self
+            .overrides
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        format!(" [{}]", ovs.join(","))
     }
 
     /// Resolves the design name plus overrides into the exact

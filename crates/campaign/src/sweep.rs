@@ -10,7 +10,7 @@
 //! thread's multi-thread CPI into its single-thread CPI on the same
 //! design).
 
-use crate::spec::RunSpec;
+use crate::spec::{CampaignSpec, RunSpec};
 use shelfsim_workload::balanced_random_mixes;
 use std::collections::BTreeSet;
 
@@ -84,24 +84,8 @@ impl SweepSpec {
     /// Expands the sweep into its deterministic run list: designs outer,
     /// thread counts (per [`SweepSpec::mix_plan`]) middle, mixes inner.
     pub fn expand(&self) -> Vec<RunSpec> {
-        let plan = self.mix_plan();
-        let mut runs = Vec::new();
-        for design in &self.designs {
-            for (_, mixes) in &plan {
-                for mix in mixes {
-                    runs.push(RunSpec {
-                        index: runs.len(),
-                        design: design.clone(),
-                        mix: mix.clone(),
-                        seed: self.seed,
-                        warmup: self.warmup,
-                        measure: self.measure,
-                        overrides: Vec::new(),
-                    });
-                }
-            }
-        }
-        runs
+        let mixes: Vec<Vec<String>> = self.mix_plan().into_iter().flat_map(|(_, m)| m).collect();
+        CampaignSpec::matrix(&self.designs, &mixes, self.seed, self.warmup, self.measure)
     }
 
     /// Matrix size without expanding (designs × Σ mixes per thread count).

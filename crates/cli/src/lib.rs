@@ -7,13 +7,17 @@
 //! shelfsim run --design shelf-opt --mix gcc,mcf,hmmer,lbm
 //! shelfsim compare --mix gcc,mcf,hmmer,lbm
 //! shelfsim mixes --threads 4 --count 5
-//! shelfsim sweep --param shelf --values 16,32,64,128 --mix gcc,mcf,hmmer,lbm
+//! shelfsim sweep --designs shelf-opt --override shelf=16,32,64,128 --mix gcc,mcf,hmmer,lbm
 //! ```
 //!
-//! Everything is plumbed through [`run_cli`] so the argument handling is
-//! unit-testable without spawning a process.
+//! Every verb declares the flags it accepts in one table ([`VERBS`]), and
+//! one parser enforces it. Everything is plumbed through [`run_cli`] so the
+//! argument handling is unit-testable without spawning a process.
 
-use shelfsim::{balanced_random_mixes, suite, CoreConfig, EnergyModel, MemoryModel, Simulation};
+use shelfsim::{
+    balanced_random_mixes, suite, CampaignSpec, CoreConfig, EnergyModel, MemoryModel, RunSpec,
+    Simulation,
+};
 use std::fmt::Write as _;
 
 /// Process exit codes, one per CLI failure class. `main` maps a
@@ -76,76 +80,193 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliErro
         .map_err(|_| uerr(format!("{flag}: invalid number `{value}`")))
 }
 
-/// Parsed common options.
-#[derive(Debug, Clone)]
-struct Options {
-    design: String,
-    mix: Vec<String>,
-    warmup: u64,
-    measure: u64,
-    /// Equal-work mode: run until every thread commits this many
-    /// instructions (with `measure` as the cycle budget).
-    until: Option<u64>,
-    seed: u64,
-    tso: bool,
-    json: bool,
-    /// Trace: lifecycle ring capacity (instructions retained per export).
-    window: usize,
-    /// Trace: occupancy sampling period in cycles.
-    sample: u64,
-    /// Trace: write the JSONL export here.
-    jsonl: Option<String>,
-    /// Trace: write the Chrome trace-event export here (Perfetto-loadable).
-    chrome: Option<String>,
+/// One verb: its grammar and the function that runs it. `grammar` is the
+/// verb's argument table, one whitespace-separated entry per argument:
+/// `--name` is a switch, `--name=` takes one value, `--name=*` takes a
+/// value and may be repeated, and an entry without dashes names a
+/// positional argument (a last `NAME...` takes any number of them).
+struct Verb {
+    name: &'static str,
+    grammar: &'static str,
+    run: fn(&Args) -> Result<String, CliError>,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            design: "shelf-opt".to_owned(),
-            mix: vec![],
-            warmup: 10_000,
-            measure: 40_000,
-            until: None,
-            seed: 7,
-            tso: false,
-            json: false,
-            window: 256,
-            sample: 8,
-            jsonl: None,
-            chrome: None,
-        }
-    }
+/// Every verb's command-line grammar. `help` (also `--help`, `-h`) is the
+/// one verb outside the table.
+const VERBS: &[Verb] = &[
+    Verb {
+        name: "suite",
+        grammar: "",
+        run: cmd_suite,
+    },
+    Verb {
+        name: "kernels",
+        grammar: "",
+        run: cmd_kernels,
+    },
+    Verb {
+        name: "mixes",
+        grammar: "--threads= --count= --seed=",
+        run: cmd_mixes,
+    },
+    Verb {
+        name: "run",
+        grammar: "--design= --mix= --warmup= --measure= --until= --seed= --tso --json",
+        run: cmd_run,
+    },
+    Verb {
+        name: "compare",
+        grammar: "--mix= --warmup= --measure= --until= --seed= --tso --json",
+        run: cmd_compare,
+    },
+    Verb {
+        name: "sweep",
+        grammar: "--designs= --mix=* --thread-counts= --mixes= --override=* --seed= --warmup= \
+                  --measure= --workers= --journal-dir= --watchdog= --attempts= --trace-dir= \
+                  --fault-panics= --fault-persistent-panics= --fault-stalls= --fault-livelocks= \
+                  --fault-seed= --no-preflight --validate --dry-run --pareto --json",
+        run: cmd_sweep,
+    },
+    Verb {
+        name: "trace",
+        grammar: "--design= --mix= --warmup= --measure= --seed= --tso --window= --sample= \
+                  --jsonl= --chrome=",
+        run: cmd_trace,
+    },
+    Verb {
+        name: "asm",
+        grammar: "FILE --design= --mix= --warmup= --measure= --tso",
+        run: cmd_asm,
+    },
+    Verb {
+        name: "characterize",
+        grammar: "BENCH",
+        run: cmd_characterize,
+    },
+    Verb {
+        name: "analyze",
+        grammar: "--bounds --json --design= --threads= --seed= TARGET...",
+        run: cmd_analyze,
+    },
+    Verb {
+        name: "lint",
+        grammar: "--deny-warnings --explain= --format= --design= --threads= FILE...",
+        run: cmd_lint,
+    },
+    Verb {
+        name: "bench",
+        grammar: "--campaign --workers= --measure= --seed= --out= --compare=",
+        run: cmd_bench,
+    },
+    Verb {
+        name: "validate",
+        grammar: "--designs= --threads= --kernels= --suite= --generated= --seed= --commits= \
+                  --max-cycles= --warmup= --sweep --json --no-skip --shrink-dir= --chaos=",
+        run: cmd_validate,
+    },
+];
+
+/// A verb's command line after [`parse`]: each flag given, with its value
+/// (empty for a switch), in command-line order, plus the positionals.
+struct Args<'a> {
+    flags: Vec<(&'a str, &'a str)>,
+    positional: Vec<&'a str>,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, CliError> {
-    let mut o = Options::default();
+/// Checks `args` against `verb`'s grammar. Unknown flags, missing
+/// values, a non-repeatable flag given twice and surplus positionals are
+/// usage errors.
+fn parse<'a>(verb: &Verb, args: &'a [String]) -> Result<Args<'a>, CliError> {
+    let mut parsed = Args {
+        flags: vec![],
+        positional: vec![],
+    };
+    let names: Vec<&str> = verb
+        .grammar
+        .split_whitespace()
+        .filter(|w| !w.starts_with("--"))
+        .collect();
+    let max_positional = match names.last() {
+        Some(last) if last.ends_with("...") => usize::MAX,
+        _ => names.len(),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| uerr(format!("{name} requires a value")))
-        };
-        match a.as_str() {
-            "--design" => o.design = val("--design")?,
-            "--mix" => {
-                o.mix = val("--mix")?.split(',').map(str::to_owned).collect();
+        if !a.starts_with("--") {
+            if parsed.positional.len() == max_positional {
+                return Err(uerr(format!("{}: unexpected argument `{a}`", verb.name)));
             }
-            "--warmup" => o.warmup = parse_num("--warmup", &val("--warmup")?)?,
-            "--measure" => o.measure = parse_num("--measure", &val("--measure")?)?,
-            "--until" => o.until = Some(parse_num("--until", &val("--until")?)?),
-            "--seed" => o.seed = parse_num("--seed", &val("--seed")?)?,
-            "--tso" => o.tso = true,
-            "--json" => o.json = true,
-            "--window" => o.window = parse_num("--window", &val("--window")?)?,
-            "--sample" => o.sample = parse_num("--sample", &val("--sample")?)?,
-            "--jsonl" => o.jsonl = Some(val("--jsonl")?),
-            "--chrome" => o.chrome = Some(val("--chrome")?),
-            other => return Err(uerr(format!("unknown option `{other}`"))),
+            parsed.positional.push(a);
+            continue;
+        }
+        let Some(entry) = verb
+            .grammar
+            .split_whitespace()
+            .find(|f| f.trim_end_matches(['=', '*']) == a)
+        else {
+            return Err(uerr(format!("unknown option `{a}` for `{}`", verb.name)));
+        };
+        if !entry.ends_with('*') && parsed.has(a) {
+            return Err(uerr(format!("{a} given more than once")));
+        }
+        let value = if entry.contains('=') {
+            it.next()
+                .ok_or_else(|| uerr(format!("{a} requires a value")))?
+        } else {
+            ""
+        };
+        parsed.flags.push((a, value));
+    }
+    Ok(parsed)
+}
+
+impl<'a> Args<'a> {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// Every value of `flag`, in command-line order.
+    fn values(&self, flag: &str) -> Vec<&'a str> {
+        self.flags
+            .iter()
+            .filter(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+            .collect()
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).first().copied()
+    }
+
+    fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        self.value(flag).map_or(Ok(default), |v| parse_num(flag, v))
+    }
+
+    /// A comma-separated list value, or `default`.
+    fn list(&self, flag: &str, default: &[&str]) -> Vec<String> {
+        self.value(flag)
+            .map_or(default.to_vec(), |v| v.split(',').collect())
+            .into_iter()
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// A comma-separated numeric list value, or `default`.
+    fn nums<T: std::str::FromStr + Clone>(
+        &self,
+        flag: &str,
+        default: &[T],
+    ) -> Result<Vec<T>, CliError> {
+        match self.value(flag) {
+            Some(v) => v.split(',').map(|x| parse_num(flag, x)).collect(),
+            None => Ok(default.to_vec()),
         }
     }
-    Ok(o)
+
+    /// A hardware-thread count, range-checked by [`check_threads`].
+    fn threads(&self, flag: &str, default: usize) -> Result<usize, CliError> {
+        check_threads(flag, self.num(flag, default)?)
+    }
 }
 
 /// Builds the configuration named by `--design` for `threads` contexts
@@ -169,11 +290,6 @@ fn check_threads(flag: &str, threads: usize) -> Result<usize, CliError> {
     )))
 }
 
-/// Parses a `--threads`-style value and range-checks it.
-fn parse_threads(flag: &str, value: &str) -> Result<usize, CliError> {
-    check_threads(flag, parse_num(flag, value)?)
-}
-
 /// Validates a `--journal-dir` value: an existing regular file (an old
 /// single-file journal) cannot hold shards.
 fn journal_dir_arg(value: &str) -> Result<String, CliError> {
@@ -195,25 +311,45 @@ fn unknown_design(name: &str) -> CliError {
     ))
 }
 
-fn run_one(
-    cfg: CoreConfig,
-    mix: &[String],
-    o: &Options,
-    out: &mut String,
-) -> Result<f64, CliError> {
+/// The `--mix` benchmarks a simulating verb requires.
+fn mix_arg(p: &Args, verb: &str) -> Result<Vec<String>, CliError> {
+    let mix = p.list("--mix", &[]);
+    if mix.is_empty() {
+        return Err(uerr(format!("{verb} requires --mix bench1,bench2,...")));
+    }
+    Ok(mix)
+}
+
+/// `design`'s configuration for `threads` contexts, TSO under `--tso`.
+fn sim_config(p: &Args, design: &str, threads: usize) -> Result<CoreConfig, CliError> {
+    let mut cfg = design_config(design, threads)?;
+    if p.has("--tso") {
+        cfg.memory_model = MemoryModel::Tso;
+    }
+    Ok(cfg)
+}
+
+fn run_one(cfg: CoreConfig, mix: &[String], p: &Args, out: &mut String) -> Result<f64, CliError> {
+    let warmup = p.num("--warmup", 10_000)?;
+    let measure = p.num("--measure", 40_000)?;
+    let until: Option<u64> = p
+        .value("--until")
+        .map(|v| parse_num("--until", v))
+        .transpose()?;
+    let seed = p.num("--seed", 7)?;
     let names: Vec<&str> = mix.iter().map(String::as_str).collect();
     let model = EnergyModel::for_config(&cfg);
-    let mut sim = Simulation::from_names(cfg, &names, o.seed).map_err(|e| err(e.to_string()))?;
+    let mut sim = Simulation::from_names(cfg, &names, seed).map_err(|e| err(e.to_string()))?;
     // `--until N` switches to equal-work measurement: run until every
     // thread commits N instructions, with `--measure` as the cycle budget.
     // The completion tag in the output says whether the target was reached
     // or the budget expired (formerly silent truncation).
-    let r = match o.until {
-        Some(insts) => sim.run_until_committed(o.warmup, insts, o.measure),
-        None => sim.run(o.warmup, o.measure),
+    let r = match until {
+        Some(insts) => sim.run_until_committed(warmup, insts, measure),
+        None => sim.run(warmup, measure),
     };
     let rep = model.report(&r);
-    if o.json {
+    if p.has("--json") {
         let threads: Vec<String> = r
             .threads
             .iter()
@@ -291,1183 +427,468 @@ fn run_one(
 /// Returns a [`CliError`] with a user-facing message on bad arguments or
 /// unknown benchmarks.
 pub fn run_cli(args: &[String]) -> Result<String, CliError> {
-    let mut out = String::new();
     let Some(cmd) = args.first() else {
-        return Err(uerr(USAGE));
+        return Err(uerr(usage()));
     };
-    match cmd.as_str() {
-        "kernels" => {
-            for k in shelfsim::workload::kernels::all() {
-                writeln!(out, "{:<10} {}", k.name, k.description).expect("write");
-            }
-        }
-        "suite" => {
-            for p in suite::all() {
-                writeln!(
-                    out,
-                    "{:<12} loads {:>4.0}%  stores {:>4.0}%  branches {:>4.0}%  fp {:>4.0}%  chase {:>4.0}%",
-                    p.name,
-                    p.frac_load * 100.0,
-                    p.frac_store * 100.0,
-                    p.frac_branch * 100.0,
-                    p.frac_fp * 100.0,
-                    p.pointer_chase * 100.0
-                )
-                .expect("write");
-            }
-        }
-        "mixes" => {
-            let mut threads = 4usize;
-            let mut count = 28usize;
-            let mut seed = 7u64;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                let v = it
-                    .next()
-                    .ok_or_else(|| uerr(format!("{a} requires a value")))?;
-                match a.as_str() {
-                    "--threads" => threads = parse_threads("--threads", v)?,
-                    "--count" => count = parse_num("--count", v)?,
-                    "--seed" => seed = parse_num("--seed", v)?,
-                    other => return Err(uerr(format!("unknown option `{other}`"))),
-                }
-            }
-            let names = suite::names();
-            for m in balanced_random_mixes(&names, threads, 28, seed)
-                .iter()
-                .take(count)
-            {
-                writeln!(out, "{}", m.label()).expect("write");
-            }
-        }
-        "run" => {
-            let o = parse_options(&args[1..])?;
-            if o.mix.is_empty() {
-                return Err(uerr("run requires --mix bench1,bench2,..."));
-            }
-            let mut cfg = design_config(&o.design, o.mix.len())?;
-            if o.tso {
-                cfg.memory_model = MemoryModel::Tso;
-            }
-            run_one(cfg, &o.mix.clone(), &o, &mut out)?;
-        }
-        "compare" => {
-            let o = parse_options(&args[1..])?;
-            if o.mix.is_empty() {
-                return Err(uerr("compare requires --mix bench1,bench2,..."));
-            }
-            // The first design (base64) is the comparison baseline; a
-            // baseline that committed nothing renders its deltas as `n/a`
-            // instead of aborting the whole comparison.
-            let mut base_ipc: Option<f64> = None;
-            for design in [
-                "base64",
-                "shelf-cons",
-                "shelf-opt",
-                "shelf-oracle",
-                "base128",
-            ] {
-                let mut cfg = design_config(design, o.mix.len())?;
-                if o.tso {
-                    cfg.memory_model = MemoryModel::Tso;
-                }
-                writeln!(out, "== {design}").expect("write");
-                let ipc = run_one(cfg, &o.mix.clone(), &o, &mut out)?;
-                match base_ipc {
-                    None => base_ipc = Some(ipc),
-                    Some(base) if !o.json => {
-                        writeln!(
-                            out,
-                            "IPC vs base64: {}",
-                            shelfsim::stats::render_delta(shelfsim::stats::percent_delta(
-                                base, ipc
-                            ))
-                        )
-                        .expect("write");
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        "sweep" => {
-            // Two modes share the verb: the legacy structural parameter
-            // sweep (`--param/--values`) and the matrix mode (full design ×
-            // thread-count × mix matrix on the work-stealing campaign pool).
-            // Any matrix-only flag selects the matrix mode.
-            const MATRIX_FLAGS: &[&str] = &[
-                "--designs",
-                "--thread-counts",
-                "--mixes",
-                "--workers",
-                "--journal-dir",
-                "--dry-run",
-                "--pareto",
-            ];
-            if args[1..].iter().any(|a| MATRIX_FLAGS.contains(&a.as_str())) {
-                out.push_str(&sweep_matrix(&args[1..])?);
-                return Ok(out);
-            }
-            let mut param = String::new();
-            let mut values: Vec<usize> = vec![];
-            let mut rest: Vec<String> = vec![];
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--param" => {
-                        param = it
-                            .next()
-                            .ok_or_else(|| uerr("--param needs a value"))?
-                            .clone()
-                    }
-                    "--values" => {
-                        let v = it.next().ok_or_else(|| uerr("--values needs a value"))?;
-                        values = v
-                            .split(',')
-                            .map(|x| parse_num("--values", x))
-                            .collect::<Result<_, _>>()?;
-                    }
-                    other => {
-                        rest.push(other.to_owned());
-                        if let Some(v) = it.next() {
-                            rest.push(v.clone());
-                        }
-                    }
-                }
-            }
-            let o = parse_options(&rest)?;
-            if o.mix.is_empty() || param.is_empty() || values.is_empty() {
-                return Err(uerr("sweep requires --param, --values and --mix"));
-            }
-            for v in values {
-                let mut cfg = design_config(&o.design, o.mix.len())?;
-                match param.as_str() {
-                    "shelf" => cfg.shelf_entries = v,
-                    "rob" => cfg.rob_entries = v,
-                    "iq" => cfg.iq_entries = v,
-                    "lq" => cfg.lq_entries = v,
-                    "sq" => cfg.sq_entries = v,
-                    "rct-bits" => cfg.rct_bits = v as u32,
-                    "plt-columns" => cfg.plt_columns = v as u32,
-                    other => return Err(uerr(format!("unknown sweep parameter `{other}`"))),
-                }
-                writeln!(out, "== {param} = {v}").expect("write");
-                run_one(cfg, &o.mix.clone(), &o, &mut out)?;
-            }
-        }
-        "characterize" => {
-            // Functional characterization of benchmarks: measured mix and
-            // working-set footprints over a fixed instruction sample.
-            let names: Vec<&'static str> =
-                if let Some(first) = args.get(1).filter(|a| !a.starts_with("--")) {
-                    let name = suite::by_name(first)
-                        .ok_or_else(|| err(format!("unknown benchmark `{first}`")))?
-                        .name;
-                    vec![name]
-                } else {
-                    suite::names()
-                };
-            writeln!(
-                out,
-                "{:<12} {:>6} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}",
-                "benchmark", "load%", "store%", "br%", "fp%", "code-set", "data-set", "mpki-ish"
-            )
-            .expect("write");
-            for name in names {
-                let profile = suite::by_name(name).expect("suite");
-                let mut t = shelfsim::workload::TraceSource::new(profile.build_program(7), 0);
-                let sample = 100_000u64;
-                let (mut ld, mut st, mut br, mut fp) = (0u64, 0u64, 0u64, 0u64);
-                let mut code: std::collections::HashSet<u64> = Default::default();
-                let mut data: std::collections::HashSet<u64> = Default::default();
-                let mut bp =
-                    shelfsim::uarch::BranchPredictor::new(shelfsim::uarch::BranchPredictorConfig {
-                        kind: shelfsim::uarch::PredictorKind::Tournament,
-                        ..Default::default()
-                    });
-                let mut wrong = 0u64;
-                // The first half of the sample warms the predictor; only the
-                // second half is measured.
-                for n in 0..2 * sample {
-                    let measured = n >= sample;
-                    let (_, i) = t.fetch();
-                    if measured {
-                        code.insert(i.pc >> 6);
-                        match i.op {
-                            shelfsim::isa::OpClass::Load => ld += 1,
-                            shelfsim::isa::OpClass::Store => st += 1,
-                            shelfsim::isa::OpClass::Branch => br += 1,
-                            op if op.fu_kind() == shelfsim::isa::FuKind::Fp => fp += 1,
-                            _ => {}
-                        }
-                        if let Some(m) = i.mem {
-                            data.insert(m.addr >> 6);
-                        }
-                    }
-                    if let Some(b) = i.branch {
-                        let pred = bp.predict(i.pc, b.is_return);
-                        let bad = bp.update(
-                            i.pc,
-                            pred,
-                            b.taken,
-                            b.next_pc,
-                            b.is_call,
-                            b.is_return,
-                            i.pc + 4,
-                        );
-                        if measured && bad {
-                            wrong += 1;
-                        }
-                    }
-                }
-                let pct = |n: u64| n as f64 / sample as f64 * 100.0;
-                writeln!(
-                    out,
-                    "{:<12} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>7}KB {:>7}KB {:>9.1}",
-                    name,
-                    pct(ld),
-                    pct(st),
-                    pct(br),
-                    pct(fp),
-                    code.len() * 64 / 1024,
-                    data.len() * 64 / 1024,
-                    wrong as f64 / (sample as f64 / 1000.0),
-                )
-                .expect("write");
-            }
-        }
-        "asm" => {
-            // First positional argument: the kernel file.
-            let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                return Err(err("asm requires a kernel file path"));
-            };
-            let program = if let Some(name) = path.strip_prefix("builtin:") {
-                shelfsim::workload::kernels::by_name(name)
-                    .ok_or_else(|| err(format!("unknown builtin kernel `{name}`")))?
-                    .assemble()
-                    .map_err(|e| err(format!("builtin {name}: {e}")))?
-            } else {
-                let src = std::fs::read_to_string(path)
-                    .map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-                shelfsim::workload::asm::assemble(&src).map_err(|e| err(format!("{path}: {e}")))?
-            };
-            let o = parse_options(&args[2..])?;
-            let threads = if o.mix.is_empty() {
-                1
-            } else {
-                o.mix.len().max(1)
-            };
-            let mut cfg = design_config(&o.design, threads)?;
-            if o.tso {
-                cfg.memory_model = MemoryModel::Tso;
-            }
-            // Run the same kernel on every thread.
-            let traces: Vec<shelfsim::workload::TraceSource> = (0..threads)
-                .map(|t| shelfsim::workload::TraceSource::new(program.clone(), t))
-                .collect();
-            let mut core = shelfsim::Core::new(cfg, traces);
-            core.warm_caches();
-            core.warm_functional(20_000);
-            core.tick_bounded(o.warmup);
-            let c0: Vec<u64> = (0..threads).map(|t| core.committed(t)).collect();
-            core.tick_bounded(o.measure);
-            let total: u64 = (0..threads).map(|t| core.committed(t) - c0[t]).sum();
-            writeln!(
-                out,
-                "kernel {path} x{threads} threads: IPC {:.3} over {} cycles",
-                total as f64 / o.measure as f64,
-                o.measure
-            )
-            .expect("write");
-            for (t, &before) in c0.iter().enumerate() {
-                let committed = core.committed(t) - before;
-                writeln!(
-                    out,
-                    "  t{t}: {} committed, CPI {:.2}, in-seq {:.1}%",
-                    committed,
-                    o.measure as f64 / committed.max(1) as f64,
-                    core.classifier(t).in_sequence_fraction() * 100.0
-                )
-                .expect("write");
-            }
-        }
-        "trace" => {
-            let o = parse_options(&args[1..])?;
-            if o.mix.is_empty() {
-                return Err(uerr("trace requires --mix bench1,bench2,..."));
-            }
-            let mut cfg = design_config(&o.design, o.mix.len())?;
-            if o.tso {
-                cfg.memory_model = MemoryModel::Tso;
-            }
-            let names: Vec<&str> = o.mix.iter().map(String::as_str).collect();
-            let mut sim =
-                Simulation::from_names(cfg, &names, o.seed).map_err(|e| err(e.to_string()))?;
-            sim.enable_commit_log(48);
-            if o.window == 0 {
-                return Err(err("--window must be at least 1"));
-            }
-            sim.enable_tracer(o.window, o.sample.max(1));
-            let _ = sim.run(o.warmup, o.measure);
-            writeln!(
-                out,
-                "{:<4} {:>8} {:<8} {:<6} {:>7} {:>8} {:>7} {:>8} {:>7}  pipeline",
-                "thr", "seq", "op", "queue", "fetch", "dispatch", "issue", "complete", "commit"
-            )
-            .expect("write");
-            let records: Vec<_> = sim.core().commit_log().copied().collect();
-            let base = records.iter().map(|r| r.fetch).min().unwrap_or(0);
-            for r in &records {
-                let lane = |c: u64| ((c - base) / 2).min(38) as usize;
-                let mut bar = vec![b'.'; 40];
-                bar[lane(r.fetch)] = b'F';
-                bar[lane(r.dispatch)] = b'D';
-                bar[lane(r.issue)] = b'I';
-                bar[lane(r.complete)] = b'C';
-                bar[lane(r.commit)] = b'R';
-                writeln!(
-                    out,
-                    "t{:<3} {:>8} {:<8} {:<6} {:>7} {:>8} {:>7} {:>8} {:>7}  {}{}",
-                    r.thread,
-                    r.seq,
-                    r.op.to_string(),
-                    match r.steer {
-                        shelfsim::core::Steer::Iq => "IQ",
-                        shelfsim::core::Steer::Shelf => "shelf",
-                    },
-                    r.fetch,
-                    r.dispatch,
-                    r.issue,
-                    r.complete,
-                    r.commit,
-                    String::from_utf8_lossy(&bar),
-                    if r.in_sequence { "  in-seq" } else { "" }
-                )
-                .expect("write");
-            }
-            let tracer = sim.tracer().expect("tracer enabled above");
-            out.push_str("\nstall attribution (% of measured cycles per thread):\n");
-            out.push_str(&tracer.stall_summary());
-            if let Some(path) = &o.jsonl {
-                std::fs::write(path, tracer.export_jsonl())
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-                writeln!(out, "wrote {path}").expect("write");
-            }
-            if let Some(path) = &o.chrome {
-                std::fs::write(path, tracer.export_chrome())
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-                writeln!(out, "wrote {path}").expect("write");
-            }
-        }
-        "campaign" => {
-            let mut designs: Vec<String> = vec!["base64".to_owned(), "shelf-opt".to_owned()];
-            let mut threads = 4usize;
-            let mut mix_count = 4usize;
-            let mut explicit_mixes: Vec<Vec<String>> = vec![];
-            let mut seed = 7u64;
-            let mut warmup = 2_000u64;
-            let mut measure = 10_000u64;
-            let mut watchdog: Option<u64> = Some(100_000);
-            let mut attempts = 3u32;
-            let mut workers = 2usize;
-            let mut journal_dir: Option<String> = None;
-            let mut trace_dir: Option<String> = None;
-            let mut fault_mix = shelfsim::FaultMix::default();
-            let mut fault_seed = 0u64;
-            let mut json = false;
-            let mut preflight = true;
-            let mut validate = false;
-            let mut overrides: Vec<(String, String)> = vec![];
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                if a == "--json" {
-                    json = true;
-                    continue;
-                }
-                if a == "--no-preflight" {
-                    preflight = false;
-                    continue;
-                }
-                if a == "--validate" {
-                    validate = true;
-                    continue;
-                }
-                let v = it
-                    .next()
-                    .ok_or_else(|| uerr(format!("{a} requires a value")))?;
-                match a.as_str() {
-                    "--designs" => {
-                        designs = v.split(',').map(str::to_owned).collect();
-                        for d in &designs {
-                            design_config(d, 1)?;
-                        }
-                    }
-                    "--threads" => threads = parse_threads("--threads", v)?,
-                    "--mixes" => mix_count = parse_num("--mixes", v)?,
-                    "--mix" => {
-                        let mix: Vec<String> = v.split(',').map(str::to_owned).collect();
-                        check_threads("--mix", mix.len())?;
-                        explicit_mixes.push(mix);
-                    }
-                    "--seed" => seed = parse_num("--seed", v)?,
-                    "--warmup" => warmup = parse_num("--warmup", v)?,
-                    "--measure" => measure = parse_num("--measure", v)?,
-                    "--watchdog" => {
-                        let w: u64 = parse_num("--watchdog", v)?;
-                        watchdog = (w > 0).then_some(w);
-                    }
-                    "--attempts" => attempts = parse_num("--attempts", v)?,
-                    "--workers" => workers = parse_num("--workers", v)?,
-                    "--journal-dir" => journal_dir = Some(journal_dir_arg(v)?),
-                    "--trace-dir" => trace_dir = Some(v.clone()),
-                    "--fault-panics" => fault_mix.panics = parse_num("--fault-panics", v)?,
-                    "--fault-persistent-panics" => {
-                        fault_mix.persistent_panics = parse_num("--fault-persistent-panics", v)?
-                    }
-                    "--fault-stalls" => fault_mix.stalls = parse_num("--fault-stalls", v)?,
-                    "--fault-livelocks" => fault_mix.livelocks = parse_num("--fault-livelocks", v)?,
-                    "--fault-seed" => fault_seed = parse_num("--fault-seed", v)?,
-                    "--override" => {
-                        let (k, val) = v.split_once('=').ok_or_else(|| {
-                            uerr(format!("--override: expected key=value, got `{v}`"))
-                        })?;
-                        overrides.push((k.to_owned(), val.to_owned()));
-                    }
-                    other => return Err(uerr(format!("unknown option `{other}`"))),
-                }
-            }
-            let mixes: Vec<Vec<String>> = if explicit_mixes.is_empty() {
-                let names = suite::names();
-                balanced_random_mixes(&names, threads, names.len(), seed)
-                    .iter()
-                    .take(mix_count)
-                    .map(|m| m.benchmarks.iter().map(|b| (*b).to_owned()).collect())
-                    .collect()
-            } else {
-                explicit_mixes
-            };
-            let mut runs = shelfsim::CampaignSpec::matrix(&designs, &mixes, seed, warmup, measure);
-            if !overrides.is_empty() {
-                for r in &mut runs {
-                    r.overrides = overrides.clone();
-                }
-                // Surface a malformed override as an argument error up front
-                // rather than quarantining every run one by one.
-                if let Some(r) = runs.first() {
-                    r.resolved_config().map_err(uerr)?;
-                }
-            }
-            let n_runs = runs.len();
-            let n_faults = fault_mix.panics
-                + fault_mix.persistent_panics
-                + fault_mix.stalls
-                + fault_mix.livelocks;
-            if n_faults > n_runs {
-                return Err(err(format!(
-                    "fault injection wants {n_faults} victim runs but the campaign has only \
-                     {n_runs}"
-                )));
-            }
-            let mut spec = shelfsim::CampaignSpec::new(runs)
-                .with_watchdog(watchdog)
-                .with_max_attempts(attempts)
-                .with_workers(workers)
-                .with_preflight(preflight)
-                .with_validate(validate);
-            if let Some(dir) = journal_dir {
-                spec = spec.with_journal_dir(dir);
-            }
-            if let Some(dir) = trace_dir {
-                spec = spec.with_trace_dir(dir);
-            }
-            if n_faults > 0 {
-                spec = spec.with_faults(shelfsim::FaultPlan::seeded(fault_seed, n_runs, fault_mix));
-            }
-            let report =
-                shelfsim::run_campaign(&spec).map_err(|e| err(format!("campaign journal: {e}")))?;
-            out.push_str(&if json {
-                let mut j = report.render_json();
-                j.push('\n');
-                j
-            } else {
-                report.render_text()
-            });
-        }
-        "analyze" => {
-            let mut bounds = false;
-            let mut design = "shelf-opt".to_owned();
-            let mut threads = 1usize;
-            let mut seed = 7u64;
-            let mut format_json = false;
-            let mut targets: Vec<String> = vec![];
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--bounds" => bounds = true,
-                    "--json" => format_json = true,
-                    "--design" => {
-                        design = it
-                            .next()
-                            .ok_or_else(|| uerr("--design requires a value"))?
-                            .clone()
-                    }
-                    "--threads" => {
-                        threads = parse_num(
-                            "--threads",
-                            it.next()
-                                .ok_or_else(|| uerr("--threads requires a value"))?,
-                        )?
-                    }
-                    "--seed" => {
-                        seed = parse_num(
-                            "--seed",
-                            it.next().ok_or_else(|| uerr("--seed requires a value"))?,
-                        )?
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(uerr(format!("unknown option `{other}`")))
-                    }
-                    target => targets.push(target.to_owned()),
-                }
-            }
-            if targets.is_empty() {
-                return Err(err(
-                    "analyze requires at least one TARGET (.s kernel file, built-in \
-                     kernel name, or suite benchmark name)",
-                ));
-            }
-            // Like `lint`, static analysis may study more contexts than
-            // the simulator has, so it skips `design_config`'s range check.
-            let cfg = shelfsim::analyze::design_by_name(&design, threads)
-                .ok_or_else(|| unknown_design(&design))?;
-            let mut diags = shelfsim::analyze::lint_config(&cfg);
-            // Each target resolves to a program: a `.s` file keeps its
-            // source spans, a built-in kernel or suite benchmark does not.
-            let mut programs: Vec<(String, shelfsim::workload::program::Program)> = vec![];
-            for target in &targets {
-                if target.ends_with(".s") {
-                    let text = std::fs::read_to_string(target)
-                        .map_err(|e| err(format!("cannot read `{target}`: {e}")))?;
-                    match shelfsim::workload::asm::assemble_with_lines(&text) {
-                        Ok((program, lines)) => {
-                            diags.extend(shelfsim::analyze::lint_program(
-                                &program,
-                                Some((target, &lines)),
-                            ));
-                            diags.extend(shelfsim::analyze::check_adequacy(
-                                &program,
-                                &cfg,
-                                Some((target, &lines)),
-                            ));
-                            programs.push((target.clone(), program));
-                        }
-                        Err(e) => diags.push(
-                            shelfsim::Diagnostic::new(
-                                "SA000",
-                                shelfsim::Severity::Error,
-                                format!("assembly failed: {}", e.message),
-                            )
-                            .with_span(target, e.line),
-                        ),
-                    }
-                } else {
-                    let program = if let Some(k) = shelfsim::workload::kernels::by_name(target) {
-                        k.assemble().map_err(|e| err(format!("{target}: {e}")))?
-                    } else if let Some(p) = suite::by_name(target) {
-                        p.build_program(shelfsim::core::thread_program_seed(seed, programs.len()))
-                    } else {
-                        return Err(err(format!(
-                            "unknown target `{target}` (expected a .s file, a built-in \
-                             kernel, or a suite benchmark)"
-                        )));
-                    };
-                    diags.extend(shelfsim::analyze::lint_program(&program, None));
-                    diags.extend(shelfsim::analyze::check_adequacy(&program, &cfg, None));
-                    programs.push((target.clone(), program));
-                }
-            }
-            let mut reports: Vec<shelfsim::IpcBoundReport> = vec![];
-            if bounds {
-                for (name, p) in &programs {
-                    let mut r = shelfsim::ipc_bound(p, &cfg);
-                    r.name = name.clone();
-                    diags.push(r.diagnostic());
-                    reports.push(r);
-                }
-            }
-            let report = shelfsim::Report::new(diags);
-            let rendered = if format_json {
-                report.render_json()
-            } else {
-                let mut text = report.render_text();
-                if !reports.is_empty() {
-                    writeln!(
-                        text,
-                        "static IPC bounds on {design} ({threads} thread{}):",
-                        if threads == 1 { "" } else { "s" }
-                    )
-                    .expect("write");
-                    writeln!(
-                        text,
-                        "  {:<12} {:>6} {:>7} {:>7}  binding",
-                        "program", "width", "fu-cap", "bound"
-                    )
-                    .expect("write");
-                    for r in &reports {
-                        writeln!(
-                            text,
-                            "  {:<12} {:>6.1} {:>7.1} {:>7.3}  {}",
-                            r.name, r.width, r.fu_capacity, r.bound, r.binding
-                        )
-                        .expect("write");
-                    }
-                    if reports.len() > 1 {
-                        writeln!(
-                            text,
-                            "  aggregate SMT bound: {:.3}",
-                            shelfsim::aggregate_bound(&reports, &cfg)
-                        )
-                        .expect("write");
-                    }
-                }
-                text
-            };
-            if report.has_errors() {
-                return Err(err(rendered));
-            }
-            out.push_str(&rendered);
-        }
-        "lint" => {
-            let mut format_json = false;
-            let mut deny_warnings = false;
-            let mut design: Option<String> = None;
-            let mut threads = 4usize;
-            let mut files: Vec<String> = vec![];
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--deny-warnings" => deny_warnings = true,
-                    "--explain" => {
-                        let code = it.next().ok_or_else(|| uerr("--explain requires a code"))?;
-                        let info = shelfsim::analyze::code_info(&code.to_uppercase()).ok_or_else(
-                            || {
-                                err(format!(
-                                    "unknown diagnostic code `{code}` (expected one of: {})",
-                                    shelfsim::analyze::REGISTRY
-                                        .iter()
-                                        .map(|c| c.code)
-                                        .collect::<Vec<_>>()
-                                        .join(", ")
-                                ))
-                            },
-                        )?;
-                        writeln!(out, "{} ({:?}): {}", info.code, info.severity, info.summary)
-                            .expect("write");
-                        writeln!(out, "\n{}", info.explain.trim()).expect("write");
-                        return Ok(out);
-                    }
-                    "--format" => {
-                        let v = it.next().ok_or_else(|| uerr("--format requires a value"))?;
-                        match v.as_str() {
-                            "json" => format_json = true,
-                            "text" => format_json = false,
-                            other => {
-                                return Err(err(format!(
-                                    "--format: expected `text` or `json`, got `{other}`"
-                                )))
-                            }
-                        }
-                    }
-                    "--design" => {
-                        design = Some(
-                            it.next()
-                                .ok_or_else(|| uerr("--design requires a value"))?
-                                .clone(),
-                        )
-                    }
-                    "--threads" => {
-                        threads = parse_num(
-                            "--threads",
-                            it.next()
-                                .ok_or_else(|| uerr("--threads requires a value"))?,
-                        )?
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(uerr(format!("unknown option `{other}`")))
-                    }
-                    file => files.push(file.to_owned()),
-                }
-            }
-            if files.is_empty() && design.is_none() {
-                return Err(err(
-                    "lint requires at least one FILE (.s kernel or key=value config) \
-                     or --design NAME",
-                ));
-            }
-            let mut diags = Vec::new();
-            if let Some(name) = &design {
-                let cfg = shelfsim::analyze::design_by_name(name, threads)
-                    .ok_or_else(|| unknown_design(name))?;
-                diags.extend(shelfsim::analyze::lint_config(&cfg));
-            }
-            for path in &files {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-                if path.ends_with(".s") {
-                    diags.extend(shelfsim::analyze::lint_kernel_source(&text, path));
-                } else {
-                    let (_, d) = shelfsim::analyze::lint_config_file(&text, path);
-                    diags.extend(d);
-                }
-            }
-            let report = shelfsim::Report::new(diags);
-            let rendered = if format_json {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            // Error-severity findings fail the invocation (nonzero exit from
-            // `main`); warnings and notes report but pass — unless
-            // `--deny-warnings` promotes warnings to failures (CI mode).
-            let denied_warning = deny_warnings
-                && report
-                    .diagnostics()
-                    .iter()
-                    .any(|d| d.severity == shelfsim::Severity::Warning);
-            if report.has_errors() || denied_warning {
-                return Err(err(rendered));
-            }
-            out.push_str(&rendered);
-        }
-        "bench" => {
-            // Engine-throughput bench: a fixed seeded matrix of designs x
-            // mixes whose wall-clock/kIPS numbers form the repo's perf
-            // trajectory (BENCH_core.json). `--out -` skips the file.
-            let mut campaign_bench = false;
-            let mut measure: Option<u64> = None;
-            let mut seed = 7u64;
-            let mut out_path: Option<String> = None;
-            let mut compare_path: Option<String> = None;
-            let mut workers = vec![1usize, 2, 4];
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--campaign" => campaign_bench = true,
-                    "--workers" => {
-                        let v = it.next().ok_or_else(|| uerr("--workers needs a value"))?;
-                        workers = v
-                            .split(',')
-                            .map(|x| parse_num("--workers", x))
-                            .collect::<Result<_, _>>()?;
-                        if workers.is_empty() || workers[0] != 1 {
-                            return Err(uerr(
-                                "--workers: the list must start at 1 (the speedup baseline)",
-                            ));
-                        }
-                    }
-                    "--measure" => {
-                        let v = it.next().ok_or_else(|| uerr("--measure needs a value"))?;
-                        measure = Some(parse_num::<u64>("--measure", v)?);
-                    }
-                    "--seed" => {
-                        let v = it.next().ok_or_else(|| uerr("--seed needs a value"))?;
-                        seed = parse_num::<u64>("--seed", v)?;
-                    }
-                    "--out" => {
-                        out_path = Some(
-                            it.next()
-                                .ok_or_else(|| uerr("--out needs a value"))?
-                                .clone(),
-                        );
-                    }
-                    "--compare" => {
-                        compare_path = Some(
-                            it.next()
-                                .ok_or_else(|| uerr("--compare needs a value"))?
-                                .clone(),
-                        );
-                    }
-                    other => return Err(err(format!("unknown bench option `{other}`"))),
-                }
-            }
-            if campaign_bench {
-                // Worker-scaling bench of the sweep runner itself: the
-                // matrix once per worker count plus the cached replay;
-                // writes BENCH_campaign.json unless --out -.
-                if compare_path.is_some() {
-                    return Err(uerr("--compare applies to the engine bench only"));
-                }
-                let measure = measure.unwrap_or(shelfsim_bench::campaign::DEFAULT_MEASURE);
-                let out_path = out_path.unwrap_or_else(|| "BENCH_campaign.json".to_owned());
-                let report = shelfsim_bench::campaign::run_campaign_bench(measure, seed, &workers)
-                    .map_err(err)?;
-                out.push_str(&report.render_text());
-                if out_path != "-" {
-                    std::fs::write(&out_path, report.to_json())
-                        .map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-                    writeln!(out, "wrote {out_path}").expect("write");
-                }
-                return Ok(out);
-            }
-            let measure = measure.unwrap_or(shelfsim_bench::engine::DEFAULT_MEASURE);
-            let out_path = out_path.unwrap_or_else(|| "BENCH_core.json".to_owned());
-            // Parse the baseline before the (slow) matrix runs so a bad
-            // path fails fast.
-            let baseline = match &compare_path {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| err(format!("cannot read {path}: {e}")))?;
-                    Some(
-                        shelfsim_bench::engine::parse_baseline(&text).ok_or_else(|| {
-                            err(format!("{path} is not a shelfsim-bench-v1 document"))
-                        })?,
-                    )
-                }
-                None => None,
-            };
-            let plan = shelfsim_bench::engine::engine_micro(measure, seed);
-            let report = shelfsim_bench::engine::run_plan(&plan).map_err(err)?;
-            out.push_str(&report.render_text());
-            if let Some(base) = &baseline {
-                out.push_str(&report.render_compare(base));
-            }
-            if out_path != "-" {
-                std::fs::write(&out_path, report.to_json())
-                    .map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-                writeln!(out, "wrote {out_path}").expect("write");
-            }
-        }
-        "validate" => return cmd_validate(&args[1..]),
-        "help" | "--help" | "-h" => out.push_str(USAGE),
-        other => return Err(uerr(format!("unknown command `{other}`\n{USAGE}"))),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
+    }
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == cmd)
+        .ok_or_else(|| uerr(format!("unknown command `{cmd}`\n{}", usage())))?;
+    (verb.run)(&parse(verb, &args[1..])?)
+}
+
+fn cmd_kernels(_: &Args) -> Result<String, CliError> {
+    let mut out = String::new();
+    for k in shelfsim::workload::kernels::all() {
+        writeln!(out, "{:<10} {}", k.name, k.description).expect("write");
     }
     Ok(out)
 }
 
-/// Options for `shelfsim validate`.
-struct ValidateOptions {
-    designs: Vec<String>,
-    threads: usize,
-    kernels: Vec<String>,
-    suite_mixes: usize,
-    generated: usize,
-    seed: u64,
-    commits: u64,
-    max_cycles: u64,
-    warmup: u64,
-    sweep: bool,
-    json: bool,
-    no_skip: bool,
-    shrink_dir: Option<String>,
-    #[cfg(feature = "chaos")]
-    chaos: Option<shelfsim::core::ChaosPlan>,
+fn cmd_suite(_: &Args) -> Result<String, CliError> {
+    let mut out = String::new();
+    for p in suite::all() {
+        writeln!(
+            out,
+            "{:<12} loads {:>4.0}%  stores {:>4.0}%  branches {:>4.0}%  fp {:>4.0}%  chase {:>4.0}%",
+            p.name,
+            p.frac_load * 100.0,
+            p.frac_store * 100.0,
+            p.frac_branch * 100.0,
+            p.frac_fp * 100.0,
+            p.pointer_chase * 100.0
+        )
+        .expect("write");
+    }
+    Ok(out)
 }
 
-fn parse_validate_options(args: &[String]) -> Result<ValidateOptions, CliError> {
-    let mut o = ValidateOptions {
-        designs: vec!["base64".to_owned(), "shelf-opt".to_owned()],
-        threads: 2,
-        kernels: vec!["all".to_owned()],
-        suite_mixes: 0,
-        generated: 0,
-        seed: 7,
-        commits: 2_000,
-        max_cycles: 400_000,
-        warmup: 1_000,
-        sweep: false,
-        json: false,
-        no_skip: false,
-        shrink_dir: None,
-        #[cfg(feature = "chaos")]
-        chaos: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| uerr(format!("{name} requires a value")))
-        };
-        match a.as_str() {
-            "--designs" => o.designs = val("--designs")?.split(',').map(str::to_owned).collect(),
-            "--threads" => o.threads = parse_threads("--threads", &val("--threads")?)?,
-            "--kernels" => o.kernels = val("--kernels")?.split(',').map(str::to_owned).collect(),
-            "--suite" => o.suite_mixes = parse_num("--suite", &val("--suite")?)?,
-            "--generated" => o.generated = parse_num("--generated", &val("--generated")?)?,
-            "--seed" => o.seed = parse_num("--seed", &val("--seed")?)?,
-            "--commits" => o.commits = parse_num("--commits", &val("--commits")?)?,
-            "--max-cycles" => o.max_cycles = parse_num("--max-cycles", &val("--max-cycles")?)?,
-            "--warmup" => o.warmup = parse_num("--warmup", &val("--warmup")?)?,
-            "--sweep" => o.sweep = true,
-            "--json" => o.json = true,
-            "--no-skip" => o.no_skip = true,
-            "--shrink-dir" => o.shrink_dir = Some(val("--shrink-dir")?),
-            "--chaos" => {
-                let spec = val("--chaos")?;
-                #[cfg(feature = "chaos")]
-                {
-                    o.chaos = Some(parse_chaos_plan(&spec)?);
-                }
-                #[cfg(not(feature = "chaos"))]
-                {
-                    let _ = spec;
-                    return Err(uerr(
-                        "--chaos requires a chaos-enabled build \
-                         (cargo run --features chaos -- validate ...)",
-                    ));
-                }
-            }
-            other => return Err(uerr(format!("unknown option `{other}`"))),
-        }
+fn cmd_mixes(p: &Args) -> Result<String, CliError> {
+    let threads = p.threads("--threads", 4)?;
+    let count: usize = p.num("--count", 28)?;
+    let seed = p.num("--seed", 7)?;
+    let mut out = String::new();
+    let names = suite::names();
+    for m in balanced_random_mixes(&names, threads, 28, seed)
+        .iter()
+        .take(count)
+    {
+        writeln!(out, "{}", m.label()).expect("write");
     }
-    if o.designs.len() == 1 && o.designs[0] == "all" {
-        o.designs = shelfsim::analyze::DESIGN_NAMES
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-    }
-    if o.kernels.len() == 1 && o.kernels[0] == "all" {
-        o.kernels = shelfsim::workload::kernels::all()
-            .iter()
-            .map(|k| k.name.to_owned())
-            .collect();
-    } else if o.kernels.len() == 1 && o.kernels[0] == "none" {
-        o.kernels.clear();
-    }
-    Ok(o)
+    Ok(out)
 }
 
-/// Parses `KIND:TRIGGER` (e.g. `skip-writeback:100`) into a chaos plan.
-#[cfg(feature = "chaos")]
-fn parse_chaos_plan(spec: &str) -> Result<shelfsim::core::ChaosPlan, CliError> {
-    use shelfsim::core::{ChaosKind, ChaosPlan};
-    let (kind_s, trig_s) = spec
-        .split_once(':')
-        .ok_or_else(|| uerr(format!("--chaos: expected KIND:TRIGGER, got `{spec}`")))?;
-    let kind = ChaosKind::by_name(kind_s).ok_or_else(|| {
-        uerr(format!(
-            "--chaos: unknown mutation `{kind_s}` (expected one of: {})",
-            ChaosKind::ALL.map(|k| k.as_str()).join(", ")
-        ))
-    })?;
-    let trigger = parse_num("--chaos trigger", trig_s)?;
-    Ok(ChaosPlan { kind, trigger })
+fn cmd_run(p: &Args) -> Result<String, CliError> {
+    let mix = mix_arg(p, "run")?;
+    let cfg = sim_config(p, p.value("--design").unwrap_or("shelf-opt"), mix.len())?;
+    let mut out = String::new();
+    run_one(cfg, &mix, p, &mut out)?;
+    Ok(out)
 }
 
-/// `shelfsim validate`: differential validation of the out-of-order core
-/// against the in-order functional reference. Returns the report on
-/// success; renders the same report into the error on divergence (exit 3)
-/// or invariant violation (exit 4).
-fn cmd_validate(args: &[String]) -> Result<String, CliError> {
-    use shelfsim::validate::{
-        render_json, render_text, run_lockstep, run_sweep, GenSpec, LockstepConfig, RunReport,
-        Verdict,
-    };
-    let o = parse_validate_options(args)?;
-    let lcfg = LockstepConfig {
-        commits_per_thread: o.commits,
-        max_cycles: o.max_cycles,
-        warmup_insts: o.warmup,
-        cycle_skipping: !o.no_skip,
-        #[cfg(feature = "chaos")]
-        chaos: o.chaos,
-        ..LockstepConfig::default()
-    };
-
-    // Assemble the workload list: kernels, suite mixes, generated programs.
-    // A generated workload keeps its GenSpec so a divergence can be shrunk.
-    let mut workloads: Vec<(String, Vec<shelfsim::workload::Program>, Option<GenSpec>)> =
-        Vec::new();
-    for name in &o.kernels {
-        let k = shelfsim::workload::kernels::by_name(name)
-            .ok_or_else(|| err(format!("unknown kernel `{name}`")))?;
-        let p = k.assemble().map_err(|e| err(e.to_string()))?;
-        workloads.push((format!("kernel:{name}"), vec![p; o.threads], None));
-    }
-    if o.suite_mixes > 0 {
-        let names = suite::names();
-        for m in balanced_random_mixes(&names, o.threads, 28, o.seed)
-            .iter()
-            .take(o.suite_mixes)
-        {
-            let programs: Vec<_> = m
-                .benchmarks
-                .iter()
-                .enumerate()
-                .map(|(t, b)| {
-                    suite::by_name(b)
-                        .expect("mix benchmarks come from the suite")
-                        .build_program(shelfsim::core::thread_program_seed(o.seed, t))
-                })
-                .collect();
-            workloads.push((format!("suite:{}", m.label()), programs, None));
-        }
-    }
-    for i in 0..o.generated {
-        let spec = GenSpec::from_seed(o.seed.wrapping_add(i as u64));
-        let p = spec.build_program();
-        workloads.push((
-            format!("gen:{:#x}", spec.seed),
-            vec![p; o.threads],
-            Some(spec),
-        ));
-    }
-    if workloads.is_empty() {
-        return Err(uerr(
-            "validate: nothing to do (--kernels none with no --suite/--generated)",
-        ));
-    }
-
-    let mut runs: Vec<RunReport> = Vec::new();
-    for design in &o.designs {
-        let cfg = design_config(design, o.threads)?;
-        for (label, programs, spec) in &workloads {
-            let verdict = run_lockstep(&cfg, programs, &lcfg);
-            let sweep = (o.sweep && verdict.is_clean()).then(|| run_sweep(&cfg, programs, &lcfg));
-            // Divergent generated programs shrink to a minimal failing case
-            // which is persisted for regression if --shrink-dir is given.
-            let mut regression = None;
-            if let (Verdict::Diverged(d), Some(spec), Some(dir)) = (&verdict, spec, &o.shrink_dir) {
-                let min = shelfsim::validate::shrink_to_minimal(spec, |s| {
-                    !run_lockstep(&cfg, &vec![s.build_program(); o.threads], &lcfg).is_clean()
-                });
-                let path = shelfsim::validate::persist_regression(
-                    std::path::Path::new(dir),
-                    &min,
-                    &format!("{design} x{} {label}\n{d}", o.threads),
+fn cmd_compare(p: &Args) -> Result<String, CliError> {
+    let mix = mix_arg(p, "compare")?;
+    let mut out = String::new();
+    // The first design (base64) is the comparison baseline; a baseline
+    // that committed nothing renders its deltas as `n/a` instead of
+    // aborting the whole comparison.
+    let mut base_ipc: Option<f64> = None;
+    for design in [
+        "base64",
+        "shelf-cons",
+        "shelf-opt",
+        "shelf-oracle",
+        "base128",
+    ] {
+        let cfg = sim_config(p, design, mix.len())?;
+        writeln!(out, "== {design}").expect("write");
+        let ipc = run_one(cfg, &mix, p, &mut out)?;
+        match base_ipc {
+            None => base_ipc = Some(ipc),
+            Some(base) if !p.has("--json") => {
+                writeln!(
+                    out,
+                    "IPC vs base64: {}",
+                    shelfsim::stats::render_delta(shelfsim::stats::percent_delta(base, ipc))
                 )
-                .map_err(|e| err(format!("cannot write regression case: {e}")))?;
-                regression = Some(path.display().to_string());
+                .expect("write");
             }
-            runs.push(RunReport {
-                design: design.clone(),
-                threads: o.threads,
-                workload: label.clone(),
-                verdict,
-                sweep,
-                regression,
-            });
+            Some(_) => {}
         }
     }
-
-    let rendered = if o.json {
-        render_json(&runs)
-    } else {
-        render_text(&runs)
-    };
-    let t = shelfsim::validate::totals(&runs);
-    if t.diverged > 0 {
-        Err(CliError::new(rendered, exit_codes::DIVERGENCE))
-    } else if t.invariant > 0 {
-        Err(CliError::new(rendered, exit_codes::INVARIANT))
-    } else {
-        Ok(rendered)
-    }
+    Ok(out)
 }
 
-/// Matrix-mode `shelfsim sweep`: the full design × thread-count × mix
-/// matrix (with the implied single-thread STP references) expanded by
-/// [`shelfsim::SweepSpec`], deduplicated against merged journal history
-/// by the config-hash [`shelfsim::ResultCache`], and executed on the
-/// work-stealing campaign pool with one journal shard per worker.
-/// `--dry-run` prints the matrix size, initial shard plan, cache-hit
-/// preview and warm-up count without simulating a cycle; `--pareto`
-/// appends the STP/EDP/area Pareto report over the merged history.
-fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
-    let mut designs: Vec<String> = vec!["base64".to_owned(), "shelf-opt".to_owned()];
-    let mut thread_counts: Vec<usize> = vec![2, 4];
-    let mut mixes = 2usize;
-    let mut seed = 7u64;
-    let mut warmup = 2_000u64;
-    let mut measure = 10_000u64;
-    let mut workers = 2usize;
-    let mut journal_dir: Option<String> = None;
-    let mut watchdog: Option<u64> = Some(100_000);
-    let mut attempts = 3u32;
-    let mut preflight = true;
-    let mut dry_run = false;
-    let mut pareto = false;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dry-run" => {
-                dry_run = true;
-                continue;
-            }
-            "--pareto" => {
-                pareto = true;
-                continue;
-            }
-            "--json" => {
-                json = true;
-                continue;
-            }
-            "--no-preflight" => {
-                preflight = false;
-                continue;
-            }
-            _ => {}
-        }
-        let v = it
-            .next()
-            .ok_or_else(|| uerr(format!("{a} requires a value")))?;
-        match a.as_str() {
-            "--designs" => {
-                designs = v.split(',').map(str::to_owned).collect();
-                for d in &designs {
-                    design_config(d, 1)?;
+fn cmd_characterize(p: &Args) -> Result<String, CliError> {
+    // Functional characterization of benchmarks: measured mix and
+    // working-set footprints over a fixed instruction sample.
+    let names: Vec<&'static str> = match p.positional.first() {
+        Some(first) => vec![
+            suite::by_name(first)
+                .ok_or_else(|| err(format!("unknown benchmark `{first}`")))?
+                .name,
+        ],
+        None => suite::names(),
+    };
+    let mut out = String::new();
+    writeln!(
+        out,
+        "{:<12} {:>6} {:>6} {:>6} {:>6} {:>9} {:>9} {:>9}",
+        "benchmark", "load%", "store%", "br%", "fp%", "code-set", "data-set", "mpki-ish"
+    )
+    .expect("write");
+    for name in names {
+        let profile = suite::by_name(name).expect("suite");
+        let mut t = shelfsim::workload::TraceSource::new(profile.build_program(7), 0);
+        let sample = 100_000u64;
+        let (mut ld, mut st, mut br, mut fp) = (0u64, 0u64, 0u64, 0u64);
+        let mut code: std::collections::HashSet<u64> = Default::default();
+        let mut data: std::collections::HashSet<u64> = Default::default();
+        let mut bp =
+            shelfsim::uarch::BranchPredictor::new(shelfsim::uarch::BranchPredictorConfig {
+                kind: shelfsim::uarch::PredictorKind::Tournament,
+                ..Default::default()
+            });
+        let mut wrong = 0u64;
+        // The first half of the sample warms the predictor; only the
+        // second half is measured.
+        for n in 0..2 * sample {
+            let measured = n >= sample;
+            let (_, i) = t.fetch();
+            if measured {
+                code.insert(i.pc >> 6);
+                match i.op {
+                    shelfsim::isa::OpClass::Load => ld += 1,
+                    shelfsim::isa::OpClass::Store => st += 1,
+                    shelfsim::isa::OpClass::Branch => br += 1,
+                    op if op.fu_kind() == shelfsim::isa::FuKind::Fp => fp += 1,
+                    _ => {}
+                }
+                if let Some(m) = i.mem {
+                    data.insert(m.addr >> 6);
                 }
             }
-            "--thread-counts" => {
-                thread_counts = v
-                    .split(',')
-                    .map(|x| parse_threads("--thread-counts", x))
-                    .collect::<Result<_, _>>()?;
+            if let Some(b) = i.branch {
+                let pred = bp.predict(i.pc, b.is_return);
+                let bad = bp.update(
+                    i.pc,
+                    pred,
+                    b.taken,
+                    b.next_pc,
+                    b.is_call,
+                    b.is_return,
+                    i.pc + 4,
+                );
+                if measured && bad {
+                    wrong += 1;
+                }
             }
-            "--mixes" => mixes = parse_num("--mixes", v)?,
-            "--seed" => seed = parse_num("--seed", v)?,
-            "--warmup" => warmup = parse_num("--warmup", v)?,
-            "--measure" => measure = parse_num("--measure", v)?,
-            "--workers" => workers = parse_num("--workers", v)?,
-            "--journal-dir" => journal_dir = Some(journal_dir_arg(v)?),
-            "--watchdog" => {
-                let w: u64 = parse_num("--watchdog", v)?;
-                watchdog = (w > 0).then_some(w);
-            }
-            "--attempts" => attempts = parse_num("--attempts", v)?,
-            other => return Err(uerr(format!("unknown option `{other}`"))),
+        }
+        let pct = |n: u64| n as f64 / sample as f64 * 100.0;
+        writeln!(
+            out,
+            "{:<12} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% {:>7}KB {:>7}KB {:>9.1}",
+            name,
+            pct(ld),
+            pct(st),
+            pct(br),
+            pct(fp),
+            code.len() * 64 / 1024,
+            data.len() * 64 / 1024,
+            wrong as f64 / (sample as f64 / 1000.0),
+        )
+        .expect("write");
+    }
+    Ok(out)
+}
+
+fn cmd_asm(p: &Args) -> Result<String, CliError> {
+    let Some(&path) = p.positional.first() else {
+        return Err(uerr("asm requires a kernel file path"));
+    };
+    let program = if let Some(name) = path.strip_prefix("builtin:") {
+        shelfsim::workload::kernels::by_name(name)
+            .ok_or_else(|| err(format!("unknown builtin kernel `{name}`")))?
+            .assemble()
+            .map_err(|e| err(format!("builtin {name}: {e}")))?
+    } else {
+        let src =
+            std::fs::read_to_string(path).map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
+        shelfsim::workload::asm::assemble(&src).map_err(|e| err(format!("{path}: {e}")))?
+    };
+    // `--mix` only sets the thread count: every thread runs the kernel.
+    let threads = p.list("--mix", &[]).len().max(1);
+    let cfg = sim_config(p, p.value("--design").unwrap_or("shelf-opt"), threads)?;
+    let warmup = p.num("--warmup", 10_000)?;
+    let measure: u64 = p.num("--measure", 40_000)?;
+    let traces: Vec<shelfsim::workload::TraceSource> = (0..threads)
+        .map(|t| shelfsim::workload::TraceSource::new(program.clone(), t))
+        .collect();
+    let mut core = shelfsim::Core::new(cfg, traces);
+    core.warm_caches();
+    core.warm_functional(20_000);
+    core.tick_bounded(warmup);
+    let c0: Vec<u64> = (0..threads).map(|t| core.committed(t)).collect();
+    core.tick_bounded(measure);
+    let total: u64 = (0..threads).map(|t| core.committed(t) - c0[t]).sum();
+    let mut out = String::new();
+    writeln!(
+        out,
+        "kernel {path} x{threads} threads: IPC {:.3} over {measure} cycles",
+        total as f64 / measure as f64,
+    )
+    .expect("write");
+    for (t, &before) in c0.iter().enumerate() {
+        let committed = core.committed(t) - before;
+        writeln!(
+            out,
+            "  t{t}: {} committed, CPI {:.2}, in-seq {:.1}%",
+            committed,
+            measure as f64 / committed.max(1) as f64,
+            core.classifier(t).in_sequence_fraction() * 100.0
+        )
+        .expect("write");
+    }
+    Ok(out)
+}
+
+fn cmd_trace(p: &Args) -> Result<String, CliError> {
+    let mix = mix_arg(p, "trace")?;
+    let cfg = sim_config(p, p.value("--design").unwrap_or("shelf-opt"), mix.len())?;
+    let window: usize = p.num("--window", 256)?;
+    if window == 0 {
+        return Err(uerr("--window must be at least 1"));
+    }
+    let sample: u64 = p.num("--sample", 8)?;
+    let warmup = p.num("--warmup", 10_000)?;
+    let measure = p.num("--measure", 40_000)?;
+    let names: Vec<&str> = mix.iter().map(String::as_str).collect();
+    let mut sim =
+        Simulation::from_names(cfg, &names, p.num("--seed", 7)?).map_err(|e| err(e.to_string()))?;
+    sim.enable_commit_log(48);
+    sim.enable_tracer(window, sample.max(1));
+    let _ = sim.run(warmup, measure);
+    let mut out = String::new();
+    writeln!(
+        out,
+        "{:<4} {:>8} {:<8} {:<6} {:>7} {:>8} {:>7} {:>8} {:>7}  pipeline",
+        "thr", "seq", "op", "queue", "fetch", "dispatch", "issue", "complete", "commit"
+    )
+    .expect("write");
+    let records: Vec<_> = sim.core().commit_log().copied().collect();
+    let base = records.iter().map(|r| r.fetch).min().unwrap_or(0);
+    for r in &records {
+        let lane = |c: u64| ((c - base) / 2).min(38) as usize;
+        let mut bar = vec![b'.'; 40];
+        bar[lane(r.fetch)] = b'F';
+        bar[lane(r.dispatch)] = b'D';
+        bar[lane(r.issue)] = b'I';
+        bar[lane(r.complete)] = b'C';
+        bar[lane(r.commit)] = b'R';
+        writeln!(
+            out,
+            "t{:<3} {:>8} {:<8} {:<6} {:>7} {:>8} {:>7} {:>8} {:>7}  {}{}",
+            r.thread,
+            r.seq,
+            r.op.to_string(),
+            match r.steer {
+                shelfsim::core::Steer::Iq => "IQ",
+                shelfsim::core::Steer::Shelf => "shelf",
+            },
+            r.fetch,
+            r.dispatch,
+            r.issue,
+            r.complete,
+            r.commit,
+            String::from_utf8_lossy(&bar),
+            if r.in_sequence { "  in-seq" } else { "" }
+        )
+        .expect("write");
+    }
+    let tracer = sim.tracer().expect("tracer enabled above");
+    out.push_str("\nstall attribution (% of measured cycles per thread):\n");
+    out.push_str(&tracer.stall_summary());
+    if let Some(path) = p.value("--jsonl") {
+        std::fs::write(path, tracer.export_jsonl())
+            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
+        writeln!(out, "wrote {path}").expect("write");
+    }
+    if let Some(path) = p.value("--chrome") {
+        std::fs::write(path, tracer.export_chrome())
+            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
+        writeln!(out, "wrote {path}").expect("write");
+    }
+    Ok(out)
+}
+
+/// Mixes grouped by thread count, as `(threads, mixes)`: the shape of
+/// [`shelfsim::SweepSpec::mix_plan`].
+type MixPlan = Vec<(usize, Vec<Vec<String>>)>;
+
+/// The sweep's workloads: each `--mix` in order when any is given,
+/// otherwise [`shelfsim::SweepSpec::mix_plan`] over `--thread-counts` ×
+/// `--mixes` (single-thread STP references included).
+fn sweep_workloads(p: &Args, seed: u64) -> Result<MixPlan, CliError> {
+    let explicit = p.values("--mix");
+    if explicit.is_empty() {
+        let thread_counts: Vec<usize> = p.nums("--thread-counts", &[2, 4])?;
+        for &t in &thread_counts {
+            check_threads("--thread-counts", t)?;
+        }
+        let sweep = shelfsim::SweepSpec {
+            designs: vec![],
+            thread_counts,
+            mixes_per_count: p.num("--mixes", 2)?,
+            seed,
+            warmup: 0,
+            measure: 0,
+        };
+        return Ok(sweep.mix_plan());
+    }
+    if p.has("--thread-counts") || p.has("--mixes") {
+        return Err(uerr(
+            "--mix lists the mixes explicitly; it cannot be combined with \
+             --thread-counts or --mixes",
+        ));
+    }
+    let mut plan: MixPlan = vec![];
+    for m in explicit {
+        let mix: Vec<String> = m.split(',').map(str::to_owned).collect();
+        let threads = check_threads("--mix", mix.len())?;
+        match plan.last_mut() {
+            Some((t, mixes)) if *t == threads => mixes.push(mix),
+            _ => plan.push((threads, vec![mix])),
         }
     }
-    let sweep = shelfsim::SweepSpec {
-        designs: designs.clone(),
-        thread_counts,
-        mixes_per_count: mixes,
-        seed,
-        warmup,
-        measure,
-    };
-    let runs = sweep.expand();
-    if runs.is_empty() {
-        return Err(err("sweep matrix is empty"));
+    Ok(plan)
+}
+
+/// The override axis: the cartesian product of every
+/// `--override key=v1,v2,…` in flag order, one override set per design
+/// point (a single empty set without `--override`).
+fn override_sets(p: &Args) -> Result<Vec<Vec<(String, String)>>, CliError> {
+    let mut sets: Vec<Vec<(String, String)>> = vec![vec![]];
+    for o in p.values("--override") {
+        let (key, values) = o
+            .split_once('=')
+            .ok_or_else(|| uerr(format!("--override: expected key=value, got `{o}`")))?;
+        sets = sets
+            .iter()
+            .flat_map(|set| {
+                values.split(',').map(move |v| {
+                    let mut set = set.clone();
+                    set.push((key.to_owned(), v.to_owned()));
+                    set
+                })
+            })
+            .collect();
     }
-    let workers = workers.clamp(1, runs.len());
+    Ok(sets)
+}
+
+/// `shelfsim sweep`: the design × override set × workload matrix, every
+/// run through [`shelfsim::run_campaign`] (pre-flight, watchdog, retries,
+/// quarantine, optional fault injection and validation tier) on the
+/// work-stealing pool with one journal shard per worker. Requested runs
+/// dedupe against merged journal history by config hash. `--dry-run`
+/// prints the matrix size, initial shard plan, cache-hit preview and
+/// warm-up count without simulating; `--pareto` appends the STP/EDP/area
+/// Pareto report over the merged history.
+fn cmd_sweep(p: &Args) -> Result<String, CliError> {
+    let designs = p.list("--designs", &["base64", "shelf-opt"]);
+    for d in &designs {
+        design_config(d, 1)?;
+    }
+    let seed = p.num("--seed", 7)?;
+    let warmup = p.num("--warmup", 2_000)?;
+    let measure = p.num("--measure", 10_000)?;
+    let workloads = sweep_workloads(p, seed)?;
+    let mixes: Vec<Vec<String>> = workloads.iter().flat_map(|(_, m)| m.clone()).collect();
+    let override_sets = override_sets(p)?;
+    if override_sets.len() > 1 && p.has("--pareto") {
+        return Err(uerr(
+            "--pareto groups design points by design name, so it cannot score a \
+             multi-valued --override axis",
+        ));
+    }
+    // Designs outer, override sets middle, workloads inner; the fault plan
+    // keys on the matrix index, so runs are indexed after the product.
+    let mut runs: Vec<RunSpec> = vec![];
+    for design in &designs {
+        for overrides in &override_sets {
+            for r in
+                CampaignSpec::matrix(std::slice::from_ref(design), &mixes, seed, warmup, measure)
+            {
+                runs.push(RunSpec {
+                    index: runs.len(),
+                    overrides: overrides.clone(),
+                    ..r
+                });
+            }
+        }
+    }
+    // Resolve every design point now, so one bad axis value fails the
+    // command line rather than quarantining its runs one by one.
+    for r in &runs {
+        r.resolved_config()
+            .map_err(|e| uerr(format!("--override: {e}")))?;
+    }
+    let faults = shelfsim::FaultMix {
+        panics: p.num("--fault-panics", 0)?,
+        persistent_panics: p.num("--fault-persistent-panics", 0)?,
+        stalls: p.num("--fault-stalls", 0)?,
+        livelocks: p.num("--fault-livelocks", 0)?,
+    };
+    let fault_seed = p.num("--fault-seed", 0)?;
+    if faults.total() > runs.len() {
+        return Err(uerr(format!(
+            "fault injection wants {} victim runs but the sweep has only {}",
+            faults.total(),
+            runs.len()
+        )));
+    }
+    let workers = p.num("--workers", 2)?.clamp(1, runs.len());
+    let journal_dir = p.value("--journal-dir").map(journal_dir_arg).transpose()?;
+    let watchdog: u64 = p.num("--watchdog", 100_000)?;
+    let mut spec = CampaignSpec::new(runs)
+        .with_watchdog((watchdog > 0).then_some(watchdog))
+        .with_max_attempts(p.num("--attempts", 3)?)
+        .with_workers(workers)
+        .with_preflight(!p.has("--no-preflight"))
+        .with_validate(p.has("--validate"));
+    if faults.total() > 0 {
+        let plan = shelfsim::FaultPlan::seeded(fault_seed, spec.runs.len(), faults);
+        spec = spec.with_faults(plan);
+    }
+    if let Some(dir) = &journal_dir {
+        spec = spec.with_journal_dir(dir);
+    }
+    if let Some(dir) = p.value("--trace-dir") {
+        spec = spec.with_trace_dir(dir);
+    }
 
     // Admission preview against merged journal history (shared by the
     // dry run and the real run's header).
     let sharded = journal_dir.as_deref().map(shelfsim::ShardedJournal::new);
     let cache = shelfsim::ResultCache::load(sharded.as_ref(), None)
         .map_err(|e| err(format!("sweep journal: {e}")))?;
-    let admission = cache.admit(&runs);
-
+    let runs = &spec.runs;
+    let admission = cache.admit(runs);
     let mut header = String::new();
-    let breakdown: Vec<String> = sweep
-        .mix_plan()
+    let breakdown: Vec<String> = workloads
         .iter()
         .map(|(t, m)| format!("{} @ {}t", m.len(), t))
         .collect();
+    let axis = match override_sets.len() {
+        1 => String::new(),
+        n => format!(" x {n} override sets"),
+    };
     writeln!(
         header,
-        "sweep matrix: {} designs x ({}) workloads = {} runs",
+        "sweep matrix: {} designs{axis} x ({}) workloads = {} runs",
         designs.len(),
         breakdown.join(" + "),
         runs.len()
@@ -1483,11 +904,11 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
     )
     .expect("write");
 
-    if dry_run {
+    if p.has("--dry-run") {
         let plan = shelfsim::shard_plan(admission.misses.len(), workers);
         // Design points of one mix share a warm-up (see `WarmKey`).
-        let warmups = shelfsim::warmups_needed(&runs, &admission.misses);
-        if json {
+        let warmups = shelfsim::warmups_needed(runs, &admission.misses);
+        if p.has("--json") {
             let shards: Vec<String> = plan
                 .iter()
                 .map(|&(start, len)| format!("{{\"start\":{start},\"len\":{len}}}"))
@@ -1520,20 +941,12 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
         return Ok(out);
     }
 
-    let mut spec = shelfsim::CampaignSpec::new(runs)
-        .with_watchdog(watchdog)
-        .with_max_attempts(attempts)
-        .with_workers(workers)
-        .with_preflight(preflight);
-    if let Some(dir) = &journal_dir {
-        spec = spec.with_journal_dir(dir);
-    }
     let report = shelfsim::run_campaign(&spec).map_err(|e| err(format!("sweep journal: {e}")))?;
 
     // Pareto scores over the full merged history when a journal directory
     // is present (earlier sweeps contribute points); otherwise over this
     // invocation's records.
-    let pareto_entries = if pareto {
+    let pareto_entries = if p.has("--pareto") {
         Some(match &sharded {
             Some(sj) => sj
                 .load_merged()
@@ -1551,16 +964,12 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
         None
     };
 
-    if json {
+    if p.has("--json") {
         // Machine output stays pure JSON: the Pareto report when asked
         // for, the campaign report otherwise.
         return Ok(match &pareto_entries {
             Some(entries) => shelfsim::pareto_report(entries, workers).render_json(),
-            None => {
-                let mut j = report.render_json();
-                j.push('\n');
-                j
-            }
+            None => report.render_json() + "\n",
         });
     }
     let mut out = header;
@@ -1571,34 +980,441 @@ fn sweep_matrix(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+fn cmd_analyze(p: &Args) -> Result<String, CliError> {
+    if p.positional.is_empty() {
+        return Err(uerr(
+            "analyze requires at least one TARGET (.s kernel file, built-in \
+             kernel name, or suite benchmark name)",
+        ));
+    }
+    let design = p.value("--design").unwrap_or("shelf-opt");
+    let threads: usize = p.num("--threads", 1)?;
+    let seed = p.num("--seed", 7)?;
+    // Like `lint`, static analysis may study more contexts than the
+    // simulator has, so it skips `design_config`'s range check.
+    let cfg =
+        shelfsim::analyze::design_by_name(design, threads).ok_or_else(|| unknown_design(design))?;
+    let mut diags = shelfsim::analyze::lint_config(&cfg);
+    // Each target resolves to a program: a `.s` file keeps its source
+    // spans, a built-in kernel or suite benchmark does not.
+    let mut programs: Vec<(&str, shelfsim::workload::program::Program)> = vec![];
+    for &target in &p.positional {
+        let (program, lines) = if target.ends_with(".s") {
+            let text = std::fs::read_to_string(target)
+                .map_err(|e| err(format!("cannot read `{target}`: {e}")))?;
+            match shelfsim::workload::asm::assemble_with_lines(&text) {
+                Ok((program, lines)) => (program, Some(lines)),
+                Err(e) => {
+                    let msg = format!("assembly failed: {}", e.message);
+                    let d = shelfsim::Diagnostic::new("SA000", shelfsim::Severity::Error, msg);
+                    diags.push(d.with_span(target, e.line));
+                    continue;
+                }
+            }
+        } else if let Some(k) = shelfsim::workload::kernels::by_name(target) {
+            let program = k.assemble().map_err(|e| err(format!("{target}: {e}")))?;
+            (program, None)
+        } else if let Some(b) = suite::by_name(target) {
+            let seed = shelfsim::core::thread_program_seed(seed, programs.len());
+            (b.build_program(seed), None)
+        } else {
+            return Err(err(format!(
+                "unknown target `{target}` (expected a .s file, a built-in \
+                 kernel, or a suite benchmark)"
+            )));
+        };
+        let source = lines.as_ref().map(|l| (target, l));
+        diags.extend(shelfsim::analyze::lint_program(&program, source));
+        diags.extend(shelfsim::analyze::check_adequacy(&program, &cfg, source));
+        programs.push((target, program));
+    }
+    let mut reports: Vec<shelfsim::IpcBoundReport> = vec![];
+    if p.has("--bounds") {
+        for (name, program) in &programs {
+            let mut r = shelfsim::ipc_bound(program, &cfg);
+            r.name = (*name).to_owned();
+            diags.push(r.diagnostic());
+            reports.push(r);
+        }
+    }
+    let report = shelfsim::Report::new(diags);
+    let rendered = if p.has("--json") {
+        report.render_json()
+    } else {
+        let mut text = report.render_text();
+        if !reports.is_empty() {
+            writeln!(
+                text,
+                "static IPC bounds on {design} ({threads} thread{}):",
+                if threads == 1 { "" } else { "s" }
+            )
+            .expect("write");
+            writeln!(
+                text,
+                "  {:<12} {:>6} {:>7} {:>7}  binding",
+                "program", "width", "fu-cap", "bound"
+            )
+            .expect("write");
+            for r in &reports {
+                writeln!(
+                    text,
+                    "  {:<12} {:>6.1} {:>7.1} {:>7.3}  {}",
+                    r.name, r.width, r.fu_capacity, r.bound, r.binding
+                )
+                .expect("write");
+            }
+            if reports.len() > 1 {
+                writeln!(
+                    text,
+                    "  aggregate SMT bound: {:.3}",
+                    shelfsim::aggregate_bound(&reports, &cfg)
+                )
+                .expect("write");
+            }
+        }
+        text
+    };
+    if report.has_errors() {
+        return Err(err(rendered));
+    }
+    Ok(rendered)
+}
+
+fn cmd_lint(p: &Args) -> Result<String, CliError> {
+    if let Some(code) = p.value("--explain") {
+        let info = shelfsim::analyze::code_info(&code.to_uppercase()).ok_or_else(|| {
+            err(format!(
+                "unknown diagnostic code `{code}` (expected one of: {})",
+                shelfsim::analyze::REGISTRY
+                    .iter()
+                    .map(|c| c.code)
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ))
+        })?;
+        return Ok(format!(
+            "{} ({:?}): {}\n\n{}\n",
+            info.code,
+            info.severity,
+            info.summary,
+            info.explain.trim()
+        ));
+    }
+    let format_json = match p.value("--format").unwrap_or("text") {
+        "text" => false,
+        "json" => true,
+        other => {
+            return Err(uerr(format!(
+                "--format: expected `text` or `json`, got `{other}`"
+            )))
+        }
+    };
+    let design = p.value("--design");
+    let threads = p.num("--threads", 4)?;
+    if p.positional.is_empty() && design.is_none() {
+        return Err(uerr(
+            "lint requires at least one FILE (.s kernel or key=value config) \
+             or --design NAME",
+        ));
+    }
+    let mut diags = Vec::new();
+    if let Some(name) = design {
+        let cfg =
+            shelfsim::analyze::design_by_name(name, threads).ok_or_else(|| unknown_design(name))?;
+        diags.extend(shelfsim::analyze::lint_config(&cfg));
+    }
+    for &path in &p.positional {
+        let text =
+            std::fs::read_to_string(path).map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
+        if path.ends_with(".s") {
+            diags.extend(shelfsim::analyze::lint_kernel_source(&text, path));
+        } else {
+            let (_, d) = shelfsim::analyze::lint_config_file(&text, path);
+            diags.extend(d);
+        }
+    }
+    let report = shelfsim::Report::new(diags);
+    let rendered = if format_json {
+        report.render_json()
+    } else {
+        report.render_text()
+    };
+    // Error-severity findings fail the invocation (nonzero exit from
+    // `main`); warnings and notes report but pass — unless
+    // `--deny-warnings` promotes warnings to failures (CI mode).
+    let denied_warning = p.has("--deny-warnings")
+        && report
+            .diagnostics()
+            .iter()
+            .any(|d| d.severity == shelfsim::Severity::Warning);
+    if report.has_errors() || denied_warning {
+        return Err(err(rendered));
+    }
+    Ok(rendered)
+}
+
+fn cmd_bench(p: &Args) -> Result<String, CliError> {
+    let seed = p.num("--seed", 7)?;
+    let mut out = String::new();
+    if p.has("--campaign") {
+        // Worker-scaling bench of the sweep runner itself: the matrix once
+        // per worker count plus the cached replay; writes
+        // BENCH_campaign.json unless --out -.
+        if p.has("--compare") {
+            return Err(uerr("--compare applies to the engine bench only"));
+        }
+        let workers: Vec<usize> = p.nums("--workers", &[1, 2, 4])?;
+        if workers.first() != Some(&1) {
+            return Err(uerr(
+                "--workers: the list must start at 1 (the speedup baseline)",
+            ));
+        }
+        let measure = p.num("--measure", shelfsim_bench::campaign::DEFAULT_MEASURE)?;
+        let report =
+            shelfsim_bench::campaign::run_campaign_bench(measure, seed, &workers).map_err(err)?;
+        out.push_str(&report.render_text());
+        out.push_str(&write_bench_json(
+            p,
+            "BENCH_campaign.json",
+            report.to_json(),
+        )?);
+        return Ok(out);
+    }
+    if p.has("--workers") {
+        return Err(uerr("--workers applies to the campaign bench only"));
+    }
+    // Engine-throughput bench: a fixed seeded matrix of designs x mixes
+    // whose wall-clock/kIPS numbers form the repo's perf trajectory
+    // (BENCH_core.json). Parse the baseline before the (slow) matrix runs
+    // so a bad path fails fast.
+    let baseline = match p.value("--compare") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| err(format!("cannot read {path}: {e}")))?;
+            Some(
+                shelfsim_bench::engine::parse_baseline(&text)
+                    .ok_or_else(|| err(format!("{path} is not a shelfsim-bench-v1 document")))?,
+            )
+        }
+        None => None,
+    };
+    let measure = p.num("--measure", shelfsim_bench::engine::DEFAULT_MEASURE)?;
+    let plan = shelfsim_bench::engine::engine_micro(measure, seed);
+    let report = shelfsim_bench::engine::run_plan(&plan).map_err(err)?;
+    out.push_str(&report.render_text());
+    if let Some(base) = &baseline {
+        out.push_str(&report.render_compare(base));
+    }
+    out.push_str(&write_bench_json(p, "BENCH_core.json", report.to_json())?);
+    Ok(out)
+}
+
+/// Writes a bench document to `--out` (default `default`) unless that is
+/// `-`; returns the line reporting the write.
+fn write_bench_json(p: &Args, default: &str, json: String) -> Result<String, CliError> {
+    let path = p.value("--out").unwrap_or(default);
+    if path == "-" {
+        return Ok(String::new());
+    }
+    std::fs::write(path, json).map_err(|e| err(format!("cannot write {path}: {e}")))?;
+    Ok(format!("wrote {path}\n"))
+}
+
+/// Parses `KIND:TRIGGER` (e.g. `skip-writeback:100`) into a chaos plan.
+#[cfg(feature = "chaos")]
+fn parse_chaos_plan(spec: &str) -> Result<shelfsim::core::ChaosPlan, CliError> {
+    use shelfsim::core::{ChaosKind, ChaosPlan};
+    let (kind_s, trig_s) = spec
+        .split_once(':')
+        .ok_or_else(|| uerr(format!("--chaos: expected KIND:TRIGGER, got `{spec}`")))?;
+    let kind = ChaosKind::by_name(kind_s).ok_or_else(|| {
+        uerr(format!(
+            "--chaos: unknown mutation `{kind_s}` (expected one of: {})",
+            ChaosKind::ALL.map(|k| k.as_str()).join(", ")
+        ))
+    })?;
+    let trigger = parse_num("--chaos trigger", trig_s)?;
+    Ok(ChaosPlan { kind, trigger })
+}
+
+/// `shelfsim validate`: differential validation of the out-of-order core
+/// against the in-order functional reference. Returns the report on
+/// success; renders the same report into the error on divergence (exit 3)
+/// or invariant violation (exit 4).
+fn cmd_validate(p: &Args) -> Result<String, CliError> {
+    use shelfsim::validate::{
+        render_json, render_text, run_lockstep, run_sweep, GenSpec, LockstepConfig, RunReport,
+        Verdict,
+    };
+    let designs = match p.list("--designs", &["base64", "shelf-opt"]) {
+        d if d == ["all"] => shelfsim::analyze::DESIGN_NAMES
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect(),
+        d => d,
+    };
+    let threads = p.threads("--threads", 2)?;
+    let kernels = match p.list("--kernels", &["all"]) {
+        k if k == ["all"] => shelfsim::workload::kernels::all()
+            .iter()
+            .map(|k| k.name.to_owned())
+            .collect(),
+        k if k == ["none"] => vec![],
+        k => k,
+    };
+    let suite_mixes: usize = p.num("--suite", 0)?;
+    let generated: usize = p.num("--generated", 0)?;
+    let seed = p.num("--seed", 7)?;
+    let lcfg = LockstepConfig {
+        commits_per_thread: p.num("--commits", 2_000)?,
+        max_cycles: p.num("--max-cycles", 400_000)?,
+        warmup_insts: p.num("--warmup", 1_000)?,
+        cycle_skipping: !p.has("--no-skip"),
+        #[cfg(feature = "chaos")]
+        chaos: p.value("--chaos").map(parse_chaos_plan).transpose()?,
+        ..LockstepConfig::default()
+    };
+    #[cfg(not(feature = "chaos"))]
+    if p.has("--chaos") {
+        return Err(uerr(
+            "--chaos requires a chaos-enabled build \
+             (cargo run --features chaos -- validate ...)",
+        ));
+    }
+
+    // Assemble the workload list: kernels, suite mixes, generated programs.
+    // A generated workload keeps its GenSpec so a divergence can be shrunk.
+    let mut workloads: Vec<(String, Vec<shelfsim::workload::Program>, Option<GenSpec>)> =
+        Vec::new();
+    for name in &kernels {
+        let k = shelfsim::workload::kernels::by_name(name)
+            .ok_or_else(|| err(format!("unknown kernel `{name}`")))?;
+        let program = k.assemble().map_err(|e| err(e.to_string()))?;
+        workloads.push((format!("kernel:{name}"), vec![program; threads], None));
+    }
+    let names = suite::names();
+    for m in balanced_random_mixes(&names, threads, 28, seed)
+        .iter()
+        .take(suite_mixes)
+    {
+        let programs: Vec<_> = m
+            .benchmarks
+            .iter()
+            .enumerate()
+            .map(|(t, b)| {
+                suite::by_name(b)
+                    .expect("mix benchmarks come from the suite")
+                    .build_program(shelfsim::core::thread_program_seed(seed, t))
+            })
+            .collect();
+        workloads.push((format!("suite:{}", m.label()), programs, None));
+    }
+    for i in 0..generated {
+        let spec = GenSpec::from_seed(seed.wrapping_add(i as u64));
+        let program = spec.build_program();
+        workloads.push((
+            format!("gen:{:#x}", spec.seed),
+            vec![program; threads],
+            Some(spec),
+        ));
+    }
+    if workloads.is_empty() {
+        return Err(uerr(
+            "validate: nothing to do (--kernels none with no --suite/--generated)",
+        ));
+    }
+
+    let mut runs: Vec<RunReport> = Vec::new();
+    for design in &designs {
+        let cfg = design_config(design, threads)?;
+        for (label, programs, spec) in &workloads {
+            let verdict = run_lockstep(&cfg, programs, &lcfg);
+            let sweep =
+                (p.has("--sweep") && verdict.is_clean()).then(|| run_sweep(&cfg, programs, &lcfg));
+            // Divergent generated programs shrink to a minimal failing case
+            // which is persisted for regression if --shrink-dir is given.
+            let mut regression = None;
+            if let (Verdict::Diverged(d), Some(spec), Some(dir)) =
+                (&verdict, spec, p.value("--shrink-dir"))
+            {
+                let min = shelfsim::validate::shrink_to_minimal(spec, |s| {
+                    !run_lockstep(&cfg, &vec![s.build_program(); threads], &lcfg).is_clean()
+                });
+                let path = shelfsim::validate::persist_regression(
+                    std::path::Path::new(dir),
+                    &min,
+                    &format!("{design} x{threads} {label}\n{d}"),
+                )
+                .map_err(|e| err(format!("cannot write regression case: {e}")))?;
+                regression = Some(path.display().to_string());
+            }
+            runs.push(RunReport {
+                design: design.clone(),
+                threads,
+                workload: label.clone(),
+                verdict,
+                sweep,
+                regression,
+            });
+        }
+    }
+
+    let rendered = if p.has("--json") {
+        render_json(&runs)
+    } else {
+        render_text(&runs)
+    };
+    let t = shelfsim::validate::totals(&runs);
+    if t.diverged > 0 {
+        Err(CliError::new(rendered, exit_codes::DIVERGENCE))
+    } else if t.invariant > 0 {
+        Err(CliError::new(rendered, exit_codes::INVARIANT))
+    } else {
+        Ok(rendered)
+    }
+}
+
+/// Usage text; the override keys come from [`shelfsim::analyze::OVERRIDE_KEYS`].
+pub fn usage() -> String {
+    format!(
+        "{USAGE}OVERRIDE KEYS: {}\n",
+        shelfsim::analyze::OVERRIDE_KEYS.join(", ")
+    )
+}
+
+const USAGE: &str = "\
 shelfsim — SMT out-of-order core simulator with hybrid shelf dispatch
 
 USAGE:
   shelfsim suite
   shelfsim mixes   [--threads N] [--count N] [--seed N]
   shelfsim run     --mix b1,b2,... [--design D] [--warmup N] [--measure N]
+                   [--until N] [--seed N] [--tso] [--json]
+  shelfsim compare --mix b1,b2,... [--warmup N] [--measure N] [--until N]
                    [--seed N] [--tso] [--json]
-  shelfsim compare --mix b1,b2,... [--warmup N] [--measure N] [--seed N] [--tso]
-  shelfsim sweep   --param P --values v1,v2,... --mix b1,b2,... [--design D]
-  shelfsim sweep   [--designs d1,d2] [--thread-counts 2,4] [--mixes N]
-                   [--seed N] [--warmup N] [--measure N] [--workers N]
-                   [--journal-dir DIR] [--watchdog N] [--attempts N]
-                   [--dry-run] [--pareto] [--json] [--no-preflight]
-                   (matrix mode: the full design x thread-count x mix matrix
-                   — plus the implied single-thread STP references — runs on
-                   the work-stealing campaign pool, one journal shard per
-                   worker under --journal-dir; requested runs dedupe against
-                   all merged journal history by config hash, so re-invoking
-                   the same sweep re-simulates nothing. --dry-run prints the
-                   matrix size, initial shard plan, cache-hit preview and
-                   warm-ups needed (design points of one mix share one)
-                   without simulating a cycle; --pareto appends the
-                   STP vs energy-delay vs area Pareto frontier over the
-                   merged history)
+  shelfsim sweep   [--designs d1,d2] [--mix b1,b2 ... | --thread-counts 2,4
+                   --mixes N] [--override key=v1,v2 ...] [--seed N]
+                   [--warmup N] [--measure N] [--workers N] [--journal-dir DIR]
+                   [--watchdog N] [--attempts N] [--trace-dir DIR]
+                   [--fault-panics N] [--fault-persistent-panics N]
+                   [--fault-stalls N] [--fault-livelocks N] [--fault-seed N]
+                   [--no-preflight] [--validate] [--dry-run] [--pareto] [--json]
+                   (the one matrix runner: designs x override sets x workloads
+                   on the fault-tolerant campaign pool. Each --mix adds one
+                   workload; otherwise --thread-counts x --mixes expands
+                   balanced-random mixes plus their single-thread STP
+                   references. An --override key with several values is a
+                   matrix axis. Runs are pre-flighted (--no-preflight opts
+                   out), watchdogged (--watchdog 0 disables), retried, then
+                   quarantined, and journaled one shard per worker under
+                   --journal-dir: a re-run re-simulates nothing, and any
+                   *.jsonl there is read as a shard. --validate lockstep-checks
+                   each run; --trace-dir dumps traces of watchdog-diagnosed
+                   failures; --dry-run previews matrix, shard plan, cache hits
+                   and warm-ups; --pareto appends the STP vs energy-delay vs
+                   area frontier over the merged history)
   shelfsim trace   --mix b1,b2,... [--design D] [--warmup N] [--measure N]
-                   [--seed N] [--window N] [--sample N]
+                   [--seed N] [--tso] [--window N] [--sample N]
                    [--jsonl FILE] [--chrome FILE]
                    (lane view of the last 48 committed insts, per-thread
                    dispatch/issue stall attribution, and optional exports:
@@ -1606,7 +1422,8 @@ USAGE:
                    as JSON lines, --chrome writes a Chrome trace-event file
                    loadable in Perfetto/about:tracing; --window bounds the
                    lifecycle ring, --sample sets the occupancy period)
-  shelfsim asm     FILE.s [--design D] [--mix x,x] (run a hand-written kernel;
+  shelfsim asm     FILE.s [--design D] [--mix x,x] [--warmup N] [--measure N]
+                   [--tso] (run a hand-written kernel on every thread;
                    kernel syntax: see shelfsim_workload::asm)
   shelfsim characterize [BENCH]                    (measured mix & footprints)
   shelfsim kernels                                 (list built-in kernels; run
@@ -1657,32 +1474,11 @@ USAGE:
                    min(workers, host_cores), plus a cached replay that
                    must dedupe 100% of the matrix; writes
                    BENCH_campaign.json unless --out -)
-  shelfsim campaign [--designs d1,d2] [--threads N] [--mixes N | --mix b1,b2 ...]
-                   [--seed N] [--warmup N] [--measure N] [--watchdog N]
-                   [--attempts N] [--workers N] [--journal-dir DIR] [--json]
-                   [--trace-dir DIR] (dump lifecycle traces of watchdog-
-                   diagnosed failures in the diagnostics tier)
-                   [--fault-panics N] [--fault-persistent-panics N]
-                   [--fault-stalls N] [--fault-livelocks N] [--fault-seed N]
-                   [--override key=value ...] [--no-preflight] [--validate]
-                   (fault-tolerant design x mix sweep: per-run panic isolation,
-                   forward-progress watchdog, retry escalation, quarantine, and
-                   a resumable journal of one shard per worker — re-invoking
-                   with the same --journal-dir skips completed runs, and any
-                   *.jsonl in it is read as a shard, so an old single-file
-                   journal resumes once moved into a directory; --watchdog 0
-                   disables the watchdog.
-                   Every queued run passes a static-analysis pre-flight first:
-                   provably misconfigured runs are rejected before simulating
-                   a cycle and journaled as analysis-rejected; --no-preflight
-                   opts out. --override tweaks the design point, e.g.
-                   --override shelf=8. --validate lockstep-checks each run
-                   against the in-order functional reference before timing it;
-                   a divergence quarantines the run with no retries and clean
-                   runs journal validated:clean)
+
+Every usage mistake (unknown option, missing or malformed value, a flag
+given twice) exits 2.
 
 DESIGNS: base64, base128, shelf-cons, shelf-opt, shelf-oracle, shelf-inorder
-SWEEP PARAMS: shelf, rob, iq, lq, sq, rct-bits, plt-columns
 ";
 
 #[cfg(test)]
@@ -1746,42 +1542,128 @@ mod tests {
         assert!(e.message.contains("USAGE"));
     }
 
+    /// `sweep --override` with several values is one matrix axis. The
+    /// IPCs are those the retired `sweep --param shelf --values 16,128
+    /// --design shelf-cons` printed for the same mix and windows.
     #[test]
     fn sweep_runs_each_value() {
         let out = run_cli(&args(
-            "sweep --param shelf --values 16,32 --mix hmmer,gcc --warmup 500 --measure 2000",
+            "sweep --designs shelf-cons --mix hmmer,lbm,gcc --override shelf=16,128 \
+             --warmup 3000 --measure 20000 --json",
         ))
         .expect("ok");
-        assert!(out.contains("shelf = 16"));
-        assert!(out.contains("shelf = 32"));
+        for (label, ipc) in [
+            ("shelf-cons hmmer+lbm+gcc [shelf=16]", "0.6507"),
+            ("shelf-cons hmmer+lbm+gcc [shelf=128]", "0.6919"),
+        ] {
+            assert!(
+                out.contains(&format!(r#""label":"{label}","status":"ok""#)),
+                "{out}"
+            );
+            assert!(out.contains(&format!(r#""ipc":{ipc}"#)), "{label}: {out}");
+        }
+        // The per-design summary keeps the two design points apart.
+        for point in ["shelf-cons [shelf=16]", "shelf-cons [shelf=128]"] {
+            assert!(
+                out.contains(&format!(r#"{{"design":"{point}","geomean_ipc""#)),
+                "{out}"
+            );
+        }
+    }
+
+    /// `--override` resolves through the one key vocabulary to the exact
+    /// configurations the retired `--param` arms built.
+    #[test]
+    fn override_keys_match_the_retired_param_arms() {
+        let resolve = |key: &str, value: &str| {
+            let mut cfg = design_config("shelf-opt", 2).expect("design");
+            shelfsim::apply_override(&mut cfg, key, value).expect("override");
+            cfg
+        };
+        let mut rct = design_config("shelf-opt", 2).expect("design");
+        rct.rct_bits = 4;
+        assert_eq!(resolve("rct-bits", "4"), rct);
+        let mut plt = design_config("shelf-opt", 2).expect("design");
+        plt.plt_columns = 6;
+        assert_eq!(resolve("plt-columns", "6"), plt);
+        let mut shelf = design_config("shelf-opt", 2).expect("design");
+        shelf.shelf_entries = 32;
+        assert_eq!(resolve("shelf", "32"), shelf);
+        assert!(usage().contains("rct-bits, plt-columns"), "{}", usage());
     }
 
     #[test]
     fn sweep_param_mistakes_are_usage_errors() {
-        let e = run_cli(&args("sweep --param shelf --mix gcc")).unwrap_err();
-        assert!(e.message.contains("--values"), "{}", e.message);
+        // The retired `--param/--values` mode is an unknown option now.
+        let e = run_cli(&args("sweep --param shelf --values 16 --mix gcc")).unwrap_err();
+        assert!(
+            e.message.contains("unknown option `--param`"),
+            "{}",
+            e.message
+        );
         assert_eq!(e.code, exit_codes::USAGE);
-        let e = run_cli(&args("sweep --param warp --values 1 --mix gcc")).unwrap_err();
-        assert!(e.message.contains("`warp`"), "{}", e.message);
-        assert_eq!(e.code, exit_codes::USAGE);
+        for (cmd, needle) in [
+            ("sweep --mix gcc --override warp=1", "`warp`"),
+            ("sweep --mix gcc --override shelf=16,banana", "`banana`"),
+            ("sweep --mix gcc --override rct-bits=9", "`9`"),
+            ("sweep --mix gcc --override shelf", "key=value"),
+            ("sweep --mix gcc --thread-counts 2", "--thread-counts"),
+            (
+                "sweep --mix gcc,mcf --override shelf=16,32 --pareto",
+                "--pareto",
+            ),
+        ] {
+            let e = run_cli(&args(cmd)).unwrap_err();
+            assert!(e.message.contains(needle), "{cmd}: {}", e.message);
+            assert_eq!(e.code, exit_codes::USAGE, "{cmd}");
+        }
     }
 
+    /// Every usage-class mistake exits 2; lookups of things that do not
+    /// exist keep exit 1.
     #[test]
     fn thread_counts_outside_the_core_are_usage_errors() {
         let nine = ["gcc"; CoreConfig::MAX_THREADS + 1].join(",");
-        for (cmd, flag) in [
+        for (cmd, needle) in [
             ("mixes --threads 0".to_owned(), "--threads"),
             ("mixes --threads 40".to_owned(), "--threads"),
-            ("campaign --threads 0".to_owned(), "--threads"),
-            ("campaign --threads 9".to_owned(), "--threads"),
-            (format!("campaign --mix {nine}"), "--mix"),
-            (format!("run --mix {nine}"), "--mix"),
+            ("sweep --thread-counts 0".to_owned(), "--thread-counts"),
             ("sweep --thread-counts 9".to_owned(), "--thread-counts"),
+            (format!("sweep --mix {nine}"), "--mix"),
+            (format!("run --mix {nine}"), "--mix"),
             ("validate --threads 9".to_owned(), "--threads"),
+            ("lint --format yaml kernels.s".to_owned(), "`yaml`"),
+            ("bench --bogus".to_owned(), "unknown option `--bogus`"),
+            ("trace --mix gcc --window 0".to_owned(), "--window"),
+            ("characterize --bogus".to_owned(), "unknown option"),
+            (
+                "run --mix gcc --chrome F".to_owned(),
+                "unknown option `--chrome`",
+            ),
+            (
+                "run --mix gcc --seed 1 --seed 2".to_owned(),
+                "more than once",
+            ),
+            ("run gcc".to_owned(), "unexpected argument `gcc`"),
+            ("asm".to_owned(), "kernel file"),
+            ("analyze".to_owned(), "TARGET"),
+            ("lint".to_owned(), "FILE"),
+            ("campaign --mix gcc".to_owned(), "unknown command"),
+            ("sweep --workers".to_owned(), "requires a value"),
+            ("sweep --mix gcc --fault-panics 3".to_owned(), "victim"),
+            ("bench --workers 2".to_owned(), "campaign bench only"),
         ] {
             let e = run_cli(&args(&cmd)).unwrap_err();
             assert_eq!(e.code, exit_codes::USAGE, "{cmd}: {}", e.message);
-            assert!(e.message.contains(flag), "{cmd}: {}", e.message);
+            assert!(e.message.contains(needle), "{cmd}: {}", e.message);
+        }
+        for cmd in [
+            "validate --kernels warpcore",
+            "characterize warpcore",
+            "run --mix warpcore",
+        ] {
+            let e = run_cli(&args(cmd)).unwrap_err();
+            assert_eq!(e.code, exit_codes::GENERAL, "{cmd}: {}", e.message);
         }
     }
 
@@ -2100,8 +1982,8 @@ mod tests {
         let e = run_cli(&args("run --mix gcc --warmup abc")).unwrap_err();
         assert!(e.message.contains("--warmup"), "{}", e.message);
         assert!(e.message.contains("`abc`"), "{}", e.message);
-        let e = run_cli(&args("sweep --param shelf --values 16,banana --mix gcc")).unwrap_err();
-        assert!(e.message.contains("`banana`"), "{}", e.message);
+        let e = run_cli(&args("sweep --mix gcc --workers two")).unwrap_err();
+        assert!(e.message.contains("`two`"), "{}", e.message);
         let e = run_cli(&args("mixes --count -3")).unwrap_err();
         assert!(e.message.contains("`-3`"), "{}", e.message);
     }
@@ -2143,7 +2025,7 @@ mod tests {
     fn campaign_runs_faulted_matrix_and_resumes() {
         let journal = campaign_journal_dir("cli");
         let cmd = format!(
-            "campaign --designs base64,shelf-opt --mix gcc,mcf --mix hmmer,lbm \
+            "sweep --designs base64,shelf-opt --mix gcc,mcf --mix hmmer,lbm \
              --warmup 200 --measure 1200 --watchdog 5000 --workers 2 \
              --fault-panics 1 --fault-persistent-panics 1 --fault-seed 3 \
              --journal-dir {}",
@@ -2164,7 +2046,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let file = dir.join("old.jsonl");
         std::fs::write(&file, "").expect("write");
-        for verb in ["campaign --mix gcc", "sweep --thread-counts 1 --mixes 1"] {
+        for verb in ["sweep --mix gcc", "sweep --thread-counts 1 --mixes 1"] {
             let e =
                 run_cli(&args(&format!("{verb} --journal-dir {}", file.display()))).unwrap_err();
             assert_eq!(e.code, exit_codes::USAGE, "{verb}: {}", e.message);
@@ -2175,7 +2057,7 @@ mod tests {
     #[test]
     fn campaign_json_output_is_structured() {
         let out = run_cli(&args(
-            "campaign --designs base64 --mix gcc,mcf --warmup 200 --measure 1200 --json",
+            "sweep --designs base64 --mix gcc,mcf --warmup 200 --measure 1200 --json",
         ))
         .expect("ok");
         assert!(out.trim_start().starts_with('{'), "{out}");
@@ -2185,14 +2067,14 @@ mod tests {
 
     #[test]
     fn campaign_validates_designs_and_fault_budget() {
-        let e = run_cli(&args("campaign --designs warp-drive --mix gcc,mcf")).unwrap_err();
+        let e = run_cli(&args("sweep --designs warp-drive --mix gcc,mcf")).unwrap_err();
         assert!(e.message.contains("unknown design"), "{}", e.message);
         let e = run_cli(&args(
-            "campaign --designs base64 --mix gcc,mcf --fault-panics 5",
+            "sweep --designs base64 --mix gcc,mcf --fault-panics 5",
         ))
         .unwrap_err();
         assert!(e.message.contains("victim"), "{}", e.message);
-        let e = run_cli(&args("campaign --workers nope")).unwrap_err();
+        let e = run_cli(&args("sweep --workers nope")).unwrap_err();
         assert!(e.message.contains("`nope`"), "{}", e.message);
     }
 
@@ -2281,6 +2163,56 @@ mod tests {
         assert!(e.message.contains("unknown option"), "{}", e.message);
         let e = run_cli(&args("sweep --designs base64 --workers")).unwrap_err();
         assert!(e.message.contains("requires a value"), "{}", e.message);
+    }
+
+    /// A journal `run_campaign` wrote for an explicit design × mix matrix
+    /// (what `campaign --mix` ran before `sweep` took over) resumes in
+    /// full under `sweep --mix`.
+    #[test]
+    fn campaign_matrix_journal_resumes_under_sweep_mix() {
+        let dir = sweep_dir("campaign_matrix");
+        let designs = ["base64".to_owned(), "shelf-opt".to_owned()];
+        let mixes = [["gcc", "mcf"], ["hmmer", "lbm"]].map(|m| m.map(str::to_owned).to_vec());
+        let runs = CampaignSpec::matrix(&designs, &mixes, 7, 200, 1200);
+        let spec = CampaignSpec::new(runs).with_journal_dir(&dir);
+        shelfsim::run_campaign(&spec).expect("campaign");
+        let out = run_cli(&args(&format!(
+            "sweep --designs base64,shelf-opt --mix gcc,mcf --mix hmmer,lbm \
+             --warmup 200 --measure 1200 --journal-dir {dir}"
+        )))
+        .expect("sweep");
+        assert!(out.contains("4 hits, 0 misses (100.0% cached"), "{out}");
+        assert!(out.contains("4 resumed from journal"), "{out}");
+    }
+
+    /// A single-valued override keeps the journal key it had before the
+    /// override axis existed, so journals written with it stay resumable.
+    #[test]
+    fn single_valued_override_keeps_its_journal_key() {
+        let out = run_cli(&args(
+            "sweep --designs shelf-opt --mix gcc,mcf --override shelf=8 \
+             --warmup 200 --measure 1200 --json",
+        ))
+        .expect("sweep");
+        assert!(
+            out.contains(r#""key":"c2a7286597790cac","label":"shelf-opt gcc+mcf [shelf=8]""#),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn override_axes_multiply_the_matrix() {
+        let out = run_cli(&args(
+            "sweep --designs base64,shelf-opt --mix gcc,mcf --override shelf=16,32 \
+             --override rob=64,128 --warmup 100 --measure 400 --dry-run",
+        ))
+        .expect("dry run");
+        assert!(
+            out.contains("sweep matrix: 2 designs x 4 override sets x (1 @ 2t) workloads = 8 runs"),
+            "{out}"
+        );
+        // Design points of one mix still share a warm-up.
+        assert!(out.contains("1 warm-ups for 8 pending runs"), "{out}");
     }
 
     #[test]
@@ -2376,7 +2308,7 @@ mod tests {
 
     #[test]
     fn campaign_preflight_rejects_and_override_applies() {
-        let cmd = "campaign --designs shelf-inorder --mix gcc,mcf --override shelf=2 \
+        let cmd = "sweep --designs shelf-inorder --mix gcc,mcf --override shelf=2 \
                    --warmup 200 --measure 1200";
         let out = run_cli(&args(cmd)).expect("campaign completes");
         assert!(out.contains("1 rejected"), "{out}");
@@ -2389,10 +2321,10 @@ mod tests {
         let out = run_cli(&args(&format!("{cmd} --no-preflight"))).expect("ok");
         assert!(out.contains("0 rejected"), "{out}");
         // Malformed and unknown overrides are argument errors.
-        let e = run_cli(&args("campaign --mix gcc --override shelf")).unwrap_err();
+        let e = run_cli(&args("sweep --mix gcc --override shelf")).unwrap_err();
         assert!(e.message.contains("key=value"), "{}", e.message);
         assert_eq!(e.code, exit_codes::USAGE);
-        let e = run_cli(&args("campaign --mix gcc --override warp=9")).unwrap_err();
+        let e = run_cli(&args("sweep --mix gcc --override warp=9")).unwrap_err();
         assert!(e.message.contains("unknown config key"), "{}", e.message);
         assert_eq!(e.code, exit_codes::USAGE);
     }
@@ -2401,7 +2333,7 @@ mod tests {
     fn campaign_validate_tier_journals_clean_runs() {
         let journal = campaign_journal_dir("validate");
         let cmd = format!(
-            "campaign --designs base64 --mix gcc,mcf --warmup 200 --measure 1200 \
+            "sweep --designs base64 --mix gcc,mcf --warmup 200 --measure 1200 \
              --workers 1 --journal-dir {}",
             journal.display()
         );

@@ -1,5 +1,6 @@
 //! Property tests for the CLI: arbitrary argument soup must never panic —
-//! every failure is a clean `CliError` — and valid invocations round-trip.
+//! every failure is a clean `CliError`, and every unknown-option or
+//! missing-value mistake exits 2 — and valid invocations round-trip.
 
 use proptest::prelude::*;
 use shelfsim_cli::{design_config, run_cli};
@@ -19,6 +20,11 @@ fn arb_token() -> impl Strategy<Value = String> {
         Just("--seed".to_owned()),
         Just("--tso".to_owned()),
         Just("--json".to_owned()),
+        Just("--dry-run".to_owned()),
+        Just("--override".to_owned()),
+        Just("shelf=16,32".to_owned()),
+        Just("--thread-counts".to_owned()),
+        Just("1,2".to_owned()),
         Just("gcc,mcf".to_owned()),
         Just("base64".to_owned()),
         Just("shelf-opt".to_owned()),
@@ -37,12 +43,15 @@ proptest! {
     fn cli_never_panics_on_argument_soup(tokens in prop::collection::vec(arb_token(), 0..6)) {
         // Keep any accidental simulation tiny.
         let mut args = tokens;
-        if args.first().map(String::as_str) == Some("run")
-            || args.first().map(String::as_str) == Some("compare")
-        {
+        if matches!(args.first().map(String::as_str), Some("run" | "compare" | "sweep")) {
             args.extend(["--warmup".into(), "10".into(), "--measure".into(), "50".into()]);
         }
-        let _ = run_cli(&args); // Ok or Err(CliError); must not panic
+        // Ok or Err(CliError); must not panic.
+        if let Err(e) = run_cli(&args) {
+            if e.message.contains("unknown option") || e.message.contains("requires a value") {
+                prop_assert_eq!(e.code, 2, "{:?}: {}", args, e.message);
+            }
+        }
     }
 
     #[test]

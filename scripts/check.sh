@@ -29,16 +29,16 @@ cargo test -q -p shelfsim-uarch --features sanitize
 echo "== cache exactness: the set-MRU filter against the reference LRU model"
 PROPTEST_CASES=2000 cargo test -q -p shelfsim-mem --test proptest_cache
 
-echo "== campaign smoke: fault-injected sweep must quarantine and resume"
-journal="$(mktemp -d)/campaign"
-campaign() {
-  cargo run --release -q -p shelfsim-cli -- campaign \
+echo "== fault smoke: a fault-injected sweep must quarantine and resume"
+journal="$(mktemp -d)/faults"
+faulted() {
+  cargo run --release -q -p shelfsim-cli -- sweep \
     --designs base64,shelf-opt --mix gcc,mcf --mix hmmer,lbm \
     --warmup 500 --measure 3000 --watchdog 5000 --workers "$1" \
     --fault-panics 1 --fault-persistent-panics 1 --fault-seed 3 \
     --journal-dir "$journal"
 }
-out="$(campaign 2)"
+out="$(faulted 2)"
 echo "$out" | head -1
 # The persistent injected panic must be quarantined, not fatal, and the
 # transient one retried: partial results plus a taxonomy.
@@ -46,10 +46,10 @@ echo "$out" | grep -q "3 completed, 1 quarantined" \
   || { echo "FAIL: expected 3 completed, 1 quarantined"; echo "$out"; exit 1; }
 echo "$out" | grep -q "taxonomy: .*panic=" \
   || { echo "FAIL: taxonomy should count the injected panics"; echo "$out"; exit 1; }
-# Re-invoking the campaign must resume everything from the journal
+# Re-invoking the sweep must resume everything from the journal
 # without re-running a single simulation — on 1 worker, so resume is
 # also independent of the shard layout the first run left.
-out2="$(campaign 1)"
+out2="$(faulted 1)"
 echo "$out2" | head -1
 echo "$out2" | grep -q "4 resumed from journal" \
   || { echo "FAIL: second invocation should resume all 4 runs"; echo "$out2"; exit 1; }
@@ -60,7 +60,7 @@ echo "== preflight smoke: starved shelves must be rejected before simulating"
 # rejections resume on one worker.
 preflight_dir="$(mktemp -d)/preflight"
 starved() {
-  cargo run --release -q -p shelfsim-cli -- campaign \
+  cargo run --release -q -p shelfsim-cli -- sweep \
     --designs shelf-inorder --mix gcc,mcf --mix hmmer,gcc --override shelf=2 \
     --warmup 500 --measure 3000 --workers "$1" --journal-dir "$preflight_dir"
 }
@@ -194,6 +194,26 @@ merged_b="$(cat "$sweep_dir"/shard-*.jsonl | sort)"
 [ "$merged_a" = "$merged_b" ] \
   || { echo "FAIL: re-run must not change the journaled entry set"; exit 1; }
 rm -rf "$sweep_dir"
+
+echo "== override-axis smoke: a multi-valued --override is one matrix axis"
+axis_dir="$(mktemp -d)/axis"
+axis() {
+  cargo run --release -q -p shelfsim-cli -- sweep \
+    --designs shelf-opt --mix gcc,mcf --override shelf=16,32 \
+    --warmup 200 --measure 1500 --workers "$1" --journal-dir "$axis_dir"
+}
+out="$(axis 2)"
+echo "$out" | head -1
+for label in "shelf-opt gcc+mcf \[shelf=16\]" "shelf-opt gcc+mcf \[shelf=32\]"; do
+  echo "$out" | grep -q "\[ok\] *$label" \
+    || { echo "FAIL: expected a completed run labelled $label"; echo "$out"; exit 1; }
+done
+out="$(axis 1)"
+echo "$out" | grep -q "2 hits, 0 misses" \
+  || { echo "FAIL: the override axis re-run must be 100% cache hits"; echo "$out"; exit 1; }
+echo "$out" | grep -q "2 resumed from journal" \
+  || { echo "FAIL: the override axis re-run should resume both runs"; echo "$out"; exit 1; }
+rm -rf "$axis_dir"
 
 echo "== campaign bench smoke: BENCH_campaign.json is well-formed"
 python3 - BENCH_campaign.json <<'EOF'
