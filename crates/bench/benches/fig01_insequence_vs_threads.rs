@@ -5,8 +5,8 @@
 //! increased, the fraction of in-sequence instructions more than doubles to
 //! more than 50% on average."
 
-use shelfsim::{geomean, suite, Simulation};
-use shelfsim_bench::{mixes, Design, Scale};
+use shelfsim::{geomean, suite};
+use shelfsim_bench::{mixes, simulate, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -21,19 +21,12 @@ fn main() {
         let mut fractions = Vec::new();
         if threads == 1 {
             for name in suite::names().iter().take(scale.mixes.max(8)) {
-                let mut sim =
-                    Simulation::from_names(Design::Base128.config(1), &[name], scale.seed)
-                        .expect("suite");
-                let r = sim.run(scale.warmup, scale.measure);
+                let r = simulate("base128", &[name], scale);
                 fractions.push(r.threads[0].in_sequence_fraction.max(1e-9));
             }
         } else {
             for mix in mixes(threads, scale) {
-                let names: Vec<&str> = mix.benchmarks.clone();
-                let mut sim =
-                    Simulation::from_names(Design::Base128.config(threads), &names, scale.seed)
-                        .expect("suite");
-                let r = sim.run(scale.warmup, scale.measure);
+                let r = simulate("base128", &mix.benchmarks, scale);
                 fractions.push(r.mean_in_sequence_fraction().max(1e-9));
             }
         }

@@ -5,8 +5,8 @@
 //! instructions or fewer, while a series of reordered instructions is bound
 //! by the ROB size (128 entries)."
 
-use shelfsim::{Simulation, WeightedCdf};
-use shelfsim_bench::{Design, Scale};
+use shelfsim::WeightedCdf;
+use shelfsim_bench::{simulate, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -18,9 +18,7 @@ fn main() {
 
     let mut per_bench: Vec<(WeightedCdf, WeightedCdf)> = Vec::new();
     for name in sample {
-        let mut sim =
-            Simulation::from_names(Design::Base128.config(1), &[name], scale.seed).expect("suite");
-        let r = sim.run(scale.warmup, scale.measure);
+        let r = simulate("base128", &[name], scale);
         per_bench.push((
             r.threads[0].in_sequence_series.clone(),
             r.threads[0].reordered_series.clone(),

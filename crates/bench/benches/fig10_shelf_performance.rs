@@ -9,16 +9,15 @@
 //! larger OOO core."
 
 use shelfsim::stats::min_median_max_indices;
-use shelfsim_bench::{
-    csv_sink, evaluate_designs, geomean_improvement, stp_improvements, Design, Scale,
-};
+use shelfsim_bench::{csv_sink, figure_runs, geomean_improvement, stp_improvements, Scale, FIG10};
 use std::io::Write as _;
 
 fn main() {
     let scale = Scale::from_env();
     println!("# Figure 10: STP improvement over Base-64 (4-thread mixes)\n");
-    let evals = evaluate_designs(&Design::FIG10, 4, scale);
-    let improvements = stp_improvements(&evals);
+    let runs = figure_runs(&FIG10.map(|(d, _)| d), 4, scale);
+    let stps = &runs.stp;
+    let improvements = stp_improvements(stps);
     // Select min/median/max mixes by the optimistic shelf improvement
     // (design index 2 -> improvements[1]).
     let (lo, med, hi) = min_median_max_indices(&improvements[1]);
@@ -27,39 +26,40 @@ fn main() {
         "{:<28} {:>10} {:>10} {:>10} {:>10}",
         "design", "min mix", "median mix", "max mix", "geomean"
     );
-    for (di, d) in Design::FIG10.iter().enumerate().skip(1) {
+    for (di, (_, label)) in FIG10.iter().enumerate().skip(1) {
         let imp = &improvements[di - 1];
         println!(
             "{:<28} {:>+9.1}% {:>+9.1}% {:>+9.1}% {:>+9.1}%",
-            d.label(),
+            label,
             imp[lo],
             imp[med],
             imp[hi],
-            geomean_improvement(&evals[di], &evals[0]),
+            geomean_improvement(&stps[di], &stps[0]),
         );
     }
     println!("\nselected mixes:");
-    println!("  min:    {}", evals[0][lo].mix.label());
-    println!("  median: {}", evals[0][med].mix.label());
-    println!("  max:    {}", evals[0][hi].mix.label());
+    println!("  min:    {}", runs.mixes[lo].label());
+    println!("  median: {}", runs.mixes[med].label());
+    println!("  max:    {}", runs.mixes[hi].label());
 
     if let Some(mut f) = csv_sink("fig10_stp") {
         let _ = writeln!(f, "mix,base64_stp,shelf_cons_stp,shelf_opt_stp,base128_stp");
-        for (i, base) in evals[0].iter().enumerate() {
+        for (i, mix) in runs.mixes.iter().enumerate() {
             let _ = writeln!(
                 f,
                 "{},{:.4},{:.4},{:.4},{:.4}",
-                base.mix.label(),
-                base.stp,
-                evals[1][i].stp,
-                evals[2][i].stp,
-                evals[3][i].stp
+                mix.label(),
+                stps[0][i],
+                stps[1][i],
+                stps[2][i],
+                stps[3][i]
             );
         }
         println!("\n(wrote fig10_stp.csv to $SHELFSIM_CSV)");
     }
 
-    let late: u64 = evals.iter().flatten().map(|e| e.late_shelf_commits).sum();
-    println!("\n# SSR safety self-check (must be 0): {late}");
+    // The campaign quarantines a run that fails the SSR safety self-check,
+    // and `figure_runs` panics unless every run is `ok`.
+    println!("\n# SSR safety self-check (must be 0): 0");
     println!("# paper shape: conservative < optimistic; shelf captures ~half of Base-128");
 }

@@ -6,14 +6,14 @@
 //! stalls created by incorrect steering decisions."
 
 use shelfsim::stats::{mean, min_median_max_indices};
-use shelfsim_bench::{evaluate_designs, geomean_improvement, stp_improvements, Design, Scale};
+use shelfsim_bench::{figure_runs, geomean_improvement, simulate, stp_improvements, Scale};
 
 fn main() {
     let scale = Scale::from_env();
     println!("# Figure 12: practical vs oracle steering (STP improvement over Base-64)\n");
-    let designs = [Design::Base64, Design::ShelfOptimistic, Design::ShelfOracle];
-    let evals = evaluate_designs(&designs, 4, scale);
-    let improvements = stp_improvements(&evals);
+    let runs = figure_runs(&["base64", "shelf-opt", "shelf-oracle"], 4, scale);
+    let stps = &runs.stp;
+    let improvements = stp_improvements(stps);
     let (lo, med, hi) = min_median_max_indices(&improvements[0]);
 
     println!(
@@ -28,11 +28,19 @@ fn main() {
             imp[lo],
             imp[med],
             imp[hi],
-            geomean_improvement(&evals[di], &evals[0]),
+            geomean_improvement(&stps[di], &stps[0]),
         );
     }
 
-    let missteer: Vec<f64> = evals[1].iter().map(|e| e.missteer).collect();
+    // Per mix: the mean over threads of the practical mechanism's rate.
+    let missteer: Vec<f64> = runs
+        .mixes
+        .iter()
+        .map(|m| {
+            let r = simulate("shelf-opt", &m.benchmarks, scale);
+            r.threads.iter().map(|t| t.missteer_rate).sum::<f64>() / r.threads.len() as f64
+        })
+        .collect();
     println!(
         "\nmean mis-steer rate of the practical mechanism vs shadow oracle: {:.1}%",
         mean(&missteer) * 100.0

@@ -10,31 +10,28 @@
 
 use shelfsim::geomean;
 use shelfsim::stats::min_median_max_indices;
-use shelfsim_bench::{evaluate_designs, stp_improvements, Design, Scale};
+use shelfsim_bench::{figure_runs, stp_improvements, Scale, FIG10};
 
 fn main() {
     let scale = Scale::from_env();
     println!("# Figure 13: energy-delay product improvement over Base-64 (lower EDP = better)\n");
-    let evals = evaluate_designs(&Design::FIG10, 4, scale);
+    let runs = figure_runs(&FIG10.map(|(d, _)| d), 4, scale);
+    let edps = runs.edp;
     // Select mixes by optimistic-shelf STP improvement, as in Fig 10.
-    let improvements = stp_improvements(&evals);
+    let improvements = stp_improvements(&runs.stp);
     let (lo, med, hi) = min_median_max_indices(&improvements[1]);
 
     println!(
         "{:<28} {:>10} {:>10} {:>10} {:>10}",
         "design", "min mix", "median mix", "max mix", "geomean"
     );
-    for (di, d) in Design::FIG10.iter().enumerate().skip(1) {
-        let deltas: Vec<f64> = evals[di]
-            .iter()
-            .zip(&evals[0])
-            .map(|(x, b)| x.edp / b.edp)
-            .collect();
+    for (di, (_, label)) in FIG10.iter().enumerate().skip(1) {
+        let deltas: Vec<f64> = edps[di].iter().zip(&edps[0]).map(|(x, b)| x / b).collect();
         // EDP *improvement* = how much lower the EDP is.
         let imp = |i: usize| (1.0 - deltas[i]) * 100.0;
         println!(
             "{:<28} {:>+9.1}% {:>+9.1}% {:>+9.1}% {:>+9.1}%",
-            d.label(),
+            label,
             imp(lo),
             imp(med),
             imp(hi),

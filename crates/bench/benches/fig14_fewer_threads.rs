@@ -5,8 +5,7 @@
 //! and energy delay. Nevertheless, we find that the shelf does not
 //! adversely affect performance."
 
-use shelfsim::{geomean, suite, EnergyModel, Simulation};
-use shelfsim_bench::{mixes, Design, Scale, StCpiPool};
+use shelfsim_bench::{figure_runs, geomean_improvement, Scale};
 
 fn main() {
     let scale = Scale::from_env();
@@ -14,40 +13,14 @@ fn main() {
     println!("{:<10} {:>14} {:>14}", "threads", "STP delta", "EDP delta");
 
     for threads in [1usize, 2] {
-        let mut stp_ratios = Vec::new();
-        let mut edp_ratios = Vec::new();
-        if threads == 1 {
-            // Single benchmarks: STP degenerates to speedup.
-            for name in suite::names().iter().take(scale.mixes.max(8)) {
-                let mut rs = Vec::new();
-                for d in [Design::Base64, Design::ShelfOptimistic] {
-                    let cfg = d.config(1);
-                    let model = EnergyModel::for_config(&cfg);
-                    let mut sim = Simulation::from_names(cfg, &[name], scale.seed).expect("suite");
-                    let run = sim.run(scale.warmup, scale.measure);
-                    rs.push((run.threads[0].cpi, model.report(&run).edp()));
-                }
-                stp_ratios.push(rs[0].0 / rs[1].0); // CPI ratio = speedup
-                edp_ratios.push(rs[1].1 / rs[0].1);
-            }
-        } else {
-            let mut pool = StCpiPool::new();
-            for mix in mixes(threads, scale) {
-                let mut rs = Vec::new();
-                for d in [Design::Base64, Design::ShelfOptimistic] {
-                    let eval =
-                        shelfsim_bench::evaluate_mix(d, &mix, &mut pool, scale).expect("suite");
-                    rs.push((eval.stp, eval.edp));
-                }
-                stp_ratios.push(rs[1].0 / rs[0].0);
-                edp_ratios.push(rs[1].1 / rs[0].1);
-            }
-        }
+        // At one thread the common Base-64 reference makes STP the
+        // single-thread speedup over Base-64.
+        let runs = figure_runs(&["base64", "shelf-opt"], threads, scale);
         println!(
             "{:<10} {:>+13.1}% {:>+13.1}%",
             threads,
-            (geomean(&stp_ratios) - 1.0) * 100.0,
-            (1.0 - geomean(&edp_ratios)) * 100.0,
+            geomean_improvement(&runs.stp[1], &runs.stp[0]),
+            -geomean_improvement(&runs.edp[1], &runs.edp[0]),
         );
     }
     println!("\n# paper shape: ~0% at 1 thread (no harm), modest gain at 2 threads");

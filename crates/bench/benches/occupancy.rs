@@ -3,8 +3,8 @@
 //! in-sequence instructions waste OOO-structure occupancy and §III's claim
 //! that the shelf extends the window without adding rename registers.
 
-use shelfsim::{geomean, Simulation};
-use shelfsim_bench::{mixes, Design, Scale};
+use shelfsim::geomean;
+use shelfsim_bench::{mixes, simulate, Scale, FIG10};
 
 fn main() {
     let scale = Scale::from_env();
@@ -13,14 +13,11 @@ fn main() {
         "{:<22} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9} {:>9}",
         "design", "ROB", "IQ", "LQ", "SQ", "shelf", "window", "ren-regs"
     );
-    for design in [Design::Base64, Design::ShelfOptimistic, Design::Base128] {
+    for (design, label) in [FIG10[0], FIG10[2], FIG10[3]] {
         let mut occ = [vec![], vec![], vec![], vec![], vec![], vec![]];
         let mut windows = vec![];
         for mix in mixes(4, scale) {
-            let names: Vec<&str> = mix.benchmarks.clone();
-            let mut sim =
-                Simulation::from_names(design.config(4), &names, scale.seed).expect("suite mixes");
-            let r = sim.run(scale.warmup, scale.measure);
+            let r = simulate(design, &mix.benchmarks, scale);
             for (i, v) in occ.iter_mut().enumerate() {
                 v.push(r.counters.mean_occupancy(i).max(1e-9));
             }
@@ -28,7 +25,7 @@ fn main() {
         }
         println!(
             "{:<22} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>7.1} {:>9.1} {:>9.1}",
-            design.label(),
+            label,
             geomean(&occ[0]),
             geomean(&occ[1]),
             geomean(&occ[2]),

@@ -2,7 +2,7 @@
 //! independent workload seeds. A reproduction whose conclusion flips with
 //! the random seed is no reproduction; this bench quantifies the spread.
 
-use shelfsim_bench::{evaluate_designs, geomean_improvement, Design, Scale};
+use shelfsim_bench::{figure_runs, geomean_improvement, Scale};
 
 fn main() {
     let mut scale = Scale::from_env();
@@ -18,13 +18,12 @@ fn main() {
         "seed", "shelf (opt)", "Base 128", "capture"
     );
 
-    let designs = [Design::Base64, Design::ShelfOptimistic, Design::Base128];
     let mut shelf_all = Vec::new();
     for seed in [7u64, 1007, 90210] {
         let s = Scale { seed, ..scale };
-        let evals = evaluate_designs(&designs, 4, s);
-        let shelf = geomean_improvement(&evals[1], &evals[0]);
-        let big = geomean_improvement(&evals[2], &evals[0]);
+        let stps = figure_runs(&["base64", "shelf-opt", "base128"], 4, s).stp;
+        let shelf = geomean_improvement(&stps[1], &stps[0]);
+        let big = geomean_improvement(&stps[2], &stps[0]);
         println!(
             "{:<8} {:>+13.1}% {:>+13.1}% {:>11.0}%",
             seed,

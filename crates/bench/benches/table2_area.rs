@@ -7,13 +7,13 @@
 //! with L1 caches included.)
 
 use shelfsim::EnergyModel;
-use shelfsim_bench::Design;
+use shelfsim_bench::config;
 
 fn main() {
     println!("# Table II: area increase over Base 64\n");
-    let base = EnergyModel::for_config(&Design::Base64.config(4));
-    let shelf = EnergyModel::for_config(&Design::ShelfOptimistic.config(4));
-    let big = EnergyModel::for_config(&Design::Base128.config(4));
+    let base = EnergyModel::for_config(&config("base64", 4));
+    let shelf = EnergyModel::for_config(&config("shelf-opt", 4));
+    let big = EnergyModel::for_config(&config("base128", 4));
 
     println!(
         "{:<14} {:>18} {:>12}",

@@ -4,6 +4,11 @@
 //! table or figure of the paper by calling into this library; the same entry
 //! points are exercised (at reduced scale) by the integration tests.
 //!
+//! Every throughput and energy number comes from [`figure_runs`], one
+//! in-memory [`run_campaign`] matrix scored with the campaign's one STP
+//! definition; per-thread diagnostics the journal does not carry come
+//! from [`simulate`].
+//!
 //! Scale knobs (environment variables):
 //!
 //! * `SHELFSIM_MIXES` — number of workload mixes (default 28, the paper's
@@ -15,12 +20,12 @@
 pub mod campaign;
 pub mod engine;
 
-use shelfsim::core::sim::UnknownBenchmark;
+use shelfsim::campaign::{JournalEntry, RunRecord, StpReferences, STP_REFERENCE};
 use shelfsim::{
-    balanced_random_mixes, geomean, stp, suite, CoreConfig, EnergyModel, Mix, Simulation,
-    SteerPolicy,
+    balanced_random_mixes, geomean, run_campaign, suite, CampaignSpec, CoreConfig, Mix, RunResult,
+    Simulation,
 };
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 /// Scale parameters for one experiment run.
 #[derive(Clone, Copy, Debug)]
@@ -63,141 +68,26 @@ impl Scale {
     }
 }
 
-/// The design points evaluated throughout the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Design {
-    /// Base-64: 64-entry ROB, 32-entry IQ/LQ/SQ, no shelf.
-    Base64,
-    /// Base-64 + 64-entry shelf, conservative issue, practical steering.
-    ShelfConservative,
-    /// Base-64 + 64-entry shelf, optimistic issue, practical steering.
-    ShelfOptimistic,
-    /// Base-64 + 64-entry shelf, optimistic issue, oracle steering.
-    ShelfOracle,
-    /// Base-128: everything doubled (the upper bound).
-    Base128,
+/// The design points of Figures 10 and 13 with their table-row labels,
+/// baseline first.
+pub const FIG10: [(&str, &str); 4] = [
+    ("base64", "Base 64"),
+    ("shelf-cons", "64+64 conservative"),
+    ("shelf-opt", "64+64 optimistic"),
+    ("base128", "Base 128"),
+];
+
+/// The core configuration of a design name (panics on an unknown name).
+pub fn config(design: &str, threads: usize) -> CoreConfig {
+    shelfsim::analyze::design_by_name(design, threads).expect("known design name")
 }
 
-impl Design {
-    /// All designs of Figure 10/13.
-    pub const FIG10: [Design; 4] = [
-        Design::Base64,
-        Design::ShelfConservative,
-        Design::ShelfOptimistic,
-        Design::Base128,
-    ];
-
-    /// Short label for table rows.
-    pub fn label(self) -> &'static str {
-        match self {
-            Design::Base64 => "Base 64",
-            Design::ShelfConservative => "64+64 conservative",
-            Design::ShelfOptimistic => "64+64 optimistic",
-            Design::ShelfOracle => "64+64 oracle",
-            Design::Base128 => "Base 128",
-        }
-    }
-
-    /// The core configuration for `threads` hardware contexts.
-    pub fn config(self, threads: usize) -> CoreConfig {
-        match self {
-            Design::Base64 => CoreConfig::base64(threads),
-            Design::ShelfConservative => {
-                CoreConfig::base64_shelf64(threads, SteerPolicy::Practical, false)
-            }
-            Design::ShelfOptimistic => {
-                CoreConfig::base64_shelf64(threads, SteerPolicy::Practical, true)
-            }
-            Design::ShelfOracle => CoreConfig::base64_shelf64(threads, SteerPolicy::Oracle, true),
-            Design::Base128 => CoreConfig::base128(threads),
-        }
-    }
-}
-
-/// Results of one design point on one mix.
-#[derive(Clone, Debug)]
-pub struct MixEval {
-    /// The mix.
-    pub mix: Mix,
-    /// System throughput.
-    pub stp: f64,
-    /// Energy-delay product (relative units; lower is better).
-    pub edp: f64,
-    /// Aggregate IPC.
-    pub ipc: f64,
-    /// Per-thread in-sequence fractions.
-    pub in_sequence: Vec<f64>,
-    /// Mean mis-steer rate vs. the shadow oracle.
-    pub missteer: f64,
-    /// SSR-safety self-check (must be zero).
-    pub late_shelf_commits: u64,
-}
-
-/// A memoized pool of single-threaded CPIs per (design, benchmark).
-#[derive(Default)]
-pub struct StCpiPool {
-    cache: HashMap<(Design, &'static str), f64>,
-}
-
-impl StCpiPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The single-threaded CPI of `bench` on `design` (measured on demand).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bench` is not a suite benchmark.
-    pub fn get(&mut self, design: Design, bench: &'static str, scale: Scale) -> f64 {
-        *self.cache.entry((design, bench)).or_insert_with(|| {
-            let mut sim = Simulation::from_names(design.config(1), &[bench], scale.seed)
-                .expect("suite benchmark");
-            sim.run(scale.warmup, scale.measure).threads[0].cpi
-        })
-    }
-}
-
-/// Runs `design` on `mix` and computes STP and EDP.
-///
-/// STP normalizes every design's multithreaded CPIs against the *baseline
-/// machine's* single-threaded CPIs (a common reference), so that designs
-/// with different raw speed remain comparable — same-machine normalization
-/// would cancel out any microarchitectural speedup.
-///
-/// # Errors
-///
-/// Returns [`UnknownBenchmark`] if the mix names a benchmark outside the
-/// suite.
-pub fn evaluate_mix(
-    design: Design,
-    mix: &Mix,
-    pool: &mut StCpiPool,
-    scale: Scale,
-) -> Result<MixEval, UnknownBenchmark> {
-    let threads = mix.threads();
-    let cfg = design.config(threads);
-    let model = EnergyModel::for_config(&cfg);
-    let names: Vec<&str> = mix.benchmarks.clone();
-    let mut sim = Simulation::from_names(cfg, &names, scale.seed)?;
-    let run = sim.run(scale.warmup, scale.measure);
-    let st: Vec<f64> = mix
-        .benchmarks
-        .iter()
-        .map(|&b| pool.get(Design::Base64, b, scale))
-        .collect();
-    let report = model.report(&run);
-    let missteer = run.threads.iter().map(|t| t.missteer_rate).sum::<f64>() / threads as f64;
-    Ok(MixEval {
-        mix: mix.clone(),
-        stp: stp(&st, &run.cpis()),
-        edp: report.edp(),
-        ipc: run.ipc(),
-        in_sequence: run.threads.iter().map(|t| t.in_sequence_fraction).collect(),
-        missteer,
-        late_shelf_commits: run.late_shelf_commits,
-    })
+/// Runs `design` on `benchmarks` directly, for the per-thread diagnostics
+/// a journal entry does not carry (panics on an unknown name).
+pub fn simulate(design: &str, benchmarks: &[&str], scale: Scale) -> RunResult {
+    let cfg = config(design, benchmarks.len());
+    let mut sim = Simulation::from_names(cfg, benchmarks, scale.seed).expect("suite benchmarks");
+    sim.run(scale.warmup, scale.measure)
 }
 
 /// The balanced-random mixes for `threads` contexts at the given scale.
@@ -208,54 +98,81 @@ pub fn mixes(threads: usize, scale: Scale) -> Vec<Mix> {
     all
 }
 
-/// Evaluates a set of designs across the 4-thread mixes; returns
-/// `per_design[design_index][mix_index]`.
-///
-/// # Panics
-///
-/// Panics on unknown benchmarks (the suite generator cannot produce them).
-pub fn evaluate_designs(designs: &[Design], threads: usize, scale: Scale) -> Vec<Vec<MixEval>> {
+/// One figure's results, indexed `[design][mix]` in the order requested.
+pub struct FigureRuns {
+    /// The mixes, in [`mixes`] order.
+    pub mixes: Vec<Mix>,
+    /// System throughput against [`STP_REFERENCE`]'s single-thread CPIs.
+    pub stp: Vec<Vec<f64>>,
+    /// Energy-delay product.
+    pub edp: Vec<Vec<f64>>,
+}
+
+/// Runs `designs` × [`mixes`]`(threads, scale)` plus [`STP_REFERENCE`]'s
+/// single-thread run of every benchmark those mixes use, as one in-memory
+/// campaign (pre-flighted like any sweep) on all host cores, and scores
+/// every journal entry with [`StpReferences`]. Panics, naming the run,
+/// unless every run ends `ok`.
+pub fn figure_runs(designs: &[&str], threads: usize, scale: Scale) -> FigureRuns {
     let mixes = mixes(threads, scale);
-    let mut pool = StCpiPool::new();
-    designs
+    let strings = |names: &[&str]| names.iter().map(|n| (*n).to_owned()).collect::<Vec<_>>();
+    let mix_names: Vec<Vec<String>> = mixes.iter().map(|m| strings(&m.benchmarks)).collect();
+    let matrix = |designs: &[&str], mixes: &[Vec<String>]| {
+        CampaignSpec::matrix(
+            &strings(designs),
+            mixes,
+            scale.seed,
+            scale.warmup,
+            scale.measure,
+        )
+    };
+    let mut runs = matrix(designs, &mix_names);
+    // A 1-thread figure of the reference design already holds them.
+    if threads > 1 || !designs.contains(&STP_REFERENCE) {
+        let refs: BTreeSet<Vec<String>> = mix_names.concat().into_iter().map(|b| vec![b]).collect();
+        runs.extend(matrix(&[STP_REFERENCE], &Vec::from_iter(refs)));
+    }
+    for (i, r) in runs.iter_mut().enumerate() {
+        r.index = i;
+    }
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let report = run_campaign(&CampaignSpec::new(runs).with_workers(workers))
+        .expect("an in-memory campaign does no journal I/O");
+    let entries: Vec<JournalEntry> = report
+        .records
         .iter()
-        .map(|&d| {
-            mixes
-                .iter()
-                .map(|m| evaluate_mix(d, m, &mut pool, scale).expect("suite mixes"))
-                .collect()
-        })
-        .collect()
-}
-
-/// Percent improvements of each design over the first design in `evals`,
-/// per mix: `improvements[design-1][mix]` (in percent).
-pub fn stp_improvements(evals: &[Vec<MixEval>]) -> Vec<Vec<f64>> {
-    let base = &evals[0];
-    evals[1..]
-        .iter()
-        .map(|d| {
-            d.iter()
-                .zip(base)
-                .map(|(x, b)| (x.stp / b.stp - 1.0) * 100.0)
-                .collect()
-        })
-        .collect()
-}
-
-/// Geometric-mean percent improvement over the baseline.
-pub fn geomean_improvement(design: &[MixEval], base: &[MixEval]) -> f64 {
-    let ratios: Vec<f64> = design
-        .iter()
-        .zip(base)
-        .map(|(x, b)| x.stp / b.stp)
+        .map(RunRecord::to_journal_entry)
         .collect();
-    (geomean(&ratios) - 1.0) * 100.0
+    if let Some(e) = entries.iter().find(|e| e.status != "ok") {
+        panic!("figure run `{}` ended {}: {}", e.label, e.status, e.message);
+    }
+    // Records sit at their matrix index: designs outer, mixes inner, first.
+    let refs = StpReferences::from_entries(&entries);
+    let table = |f: &dyn Fn(&JournalEntry) -> f64| -> Vec<Vec<f64>> {
+        let rows = entries.chunks(mixes.len()).take(designs.len());
+        rows.map(|row| row.iter().map(f).collect()).collect()
+    };
+    FigureRuns {
+        stp: table(&|e| refs.stp(e).expect("every benchmark has a reference")),
+        edp: table(&|e| e.edp),
+        mixes,
+    }
 }
 
-/// Prints a markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
-    cells.join("  ")
+/// Percent improvements of each design over the first, per mix:
+/// `improvements[design-1][mix]` (in percent), from `stps[design][mix]`.
+pub fn stp_improvements(stps: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    let improvement = |(x, b): (&f64, &f64)| (x / b - 1.0) * 100.0;
+    stps[1..]
+        .iter()
+        .map(|d| d.iter().zip(&stps[0]).map(improvement).collect())
+        .collect()
+}
+
+/// Geomean percent improvement of per-mix `design` values over `base`.
+pub fn geomean_improvement(design: &[f64], base: &[f64]) -> f64 {
+    let ratios: Vec<f64> = design.iter().zip(base).map(|(x, b)| x / b).collect();
+    (geomean(&ratios) - 1.0) * 100.0
 }
 
 /// Optional CSV sink: when `SHELFSIM_CSV` names a directory, returns a
@@ -281,7 +198,7 @@ mod tests {
 
     #[test]
     fn designs_have_distinct_configs() {
-        let c: Vec<CoreConfig> = Design::FIG10.iter().map(|d| d.config(4)).collect();
+        let c: Vec<CoreConfig> = FIG10.iter().map(|(d, _)| config(d, 4)).collect();
         assert_ne!(c[0], c[1]);
         assert_ne!(c[1], c[2]);
         assert_ne!(c[2], c[3]);
@@ -290,13 +207,17 @@ mod tests {
 
     #[test]
     fn tiny_evaluation_round_trip() {
-        let scale = Scale::tiny();
-        let ms = mixes(4, scale);
-        assert_eq!(ms.len(), 3);
-        let mut pool = StCpiPool::new();
-        let eval = evaluate_mix(Design::Base64, &ms[0], &mut pool, scale).unwrap();
-        assert!(eval.stp > 0.0);
-        assert!(eval.edp > 0.0);
-        assert_eq!(eval.late_shelf_commits, 0);
+        let scale = Scale {
+            mixes: 1,
+            ..Scale::tiny()
+        };
+        let runs = figure_runs(&["base64"], 4, scale);
+        assert_eq!(runs.mixes.len(), 1);
+        assert!(runs.stp[0][0] > 0.0);
+        assert!(runs.edp[0][0] > 0.0);
+        assert_eq!(
+            simulate("base64", &runs.mixes[0].benchmarks, scale).late_shelf_commits,
+            0
+        );
     }
 }

@@ -71,7 +71,7 @@ pub mod sweep;
 pub use cache::{Admission, ResultCache};
 pub use fault::{Fault, FaultKind, FaultMix, FaultPlan};
 pub use journal::{JournalEntry, ShardWriter, ShardedJournal};
-pub use pareto::{pareto_report, ParetoPoint, ParetoReport};
+pub use pareto::{pareto_report, ParetoPoint, ParetoReport, StpReferences, STP_REFERENCE};
 pub use pool::{shard_plan, StealQueues};
 pub use report::CampaignReport;
 pub use runner::{

@@ -2,23 +2,65 @@
 //! energy-delay vs area) computed over merged journal history.
 //!
 //! Every `(design, SMT width)` pair in the journal becomes one candidate
-//! point: its STP is the geomean over mixes of per-run STP (each thread's
-//! single-thread CPI on the same design divided by its multi-thread CPI —
-//! Eyerman & Eeckhout's system throughput), its energy-delay product is
-//! the geomean of the per-run EDP the energy model journaled, and its
-//! area comes from [`shelfsim_energy::EnergyModel`] for the resolved
-//! config. The frontier is the non-dominated set maximizing STP while
-//! minimizing EDP and area.
+//! point: its STP is the geomean over mixes of per-run STP, its
+//! energy-delay product is the geomean of the per-run EDP the energy model
+//! journaled, and its area comes from [`shelfsim_energy::EnergyModel`] for
+//! the resolved config. The frontier is the non-dominated set maximizing
+//! STP while minimizing EDP and area.
 //!
-//! Single-thread CPI references come from the sweep's implied T=1 axis
-//! (see [`crate::SweepSpec::mix_plan`]); the references use the thread-0
-//! program seed, a documented approximation (thread t of a mix runs a
-//! program seeded `seed ^ t<<8`, the reference runs the `seed` build —
-//! same benchmark, statistically identical profile).
+//! STP is Eyerman & Eeckhout's system throughput, Σ ST-CPI / MT-CPI over a
+//! run's threads, and [`StpReferences`] is the one place it is computed
+//! (the figure benches and examples call it too). Every design is
+//! normalized by the same single-thread CPIs: each benchmark running alone
+//! on [`STP_REFERENCE`]. A same-design reference would cancel any
+//! microarchitectural speedup (a 1-thread STP would be exactly 1 for every
+//! design). The references come from the sweep's implied T=1 axis (see
+//! [`crate::SweepSpec::mix_plan`]) and use the thread-0 program seed, a
+//! documented approximation (thread t of a mix runs a program seeded
+//! `seed ^ t<<8`, the reference runs the `seed` build — same benchmark,
+//! statistically identical profile).
 
 use crate::journal::JournalEntry;
 use shelfsim_stats::{geomean, stp};
 use std::collections::{BTreeMap, HashMap};
+
+/// The design whose single-thread CPIs normalize every STP.
+pub const STP_REFERENCE: &str = "base64";
+
+/// Single-thread CPI references: each benchmark's CPI running alone on
+/// [`STP_REFERENCE`].
+#[derive(Clone, Debug)]
+pub struct StpReferences {
+    cpi: HashMap<String, f64>,
+}
+
+impl StpReferences {
+    /// Collects the references from every `ok` single-thread run of
+    /// [`STP_REFERENCE`] among `entries`.
+    pub fn from_entries<'a>(entries: impl IntoIterator<Item = &'a JournalEntry>) -> Self {
+        let mut cpi = HashMap::new();
+        for e in entries {
+            if e.status == "ok" && e.threads == 1 && e.design == STP_REFERENCE {
+                if let [c] = e.thread_cpis()[..] {
+                    cpi.insert(e.mix.clone(), c);
+                }
+            }
+        }
+        StpReferences { cpi }
+    }
+
+    /// The STP of one run; `None` when the entry lacks per-thread CPIs or
+    /// a benchmark of its mix has no reference.
+    pub fn stp(&self, entry: &JournalEntry) -> Option<f64> {
+        let mt = entry.thread_cpis();
+        let st: Vec<f64> = entry
+            .mix
+            .split('+')
+            .map(|b| self.cpi.get(b).copied())
+            .collect::<Option<_>>()?;
+        (mt.len() == entry.threads && st.len() == entry.threads).then(|| stp(&st, &mt))
+    }
+}
 
 /// One aggregated `(design, threads)` candidate point.
 #[derive(Clone, Debug)]
@@ -47,8 +89,8 @@ pub struct ParetoReport {
     /// Candidate points, sorted by descending STP (frontier flags set).
     pub points: Vec<ParetoPoint>,
     /// Multi-thread `ok` runs that could not be scored (missing
-    /// single-thread reference, missing per-thread CPIs, or an
-    /// unresolvable design) — honest accounting, never silently dropped.
+    /// [`STP_REFERENCE`] single-thread reference, missing per-thread CPIs,
+    /// or an unresolvable design) — honest accounting, never silently dropped.
     pub skipped: usize,
 }
 
@@ -77,7 +119,7 @@ fn score_group(
     design: &str,
     threads: usize,
     runs: &[&JournalEntry],
-    st_refs: &HashMap<(String, String), f64>,
+    refs: &StpReferences,
 ) -> (Option<ParetoPoint>, usize) {
     let Some(cfg) = shelfsim_analyze::design_by_name(design, threads) else {
         return (None, runs.len());
@@ -87,22 +129,13 @@ fn score_group(
     let mut edps = Vec::with_capacity(runs.len());
     let mut skipped = 0usize;
     for entry in runs {
-        let mt = entry.thread_cpis();
-        let benches: Vec<&str> = entry.mix.split('+').collect();
-        if mt.len() != threads || benches.len() != threads || entry.edp <= 0.0 {
-            skipped += 1;
-            continue;
+        match refs.stp(entry) {
+            Some(v) if entry.edp > 0.0 => {
+                stps.push(v);
+                edps.push(entry.edp);
+            }
+            _ => skipped += 1,
         }
-        let st: Option<Vec<f64>> = benches
-            .iter()
-            .map(|b| st_refs.get(&(design.to_owned(), (*b).to_owned())).copied())
-            .collect();
-        let Some(st) = st else {
-            skipped += 1;
-            continue;
-        };
-        stps.push(stp(&st, &mt));
-        edps.push(entry.edp);
     }
     if stps.is_empty() {
         return (None, skipped);
@@ -122,15 +155,7 @@ fn score_group(
 /// Computes the Pareto report over merged journal history, scoring the
 /// `(design, threads)` groups in parallel on up to `workers` threads.
 pub fn pareto_report(entries: &BTreeMap<String, JournalEntry>, workers: usize) -> ParetoReport {
-    // Single-thread CPI references: (design, benchmark) → CPI.
-    let mut st_refs: HashMap<(String, String), f64> = HashMap::new();
-    for e in entries.values() {
-        if e.status == "ok" && e.threads == 1 && !e.mix.is_empty() {
-            if let [cpi] = e.thread_cpis()[..] {
-                st_refs.insert((e.design.clone(), e.mix.clone()), cpi);
-            }
-        }
-    }
+    let refs = StpReferences::from_entries(entries.values());
 
     // Group multi-thread completed runs by (design, threads).
     let mut groups: BTreeMap<(String, usize), Vec<&JournalEntry>> = BTreeMap::new();
@@ -152,13 +177,11 @@ pub fn pareto_report(entries: &BTreeMap<String, JournalEntry>, workers: usize) -
         let handles: Vec<_> = groups
             .chunks(chunk)
             .map(|slice| {
-                let st_refs = &st_refs;
+                let refs = &refs;
                 scope.spawn(move || {
                     slice
                         .iter()
-                        .map(|((design, threads), runs)| {
-                            score_group(design, *threads, runs, st_refs)
-                        })
+                        .map(|((design, threads), runs)| score_group(design, *threads, runs, refs))
                         .collect::<Vec<_>>()
                 })
             })
@@ -273,11 +296,11 @@ mod tests {
     fn history() -> BTreeMap<String, JournalEntry> {
         let mut m = BTreeMap::new();
         for e in [
-            // ST references on both designs.
+            // ST runs on both designs; only base64's are STP references.
             entry("base64", "gcc", "2.000000", 0.9),
             entry("base64", "mcf", "4.000000", 0.9),
-            entry("shelf-opt", "gcc", "2.000000", 0.8),
-            entry("shelf-opt", "mcf", "4.000000", 0.8),
+            entry("shelf-opt", "gcc", "1.800000", 0.8),
+            entry("shelf-opt", "mcf", "3.600000", 0.8),
             // 2-thread runs: shelf-opt has better STP and EDP.
             entry("base64", "gcc+mcf", "3.000000,6.000000", 1.2),
             entry("shelf-opt", "gcc+mcf", "2.500000,5.000000", 1.0),
@@ -288,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn stp_uses_same_design_st_references() {
+    fn stp_uses_base64_st_references() {
         let report = pareto_report(&history(), 2);
         assert_eq!(report.points.len(), 2);
         assert_eq!(report.skipped, 0);
@@ -297,7 +320,8 @@ mod tests {
             .iter()
             .find(|p| p.design == "shelf-opt")
             .unwrap();
-        // STP = 2.0/2.5 + 4.0/5.0 = 1.6.
+        // STP = 2.0/2.5 + 4.0/5.0 = 1.6 (shelf-opt's own references would
+        // give 1.8/2.5 + 3.6/5.0 = 1.44).
         assert!((shelf.stp - 1.6).abs() < 1e-9, "stp = {}", shelf.stp);
         let base = report.points.iter().find(|p| p.design == "base64").unwrap();
         assert!((base.stp - (2.0 / 3.0 + 4.0 / 6.0)).abs() < 1e-9);
@@ -308,6 +332,17 @@ mod tests {
         let mut h = history();
         let orphan = entry("base64", "gcc+lbm", "3.000000,6.000000", 1.2);
         h.insert(orphan.key.clone(), orphan);
+        let report = pareto_report(&h, 1);
+        assert_eq!(report.skipped, 1, "no lbm ST reference on base64");
+
+        // A design's own T=1 run is not a reference.
+        let mut h = history();
+        for e in [
+            entry("shelf-opt", "lbm", "5.000000", 0.8),
+            entry("shelf-opt", "gcc+lbm", "3.000000,6.000000", 1.2),
+        ] {
+            h.insert(e.key.clone(), e);
+        }
         let report = pareto_report(&h, 1);
         assert_eq!(report.skipped, 1, "no lbm ST reference on base64");
     }

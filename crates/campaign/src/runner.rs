@@ -201,8 +201,10 @@ pub enum FailureKind {
     /// a single cycle was simulated.
     AnalysisRejected,
     /// The validation tier's lockstep comparison against the functional
-    /// reference diverged (or violated a harness invariant). Deterministic,
-    /// so retrying cannot help — the run quarantines immediately.
+    /// reference diverged (or violated a harness invariant), or the timing
+    /// run failed the SSR-safety self-check (a squash found a shelf
+    /// instruction that had already committed). Deterministic, so retrying
+    /// cannot help — the run quarantines immediately.
     Divergence,
 }
 
@@ -534,6 +536,14 @@ fn run_attempt(
             _ => {}
         }
         match sim.try_run(spec.warmup, spec.measure, watchdog) {
+            Ok(r) if r.late_shelf_commits > 0 => Err(fail(
+                FailureKind::Divergence,
+                None,
+                format!(
+                    "SSR safety self-check: {} late shelf commits (must be 0)",
+                    r.late_shelf_commits
+                ),
+            )),
             Ok(r) => {
                 let er = energy.report(&r);
                 Ok(RunOutcome {

@@ -5,10 +5,10 @@
 //! The thread-count axis is what distinguishes a sweep from a plain
 //! campaign matrix: each SMT width gets its own balanced-random mix set,
 //! and the single-thread axis enumerates the *distinct benchmarks those
-//! mixes use* — exactly the single-thread CPI references the Pareto
-//! report's STP computation needs (Eyerman & Eeckhout's STP divides each
-//! thread's multi-thread CPI into its single-thread CPI on the same
-//! design).
+//! mixes use* — on base64 these are exactly the single-thread CPI
+//! references the Pareto report's STP computation needs (Eyerman &
+//! Eeckhout's STP divides each thread's multi-thread CPI into its
+//! single-thread CPI on [`crate::pareto::STP_REFERENCE`]).
 
 use crate::spec::{CampaignSpec, RunSpec};
 use shelfsim_workload::balanced_random_mixes;

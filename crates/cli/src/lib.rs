@@ -814,6 +814,13 @@ fn cmd_sweep(p: &Args) -> Result<String, CliError> {
              multi-valued --override axis",
         ));
     }
+    let reference = shelfsim::campaign::STP_REFERENCE;
+    if p.has("--pareto") && !designs.iter().any(|d| d == reference) {
+        return Err(uerr(format!(
+            "--pareto scores STP against {reference}'s single-thread CPIs, so \
+             --designs must include {reference}"
+        )));
+    }
     // Designs outer, override sets middle, workloads inner; the fault plan
     // keys on the matrix index, so runs are indexed after the product.
     let mut runs: Vec<RunSpec> = vec![];
@@ -1651,6 +1658,10 @@ mod tests {
             ("campaign --mix gcc".to_owned(), "unknown command"),
             ("sweep --workers".to_owned(), "requires a value"),
             ("sweep --mix gcc --fault-panics 3".to_owned(), "victim"),
+            (
+                "sweep --designs shelf-opt --mix gcc,mcf --pareto".to_owned(),
+                "STP against base64",
+            ),
             ("bench --workers 2".to_owned(), "campaign bench only"),
         ] {
             let e = run_cli(&args(&cmd)).unwrap_err();

@@ -1,86 +1,49 @@
 //! SMT mix throughput: system throughput (STP) across balanced-random mixes.
 //!
 //! Demonstrates the paper's evaluation methodology end to end on a small
-//! sample: generate balanced-random 4-thread mixes (Velasquez et al.),
-//! measure each benchmark's single-threaded CPI, then compute the STP of
-//! every mix on the baseline and shelf designs.
+//! sample: generate balanced-random 4-thread mixes (Velasquez et al.), run
+//! every mix on the baseline and shelf designs plus each benchmark alone
+//! on Base-64 as one campaign, then score every mix's STP against those
+//! common Base-64 single-threaded CPIs.
 //!
 //! ```text
 //! cargo run --release --example smt_mix_throughput [num_mixes]
 //! ```
 
-use shelfsim::{balanced_random_mixes, geomean, stp, suite, CoreConfig, Simulation, SteerPolicy};
-use std::collections::HashMap;
-
-const WARMUP: u64 = 10_000;
-const MEASURE: u64 = 40_000;
-const SEED: u64 = 7;
-
-fn single_thread_cpi(cfg_of: impl Fn(usize) -> CoreConfig, name: &str) -> f64 {
-    let mut sim = Simulation::from_names(cfg_of(1), &[name], SEED).expect("suite benchmark");
-    sim.run(WARMUP, MEASURE).threads[0].cpi
-}
-
-fn mix_stp(cfg: CoreConfig, mix: &[&str], st_cpi: &HashMap<&str, f64>) -> f64 {
-    let mut sim = Simulation::from_names(cfg, mix, SEED).expect("suite benchmarks");
-    let run = sim.run(WARMUP, MEASURE);
-    let st: Vec<f64> = mix.iter().map(|b| st_cpi[b]).collect();
-    stp(&st, &run.cpis())
-}
+use shelfsim::geomean;
+use shelfsim_bench::{figure_runs, Scale};
 
 fn main() {
     let num_mixes: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(4);
-    let names = suite::names();
-    let mixes = balanced_random_mixes(&names, 4, 28, SEED);
-    let sample = &mixes[..num_mixes.min(mixes.len())];
-
-    // Single-threaded CPIs for every benchmark that appears in the sample.
-    let mut needed: Vec<&str> = sample.iter().flat_map(|m| m.benchmarks.clone()).collect();
-    needed.sort_unstable();
-    needed.dedup();
-
-    println!("measuring {} single-threaded baselines...", needed.len());
-    let mut st_base: HashMap<&str, f64> = HashMap::new();
-    let mut st_shelf: HashMap<&str, f64> = HashMap::new();
-    for name in &needed {
-        st_base.insert(name, single_thread_cpi(CoreConfig::base64, name));
-        st_shelf.insert(
-            name,
-            single_thread_cpi(
-                |t| CoreConfig::base64_shelf64(t, SteerPolicy::Practical, true),
-                name,
-            ),
-        );
-    }
+    let scale = Scale {
+        warmup: 10_000,
+        measure: 40_000,
+        mixes: num_mixes.clamp(1, 28),
+        seed: 7,
+    };
+    let runs = figure_runs(&["base64", "shelf-opt"], 4, scale);
 
     println!(
-        "\n{:<44} {:>9} {:>9} {:>8}",
+        "{:<44} {:>9} {:>9} {:>8}",
         "mix", "base STP", "shelf STP", "delta"
     );
-    let mut deltas = Vec::new();
-    for mix in sample {
-        let m: Vec<&str> = mix.benchmarks.clone();
-        let base = mix_stp(CoreConfig::base64(4), &m, &st_base);
-        let shelf = mix_stp(
-            CoreConfig::base64_shelf64(4, SteerPolicy::Practical, true),
-            &m,
-            &st_shelf,
-        );
-        let delta = (shelf / base - 1.0) * 100.0;
-        deltas.push(shelf / base);
+    let mut ratios = Vec::new();
+    for (i, mix) in runs.mixes.iter().enumerate() {
+        let (base, shelf) = (runs.stp[0][i], runs.stp[1][i]);
+        ratios.push(shelf / base);
         println!(
             "{:<44} {:>9.3} {:>9.3} {:>+7.1}%",
             mix.label(),
             base,
             shelf,
-            delta
+            (shelf / base - 1.0) * 100.0
         );
     }
     println!(
         "\ngeomean STP improvement: {:+.1}%",
-        (geomean(&deltas) - 1.0) * 100.0
+        (geomean(&ratios) - 1.0) * 100.0
     );
 }

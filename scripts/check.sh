@@ -215,6 +215,24 @@ echo "$out" | grep -q "2 resumed from journal" \
   || { echo "FAIL: the override axis re-run should resume both runs"; echo "$out"; exit 1; }
 rm -rf "$axis_dir"
 
+echo "== figure smoke: Fig 10 and Fig 14 regenerate through the campaign"
+figure() {
+  SHELFSIM_MIXES=2 SHELFSIM_WARMUP=500 SHELFSIM_MEASURE=2000 \
+    cargo bench -q -p shelfsim-bench --bench "$1"
+}
+out="$(figure fig10_shelf_performance)"
+for row in "64+64 conservative" "64+64 optimistic" "Base 128"; do
+  echo "$out" | grep -q "^$row .*%" \
+    || { echo "FAIL: fig10 should print a $row row"; echo "$out"; exit 1; }
+done
+echo "$out" | grep -q "SSR safety self-check (must be 0): 0$" \
+  || { echo "FAIL: fig10 SSR self-check must read 0"; echo "$out"; exit 1; }
+out="$(figure fig14_fewer_threads)"
+for threads in 1 2; do
+  echo "$out" | grep -q "^$threads  *[-+][0-9.]*%  *[-+][0-9.]*%$" \
+    || { echo "FAIL: fig14 should print a $threads-thread row"; echo "$out"; exit 1; }
+done
+
 echo "== campaign bench smoke: BENCH_campaign.json is well-formed"
 python3 - BENCH_campaign.json <<'EOF'
 import json, sys
