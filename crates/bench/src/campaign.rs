@@ -1,34 +1,7 @@
-//! Campaign-throughput measurement: the `shelfsim bench --campaign`
-//! worker-scaling bench behind `BENCH_campaign.json`.
-//!
-//! Runs a fixed, seeded reduced sweep matrix (4 designs × {2,4}-thread
-//! mixes plus the implied single-thread STP references — ≥200 runs) under
-//! the work-stealing campaign pool at several worker counts and reports
-//! runs per wall second at each, the speedup over one worker, and the
-//! scaling efficiency against the *ideal* speedup for this host:
-//! `min(workers, host_cores)`. On a single-core host the ideal speedup is
-//! 1.0 at every worker count — more workers only add scheduling overhead —
-//! so `host_cores` is recorded in the document and efficiency is measured
-//! against what the hardware can actually deliver, not against a
-//! fictional N-core ideal.
-//!
-//! A final cached-replay row re-runs the whole matrix against the journal
-//! shards the last sweep wrote: every run must dedupe by config hash
-//! (100% hits, zero re-simulated cycles), and its wall time is the cost of
-//! merge + admission alone.
-//!
-//! Determinism note: architectural results are bit-identical for a given
-//! plan; only the wall-clock fields vary between hosts and runs.
+//! The standard sweep matrix that perfbench's `sweep-short` workload
+//! runs through the campaign pool.
 
-use shelfsim::{CampaignSpec, ResultCache, ShardedJournal, SweepSpec};
-use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::Instant;
-
-/// Default measured cycles per run for the campaign bench: short enough
-/// that a 200+-run matrix finishes in seconds, long enough that a run is
-/// real work rather than pure pool overhead.
-pub const DEFAULT_MEASURE: u64 = 3_000;
+use shelfsim::SweepSpec;
 
 /// The standard campaign-throughput matrix: 4 designs × (14 two-thread
 /// mixes + 14 four-thread mixes + the single-thread STP references those
@@ -46,278 +19,18 @@ pub fn campaign_matrix(measure: u64, seed: u64) -> SweepSpec {
     }
 }
 
-/// One worker-count row of the scaling table.
-#[derive(Clone, Debug)]
-pub struct ScalingRow {
-    /// Worker threads in the steal pool.
-    pub workers: usize,
-    /// Wall-clock seconds for the whole matrix.
-    pub wall_s: f64,
-    /// Completed runs per wall second.
-    pub runs_per_sec: f64,
-    /// Wall-clock speedup over the one-worker row.
-    pub speedup: f64,
-    /// Ideal speedup on this host: `min(workers, host_cores)`.
-    pub ideal: f64,
-    /// `speedup / ideal`.
-    pub efficiency: f64,
-}
-
-/// The cached-replay row: the same matrix re-admitted against the journal
-/// shards the last sweep wrote.
-#[derive(Clone, Debug)]
-pub struct CachedReplay {
-    /// Wall-clock seconds for merge + admission (no simulation).
-    pub wall_s: f64,
-    /// Cache-hit fraction (must be 1.0).
-    pub hit_rate: f64,
-    /// Runs restored from the shards.
-    pub resumed: usize,
-}
-
-/// A completed campaign bench.
-#[derive(Clone, Debug)]
-pub struct CampaignBenchReport {
-    /// Matrix size (completed runs per row).
-    pub runs: usize,
-    /// Measured cycles per run.
-    pub measure: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// `std::thread::available_parallelism` on the measuring host.
-    pub host_cores: usize,
-    /// Scaling rows, ascending worker count (first row is one worker).
-    pub rows: Vec<ScalingRow>,
-    /// The cached-replay row.
-    pub cached: CachedReplay,
-}
-
-impl CampaignBenchReport {
-    /// Scaling efficiency of the highest worker count vs one worker —
-    /// the headline number the acceptance gate reads.
-    pub fn scaling_efficiency(&self) -> f64 {
-        self.rows.last().map_or(0.0, |r| r.efficiency)
-    }
-
-    /// The `BENCH_campaign.json` document
-    /// (schema `shelfsim-campaign-bench-v1`).
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    concat!(
-                        r#"    {{"workers":{},"wall_s":{:.4},"runs_per_sec":{:.1},"#,
-                        r#""speedup":{:.4},"ideal":{:.1},"efficiency":{:.4}}}"#
-                    ),
-                    r.workers, r.wall_s, r.runs_per_sec, r.speedup, r.ideal, r.efficiency
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\n",
-                "  \"schema\": \"shelfsim-campaign-bench-v1\",\n",
-                "  \"runs\": {},\n",
-                "  \"seed\": {},\n",
-                "  \"measure\": {},\n",
-                "  \"host_cores\": {},\n",
-                "  \"scaling\": [\n{}\n  ],\n",
-                "  \"scaling_efficiency\": {:.4},\n",
-                "  \"cached_replay\": {{\"wall_s\":{:.4},\"hit_rate\":{:.4},",
-                "\"resumed\":{}}}\n",
-                "}}\n"
-            ),
-            self.runs,
-            self.seed,
-            self.measure,
-            self.host_cores,
-            rows.join(",\n"),
-            self.scaling_efficiency(),
-            self.cached.wall_s,
-            self.cached.hit_rate,
-            self.cached.resumed,
-        )
-    }
-
-    /// Human-readable summary table.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        writeln!(
-            out,
-            "campaign bench ({} runs, seed {}, measure {} cycles, {} host core(s))",
-            self.runs, self.seed, self.measure, self.host_cores
-        )
-        .expect("write");
-        writeln!(
-            out,
-            "  {:>7}  {:>8}  {:>8}  {:>7}  {:>5}  {:>10}",
-            "workers", "wall_s", "runs/s", "speedup", "ideal", "efficiency"
-        )
-        .expect("write");
-        for r in &self.rows {
-            writeln!(
-                out,
-                "  {:>7}  {:>8.3}  {:>8.1}  {:>7.3}  {:>5.1}  {:>10.3}",
-                r.workers, r.wall_s, r.runs_per_sec, r.speedup, r.ideal, r.efficiency
-            )
-            .expect("write");
-        }
-        writeln!(
-            out,
-            "cached replay: {} runs resumed in {:.3}s ({:.0}% hits, 0 cycles simulated)",
-            self.cached.resumed,
-            self.cached.wall_s,
-            self.cached.hit_rate * 100.0
-        )
-        .expect("write");
-        out
-    }
-}
-
-/// Runs the campaign bench: the matrix once per worker count (each into a
-/// fresh journal-shard directory so no row benefits from another's cache),
-/// then the cached replay against the last row's shards.
-///
-/// # Errors
-///
-/// Returns a message on journal I/O failure or if any row fails to
-/// complete the full matrix.
-pub fn run_campaign_bench(
-    measure: u64,
-    seed: u64,
-    worker_counts: &[usize],
-) -> Result<CampaignBenchReport, String> {
-    run_bench_on(&campaign_matrix(measure, seed), worker_counts)
-}
-
-/// The bench body over an arbitrary sweep (the tests run a reduced one).
-fn run_bench_on(sweep: &SweepSpec, worker_counts: &[usize]) -> Result<CampaignBenchReport, String> {
-    let runs = sweep.expand();
-    let (measure, seed) = (sweep.measure, sweep.seed);
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    let root = std::env::temp_dir().join(format!("shelfsim_campaign_bench_{seed}"));
-    let _ = std::fs::remove_dir_all(&root);
-
-    let mut rows: Vec<ScalingRow> = Vec::new();
-    let mut last_dir: Option<PathBuf> = None;
-    for &w in worker_counts {
-        let dir = root.join(format!("w{w}"));
-        let spec = CampaignSpec::new(runs.clone())
-            .with_workers(w)
-            .with_journal_dir(&dir);
-        let start = Instant::now();
-        let report = shelfsim::run_campaign(&spec).map_err(|e| format!("journal: {e}"))?;
-        let wall_s = start.elapsed().as_secs_f64();
-        if report.completed() != runs.len() {
-            return Err(format!(
-                "campaign bench row ({w} workers): {}/{} runs completed",
-                report.completed(),
-                runs.len()
-            ));
-        }
-        let base_wall = rows.first().map_or(wall_s, |r: &ScalingRow| r.wall_s);
-        let speedup = base_wall / wall_s;
-        let ideal = w.min(host_cores) as f64;
-        rows.push(ScalingRow {
-            workers: w,
-            wall_s,
-            runs_per_sec: runs.len() as f64 / wall_s,
-            speedup,
-            ideal,
-            efficiency: speedup / ideal,
-        });
-        last_dir = Some(dir);
-    }
-
-    // Cached replay: same matrix, same shards — everything must dedupe.
-    let dir =
-        last_dir.ok_or_else(|| "campaign bench needs at least one worker count".to_owned())?;
-    let start = Instant::now();
-    let cache = ResultCache::load(Some(&ShardedJournal::new(&dir)), None)
-        .map_err(|e| format!("journal: {e}"))?;
-    let admission = cache.admit(&runs);
-    let replay = shelfsim::run_campaign(
-        &CampaignSpec::new(runs.clone())
-            .with_workers(worker_counts[worker_counts.len() - 1])
-            .with_journal_dir(&dir),
-    )
-    .map_err(|e| format!("journal: {e}"))?;
-    let wall_s = start.elapsed().as_secs_f64();
-    if replay.resumed != runs.len() || !admission.misses.is_empty() {
-        return Err(format!(
-            "cached replay re-simulated {} of {} runs",
-            runs.len() - replay.resumed,
-            runs.len()
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&root);
-
-    Ok(CampaignBenchReport {
-        runs: runs.len(),
-        measure,
-        seed,
-        host_cores,
-        rows,
-        cached: CachedReplay {
-            wall_s,
-            hit_rate: admission.hit_rate(),
-            resumed: replay.resumed,
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn matrix_meets_the_acceptance_floor() {
-        let sweep = campaign_matrix(DEFAULT_MEASURE, 7);
+        let sweep = campaign_matrix(3_000, 7);
         let runs = sweep.expand();
         assert!(runs.len() >= 200, "matrix has only {} runs", runs.len());
         // Every design carries single-thread STP references.
         for d in &sweep.designs {
             assert!(runs.iter().any(|r| &r.design == d && r.mix.len() == 1));
         }
-    }
-
-    #[test]
-    fn tiny_bench_scales_and_replays_from_cache() {
-        // A reduced matrix keeps the test fast; the committed
-        // BENCH_campaign.json is generated at full scale through the same
-        // `run_bench_on` body.
-        let sweep = SweepSpec {
-            designs: vec!["base64".to_owned()],
-            thread_counts: vec![2],
-            mixes_per_count: 2,
-            seed: 13,
-            warmup: 100,
-            measure: 600,
-        };
-        let mut report = run_bench_on(&sweep, &[1, 2]).expect("tiny bench");
-        assert_eq!(report.runs, sweep.matrix_size());
-        assert_eq!(report.rows.len(), 2);
-        assert!(report.rows[0].wall_s > 0.0);
-        assert!(
-            (report.rows[0].speedup - 1.0).abs() < 1e-12,
-            "row 0 is the baseline"
-        );
-        assert!((report.cached.hit_rate - 1.0).abs() < 1e-12);
-        assert_eq!(report.cached.resumed, report.runs);
-
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"shelfsim-campaign-bench-v1\""));
-        assert!(json.contains("\"host_cores\""));
-        assert!(json.contains("\"cached_replay\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-
-        report.rows.last_mut().expect("rows").efficiency = 0.93;
-        assert!((report.scaling_efficiency() - 0.93).abs() < 1e-12);
-        let text = report.render_text();
-        assert!(text.contains("cached replay"), "{text}");
     }
 }

@@ -18,7 +18,6 @@
 //! * `SHELFSIM_SEED` — workload/mix seed (default 7).
 
 pub mod campaign;
-pub mod engine;
 
 use shelfsim::campaign::{JournalEntry, RunRecord, StpReferences, STP_REFERENCE};
 use shelfsim::{

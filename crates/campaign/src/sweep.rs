@@ -87,12 +87,6 @@ impl SweepSpec {
         let mixes: Vec<Vec<String>> = self.mix_plan().into_iter().flat_map(|(_, m)| m).collect();
         CampaignSpec::matrix(&self.designs, &mixes, self.seed, self.warmup, self.measure)
     }
-
-    /// Matrix size without expanding (designs × Σ mixes per thread count).
-    pub fn matrix_size(&self) -> usize {
-        let per_design: usize = self.mix_plan().iter().map(|(_, m)| m.len()).sum();
-        self.designs.len() * per_design
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +114,6 @@ mod tests {
             .iter()
             .zip(&b)
             .all(|(x, y)| x.key() == y.key() && x.index == y.index));
-        assert_eq!(a.len(), s.matrix_size());
 
         // Every benchmark used by a multi-thread mix has a single-thread
         // reference run on every design.
@@ -161,6 +154,6 @@ mod tests {
         };
         // 28 2-thread mixes over 28 benchmarks use every benchmark twice:
         // 28 mixes + 28 ST references per design.
-        assert_eq!(s.matrix_size(), 2 * (28 + 28));
+        assert_eq!(s.expand().len(), 2 * (28 + 28));
     }
 }

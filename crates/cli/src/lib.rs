@@ -154,11 +154,6 @@ const VERBS: &[Verb] = &[
         run: cmd_lint,
     },
     Verb {
-        name: "bench",
-        grammar: "--campaign --workers= --measure= --seed= --out= --compare=",
-        run: cmd_bench,
-    },
-    Verb {
         name: "validate",
         grammar: "--designs= --threads= --kernels= --suite= --generated= --seed= --commits= \
                   --max-cycles= --warmup= --sweep --json --no-skip --shrink-dir= --chaos=",
@@ -1160,73 +1155,6 @@ fn cmd_lint(p: &Args) -> Result<String, CliError> {
     Ok(rendered)
 }
 
-fn cmd_bench(p: &Args) -> Result<String, CliError> {
-    let seed = p.num("--seed", 7)?;
-    let mut out = String::new();
-    if p.has("--campaign") {
-        // Worker-scaling bench of the sweep runner itself: the matrix once
-        // per worker count plus the cached replay; writes
-        // BENCH_campaign.json unless --out -.
-        if p.has("--compare") {
-            return Err(uerr("--compare applies to the engine bench only"));
-        }
-        let workers: Vec<usize> = p.nums("--workers", &[1, 2, 4])?;
-        if workers.first() != Some(&1) {
-            return Err(uerr(
-                "--workers: the list must start at 1 (the speedup baseline)",
-            ));
-        }
-        let measure = p.num("--measure", shelfsim_bench::campaign::DEFAULT_MEASURE)?;
-        let report =
-            shelfsim_bench::campaign::run_campaign_bench(measure, seed, &workers).map_err(err)?;
-        out.push_str(&report.render_text());
-        out.push_str(&write_bench_json(
-            p,
-            "BENCH_campaign.json",
-            report.to_json(),
-        )?);
-        return Ok(out);
-    }
-    if p.has("--workers") {
-        return Err(uerr("--workers applies to the campaign bench only"));
-    }
-    // Engine-throughput bench: a fixed seeded matrix of designs x mixes
-    // whose wall-clock/kIPS numbers form the repo's perf trajectory
-    // (BENCH_core.json). Parse the baseline before the (slow) matrix runs
-    // so a bad path fails fast.
-    let baseline = match p.value("--compare") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| err(format!("cannot read {path}: {e}")))?;
-            Some(
-                shelfsim_bench::engine::parse_baseline(&text)
-                    .ok_or_else(|| err(format!("{path} is not a shelfsim-bench-v1 document")))?,
-            )
-        }
-        None => None,
-    };
-    let measure = p.num("--measure", shelfsim_bench::engine::DEFAULT_MEASURE)?;
-    let plan = shelfsim_bench::engine::engine_micro(measure, seed);
-    let report = shelfsim_bench::engine::run_plan(&plan).map_err(err)?;
-    out.push_str(&report.render_text());
-    if let Some(base) = &baseline {
-        out.push_str(&report.render_compare(base));
-    }
-    out.push_str(&write_bench_json(p, "BENCH_core.json", report.to_json())?);
-    Ok(out)
-}
-
-/// Writes a bench document to `--out` (default `default`) unless that is
-/// `-`; returns the line reporting the write.
-fn write_bench_json(p: &Args, default: &str, json: String) -> Result<String, CliError> {
-    let path = p.value("--out").unwrap_or(default);
-    if path == "-" {
-        return Ok(String::new());
-    }
-    std::fs::write(path, json).map_err(|e| err(format!("cannot write {path}: {e}")))?;
-    Ok(format!("wrote {path}\n"))
-}
-
 /// Parses `KIND:TRIGGER` (e.g. `skip-writeback:100`) into a chaos plan.
 #[cfg(feature = "chaos")]
 fn parse_chaos_plan(spec: &str) -> Result<shelfsim::core::ChaosPlan, CliError> {
@@ -1466,21 +1394,6 @@ USAGE:
                    Chaos builds (--features chaos) accept
                    --chaos KIND:TRIGGER to arm a seeded commit-path
                    mutation the harness must then detect)
-  shelfsim bench   [--measure N] [--seed N] [--out FILE] [--compare FILE]
-                   (engine-throughput matrix `engine_micro`: designs x mixes,
-                   reports wall seconds, simulated cycles/s, and committed
-                   kIPS per run; writes BENCH_core.json unless --out -;
-                   --compare prints a report-only old-vs-new kIPS delta
-                   table against a committed BENCH_core.json baseline)
-  shelfsim bench   --campaign [--workers 1,2,4] [--measure N] [--seed N]
-                   [--out FILE]
-                   (worker-scaling bench of the sweep runner: a 220-run
-                   seeded matrix once per worker count — fresh journal
-                   shards per row — reporting runs/s, speedup over one
-                   worker, and efficiency against the host's ideal
-                   min(workers, host_cores), plus a cached replay that
-                   must dedupe 100% of the matrix; writes
-                   BENCH_campaign.json unless --out -)
 
 Every usage mistake (unknown option, missing or malformed value, a flag
 given twice) exits 2.
@@ -1640,7 +1553,7 @@ mod tests {
             (format!("run --mix {nine}"), "--mix"),
             ("validate --threads 9".to_owned(), "--threads"),
             ("lint --format yaml kernels.s".to_owned(), "`yaml`"),
-            ("bench --bogus".to_owned(), "unknown option `--bogus`"),
+            ("bench".to_owned(), "unknown command"),
             ("trace --mix gcc --window 0".to_owned(), "--window"),
             ("characterize --bogus".to_owned(), "unknown option"),
             (
@@ -1662,7 +1575,6 @@ mod tests {
                 "sweep --designs shelf-opt --mix gcc,mcf --pareto".to_owned(),
                 "STP against base64",
             ),
-            ("bench --workers 2".to_owned(), "campaign bench only"),
         ] {
             let e = run_cli(&args(&cmd)).unwrap_err();
             assert_eq!(e.code, exit_codes::USAGE, "{cmd}: {}", e.message);
@@ -1825,50 +1737,6 @@ mod tests {
         assert!(out.contains("mcf"));
         assert!(out.contains("data-set"));
         assert_eq!(out.lines().count(), 2, "header + one row");
-    }
-
-    #[test]
-    fn bench_compare_renders_delta_table_and_rejects_bad_baselines() {
-        let dir = std::env::temp_dir().join("shelfsim_bench_compare_test");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let baseline = dir.join("base.json");
-        // A tiny real bench provides a schema-true baseline document.
-        let mut plan = shelfsim_bench::engine::engine_micro(1_000, 7);
-        plan.warmup = 200;
-        plan.entries.truncate(1);
-        let rep = shelfsim_bench::engine::run_plan(&plan).expect("plan runs");
-        std::fs::write(&baseline, rep.to_json()).expect("write baseline");
-
-        let out = run_cli(&args(&format!(
-            "bench --measure 1000 --out - --compare {}",
-            baseline.display()
-        )))
-        .expect("ok");
-        assert!(out.contains("baseline comparison"), "{out}");
-        assert!(out.contains("aggregate kIPS:"), "{out}");
-        // The truncated baseline covers one cell; the rest render n/a.
-        assert!(out.contains("n/a"), "{out}");
-
-        let missing = dir.join("nope.json");
-        let e = run_cli(&args(&format!(
-            "bench --measure 1000 --out - --compare {}",
-            missing.display()
-        )))
-        .unwrap_err();
-        assert!(e.message.contains("cannot read"), "{}", e.message);
-
-        let garbage = dir.join("garbage.json");
-        std::fs::write(&garbage, "{\"schema\": \"other\"}").expect("write");
-        let e = run_cli(&args(&format!(
-            "bench --measure 1000 --out - --compare {}",
-            garbage.display()
-        )))
-        .unwrap_err();
-        assert!(
-            e.message.contains("not a shelfsim-bench-v1"),
-            "{}",
-            e.message
-        );
     }
 
     #[test]

@@ -147,8 +147,8 @@ fn two_thread_lifecycle_timestamps_are_cycle_exact() {
     assert!(chrome.contains("\"ph\":\"C\""));
 }
 
-/// Pins the diagnosis of the two-thread `engine_micro` IPC gap (see
-/// `EXPERIMENTS.md`): `base64 gcc,mcf` is slow because both workloads are
+/// Pins the diagnosis of the low IPC of the two-thread mix `base64
+/// gcc,mcf` (see `EXPERIMENTS.md`): it is slow because both workloads are
 /// memory-bound — the ROB head parks on miss loads (dispatch `rob_full`)
 /// and issue waits on operands (mcf: `data_wait`) — NOT because of a
 /// scheduler defect. If an engine change makes `iq_full`, `fu_busy`, or
