@@ -134,33 +134,32 @@ pub(crate) fn warm_caches<'a>(
 
 /// Functionally fast-forwards one thread by `insts` instructions: caches
 /// see every fetch and data access, and the predictor trains on every
-/// branch. The trace advances without its replay buffer, since nothing
-/// fetched before the first tick can be rewound to.
+/// branch. The trace walks block by block without its replay buffer,
+/// since nothing fetched before the first tick can be rewound to.
 pub(crate) fn warm_functional(
     hierarchy: &mut Hierarchy,
     trace: &mut TraceSource,
     bpred: &mut BranchPredictor,
     insts: u64,
 ) {
-    for _ in 0..insts {
-        let (_, inst) = trace.advance_unbuffered();
-        hierarchy.warm_inst(inst.pc);
-        if let Some(mem) = inst.mem {
-            hierarchy.warm_data(mem.addr);
+    trace.walk(insts, |pc, addr, branch| {
+        hierarchy.warm_inst(pc);
+        if let Some(addr) = addr {
+            hierarchy.warm_data(addr);
         }
-        if let Some(br) = inst.branch {
-            let pred = bpred.predict(inst.pc, br.is_return);
+        if let Some(br) = branch {
+            let pred = bpred.predict(pc, br.is_return);
             bpred.update(
-                inst.pc,
+                pc,
                 pred,
                 br.taken,
                 br.next_pc,
                 br.is_call,
                 br.is_return,
-                inst.pc + 4,
+                pc + 4,
             );
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -216,6 +215,69 @@ mod tests {
             assert_eq!(fingerprint(fresh), expected);
             assert_eq!(fingerprint(reused), expected);
         }
+    }
+
+    /// What the warm-up leaves behind, as plain numbers: `(accesses, hits,
+    /// writebacks)` of L1I, L1D and L2, then `(lookups, direction
+    /// mispredicts, target mispredicts, next fetch seq)` per thread.
+    type WarmSummary = ([(u64, u64, u64); 3], Vec<(u64, u64, u64, u64)>);
+
+    fn warm_summary(mix: &[&str]) -> WarmSummary {
+        let programs = mix.iter().enumerate().map(|(t, name)| {
+            suite::by_name(name)
+                .unwrap()
+                .build_program(thread_program_seed(7, t))
+        });
+        let warm = WarmState::new(&CoreConfig::base64(mix.len()), programs);
+        let h = &warm.hierarchy;
+        let caches = [h.l1i_stats(), h.l1d_stats(), h.l2_stats()]
+            .map(|s| (s.accesses, s.hits, s.writebacks));
+        let threads = warm
+            .threads
+            .iter()
+            .map(|(trace, bpred)| {
+                (
+                    bpred.lookups,
+                    bpred.direction_mispredicts,
+                    bpred.target_mispredicts,
+                    trace.next_fetch_seq(),
+                )
+            })
+            .collect();
+        (caches, threads)
+    }
+
+    /// Pins the warmed state of one compute-bound and one memory-bound
+    /// mix at seed 7, so a warm-up speed-up that is not exact fails here.
+    #[test]
+    fn warm_state_golden() {
+        assert_eq!(
+            warm_summary(&["sjeng", "gobmk", "bzip2", "namd"]),
+            (
+                [
+                    (400_980, 399_158, 0),
+                    (204_721, 125_780, 0),
+                    (605_701, 530_500, 0)
+                ],
+                vec![
+                    (19_988, 3_951, 97, 100_000),
+                    (20_127, 3_887, 290, 100_000),
+                    (14_045, 586, 22, 100_000),
+                    (4_967, 205, 2, 100_000),
+                ]
+            )
+        );
+        assert_eq!(
+            warm_summary(&["omnetpp", "mcf"]),
+            (
+                [
+                    (200_488, 200_000, 0),
+                    (121_250, 44_661, 0),
+                    (321_738, 263_923, 0)
+                ],
+                vec![(20_131, 3_576, 284, 100_000), (19_679, 1_421, 23, 100_000)]
+            )
+        );
     }
 
     #[test]

@@ -69,14 +69,11 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Larger = more recently used.
-    lru: u64,
-}
+/// One way, packed into 16 bytes: `[tag + 1, stamp << 1 | dirty]`, where
+/// a larger stamp is more recently used. An invalid way is all zeros, so a
+/// fresh tag array comes from zeroed memory, and every valid way's second
+/// word (stamps start at 1) exceeds an invalid way's.
+type Way = [u64; 2];
 
 /// A set-associative, write-back, write-allocate cache with true LRU.
 ///
@@ -90,7 +87,7 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Line>,
+    sets: Vec<Way>,
     /// Per set: `block + 1` of the block touched last, or 0 for none, so a
     /// fresh (all-zero) array stays lazily allocated.
     mru: Vec<u64>,
@@ -107,8 +104,8 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is inconsistent (see [`CacheConfig::num_sets`])
-    /// or the block is a single byte (the MRU record's `block + 1` must not
-    /// overflow).
+    /// or the block is a single byte (the MRU record's `block + 1` and a
+    /// way's `tag + 1` must not overflow).
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
         assert!(
@@ -117,15 +114,7 @@ impl Cache {
         );
         Cache {
             config,
-            sets: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0
-                };
-                num_sets * config.assoc
-            ],
+            sets: vec![[0; 2]; num_sets * config.assoc],
             mru: vec![0; num_sets],
             num_sets,
             set_shift: config.block_bytes.trailing_zeros(),
@@ -167,9 +156,10 @@ impl Cache {
         ((block & self.set_mask) as usize, block)
     }
 
+    /// The first word of the way that holds `block`.
     #[inline]
-    fn tag(&self, block: u64) -> u64 {
-        block >> self.num_sets.trailing_zeros()
+    fn key(&self, block: u64) -> u64 {
+        (block >> self.num_sets.trailing_zeros()) + 1
     }
 
     /// Looks up `addr`; on a miss, allocates the block (write-allocate),
@@ -190,37 +180,34 @@ impl Cache {
         self.access_slow(set, block, is_write)
     }
 
-    /// [`Cache::access`] past the MRU filter: scans the set, refreshes the
-    /// hit way's stamp or fills the LRU way, and records `block` as MRU.
-    /// Inlining is left to the compiler: forcing this out of line slowed
-    /// cache warming, whose sweeps miss the filter on every access.
+    /// [`Cache::access`] past the MRU filter: finds the hit way and the
+    /// victim (the first invalid way, else the least recently used) in one
+    /// scan, refreshes the hit way's stamp or fills the victim, and records
+    /// `block` as MRU. Inlining is left to the compiler: forcing this out of
+    /// line slowed cache warming, whose sweeps miss the filter on every
+    /// access.
     fn access_slow(&mut self, set: usize, block: u64, is_write: bool) -> bool {
         self.mru[set] = block + 1;
-        let tag = self.tag(block);
+        let key = self.key(block);
+        let stamp = self.tick << 1 | is_write as u64;
         let base = set * self.config.assoc;
         let ways = &mut self.sets[base..base + self.config.assoc];
 
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.tick;
-            line.dirty |= is_write;
-            self.stats.hits += 1;
-            return true;
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (i, way) in ways.iter_mut().enumerate() {
+            if way[0] == key {
+                way[1] = stamp | way[1] & 1;
+                self.stats.hits += 1;
+                return true;
+            }
+            if way[1] < oldest {
+                (victim, oldest) = (i, way[1]);
+            }
         }
-
-        // Miss: pick the invalid way if any, else the LRU way.
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
-            .expect("associativity >= 1");
-        if victim.valid && victim.dirty {
+        if oldest & 1 == 1 {
             self.stats.writebacks += 1;
         }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            lru: self.tick,
-        };
+        ways[victim] = [key, stamp];
         false
     }
 
@@ -231,19 +218,16 @@ impl Cache {
         if self.mru[set] == block + 1 {
             return true;
         }
-        let tag = self.tag(block);
+        let key = self.key(block);
         let base = set * self.config.assoc;
         self.sets[base..base + self.config.assoc]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|way| way[0] == key)
     }
 
     /// Invalidates every line (used between benchmark phases in tests).
     pub fn flush(&mut self) {
-        for l in &mut self.sets {
-            l.valid = false;
-            l.dirty = false;
-        }
+        self.sets.fill([0; 2]);
         self.mru.fill(0);
     }
 }
@@ -362,6 +346,110 @@ mod tests {
         c.flush();
         assert!(!c.peek(0x0000));
         assert!(!c.access(0x0000, false));
+    }
+
+    fn geometry_cache(size_bytes: usize, assoc: usize) -> Cache {
+        Cache::new(CacheConfig {
+            size_bytes,
+            assoc,
+            block_bytes: 64,
+            latency: 1,
+        })
+    }
+
+    #[test]
+    fn address_zero_is_not_an_invalid_way() {
+        // Block 0 has tag 0, stored as key 1; a fresh way is all zeros.
+        let mut c = small();
+        assert!(!c.peek(0), "a fresh cache holds nothing");
+        assert!(!c.access(0, false));
+        assert!(c.peek(0));
+        assert!(c.access(0x3f, false));
+        assert_eq!(c.stats().hits, 1);
+    }
+
+    #[test]
+    fn largest_tag_round_trips() {
+        let mut c = small();
+        let top = u64::MAX;
+        assert!(!c.access(top, true));
+        assert!(c.peek(top));
+        assert!(c.access(top - 63, false), "same block");
+        // Two more blocks of its set evict it, dirty.
+        c.access(top - 0x100, false);
+        c.access(top - 0x200, false);
+        assert!(!c.peek(top));
+        assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn direct_mapped_evicts_on_every_conflict() {
+        // 4 sets x 1 way.
+        let mut c = geometry_cache(256, 1);
+        assert!(!c.access(0x000, true));
+        assert!(!c.access(0x100, false), "same set, other tag");
+        assert_eq!(c.stats().writebacks, 1, "the dirty block was the victim");
+        assert!(!c.peek(0x000));
+        assert!(c.peek(0x100));
+        assert!(!c.access(0x000, false));
+        assert_eq!(c.stats().writebacks, 1, "a clean victim writes nothing");
+    }
+
+    #[test]
+    fn single_set_is_fully_associative_lru() {
+        // 1 set x 4 ways: any four blocks fit, the fifth evicts the LRU.
+        let mut c = geometry_cache(256, 4);
+        for a in [0x0000, 0x1040, 0x2080, 0x30c0] {
+            assert!(!c.access(a, a == 0x1040));
+        }
+        assert!(c.access(0x0000, false), "touch A: B is now LRU");
+        assert!(!c.access(0x4000, false));
+        assert!(!c.peek(0x1040));
+        assert_eq!(c.stats().writebacks, 1, "B was dirty");
+        for a in [0x0000, 0x2080, 0x30c0, 0x4000] {
+            assert!(c.peek(a), "{a:#x}");
+        }
+    }
+
+    #[test]
+    fn a_read_hit_keeps_the_dirty_bit() {
+        let mut c = small();
+        c.access(0x0000, true);
+        c.access(0x0100, false);
+        // A read hit past the MRU filter refreshes A's stamp only.
+        assert!(c.access(0x0000, false));
+        c.access(0x0200, false); // evicts B, clean
+        assert_eq!(c.stats().writebacks, 0);
+        c.access(0x0300, false); // evicts A, still dirty
+        assert_eq!(c.stats().writebacks, 1);
+    }
+
+    #[test]
+    fn flush_then_refill_starts_from_invalid_ways() {
+        let mut c = small();
+        c.access(0x0000, true);
+        c.access(0x0100, true);
+        c.flush();
+        // The flushed dirty blocks are dropped, not written back, and the
+        // refill takes the invalid ways before evicting anything.
+        assert!(!c.access(0x0200, false));
+        assert!(!c.access(0x0000, false));
+        assert!(c.peek(0x0200) && c.peek(0x0000));
+        assert_eq!(c.stats().writebacks, 0);
+        // The set is full again: the next fill evicts the LRU block (0x200).
+        assert!(!c.access(0x0100, false));
+        assert!(!c.peek(0x0200));
+        assert!(c.peek(0x0000));
+    }
+
+    #[test]
+    fn peek_of_an_invalid_way_misses() {
+        let mut c = small();
+        // Set 0 holds one valid way and one invalid (all-zero) way.
+        c.access(0x0100, false);
+        assert!(!c.peek(0x0000), "tag 0 must not match the invalid way");
+        assert!(!c.peek(0x0200));
+        assert!(c.peek(0x0100));
     }
 
     #[test]

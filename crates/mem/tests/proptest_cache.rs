@@ -128,7 +128,7 @@ proptest! {
     #[test]
     fn mixed_streams_match_reference_exactly(
         assoc in prop_oneof![Just(1usize), Just(2), Just(8)],
-        sets in prop_oneof![Just(2usize), Just(4)],
+        sets in prop_oneof![Just(1usize), Just(2), Just(4)],
         stream in ops(),
     ) {
         let cfg = CacheConfig { size_bytes: sets * assoc * 64, assoc, block_bytes: 64, latency: 1 };

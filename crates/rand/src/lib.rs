@@ -118,19 +118,29 @@ pub trait SampleUniform: Copy + PartialOrd {
     fn sample_inclusive<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self;
 }
 
+/// `x % span`, with a 64-bit division whenever `span` fits in 64 bits.
+/// Only a full-range inclusive 64-bit draw (span 2^64) needs 128 bits.
+#[inline]
+fn reduce(x: u64, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => (x % span) as u128,
+        Err(_) => x as u128 % span,
+    }
+}
+
 macro_rules! impl_int_sample_uniform {
     ($($t:ty),* $(,)?) => {$(
         impl SampleUniform for $t {
             #[inline]
             fn sample_half_open<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> $t {
                 let span = (hi as i128 - lo as i128) as u128;
-                (lo as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
 
             #[inline]
             fn sample_inclusive<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> $t {
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                (lo as i128 + (rng.next_u64() as u128 % span) as i128) as $t
+                (lo as i128 + reduce(rng.next_u64(), span) as i128) as $t
             }
         }
     )*};
@@ -232,6 +242,38 @@ mod tests {
     fn empty_range_panics() {
         let mut rng = SmallRng::seed_from_u64(0);
         let _ = rng.gen_range(5u32..5);
+    }
+
+    #[test]
+    fn reduce_matches_the_128_bit_remainder() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let spans = [1u128, u64::MAX as u128]
+            .into_iter()
+            .chain((1..64).map(|k| 1u128 << k))
+            .chain([3, 1000, (1u128 << 63) + 1]);
+        for span in spans {
+            for x in [0, 1, u64::MAX, u64::MAX - 1]
+                .into_iter()
+                .chain((0..64).map(|_| rng.next_u64()))
+            {
+                assert_eq!(reduce(x, span), x as u128 % span, "{x} % {span}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_range_inclusive_draws_return_the_raw_bits() {
+        // A span of 2^64 takes the 128-bit path: every raw value is a
+        // valid draw and comes back unchanged (offset from `lo`).
+        let mut a = SmallRng::seed_from_u64(13);
+        let mut b = a.clone();
+        for _ in 0..256 {
+            let raw = b.next_u64();
+            assert_eq!(a.gen_range(0u64..=u64::MAX), raw);
+            let raw = b.next_u64();
+            assert_eq!(a.gen_range(i64::MIN..=i64::MAX), (raw as i64) ^ i64::MIN);
+        }
+        assert_eq!(reduce(u64::MAX, 1 << 64), u64::MAX as u128);
     }
 
     #[test]

@@ -30,15 +30,7 @@ const REPLAY_CAPACITY: usize = 8192;
 pub struct TraceSource {
     program: Program,
     thread_base: u64,
-    // CFG walk state.
-    block: usize,
-    slot: usize,
-    loop_remaining: Vec<Option<u32>>,
-    call_stack: Vec<usize>,
-    // Per-static-instruction address state.
-    stride_counters: Vec<u64>,
-    chase_state: Vec<u64>,
-    rng: SmallRng,
+    walk: WalkState,
     // Stream state.
     next_seq: u64,
     buffer: VecDeque<(u64, DynInst)>,
@@ -67,13 +59,15 @@ impl TraceSource {
             // blocks do not all collide in the same cache sets — as with
             // distinct physical mappings on a real OS.
             thread_base: ((thread_index as u64) << 36) + thread_index as u64 * 0x19_F040,
-            block: 0,
-            slot: 0,
-            loop_remaining: vec![None; nb],
-            call_stack: Vec::new(),
-            stride_counters: vec![0; n],
-            chase_state: (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect(),
-            rng: SmallRng::seed_from_u64(seed),
+            walk: WalkState {
+                block: 0,
+                slot: 0,
+                loop_remaining: vec![None; nb],
+                call_stack: Vec::new(),
+                stride_counters: vec![0; n],
+                chase_state: (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect(),
+                rng: SmallRng::seed_from_u64(seed),
+            },
             next_seq: 0,
             // Allocated by the first buffered fetch.
             buffer: VecDeque::new(),
@@ -141,29 +135,43 @@ impl TraceSource {
         (seq, inst)
     }
 
-    /// Generates the next dynamic instruction without retaining it for
-    /// replay: the stream advances exactly as [`TraceSource::fetch`] would,
-    /// but nothing before the returned sequence can be rewound to
-    /// afterwards. For functional warm-up, whose instructions never enter
-    /// the pipeline: it skips the replay-buffer copy, and a source that
-    /// has only been warmed never allocates its buffer.
+    /// Advances the stream by `n` instructions one basic block at a time,
+    /// passing each one's `(pc, data address, branch outcome)` to `visit`,
+    /// without retaining anything for replay: the stream ends up exactly
+    /// where `n` [`TraceSource::fetch`]es would leave it, but nothing
+    /// before [`TraceSource::next_fetch_seq`] can be rewound to afterwards.
+    /// For functional warm-up, whose instructions never enter the
+    /// pipeline: it builds no [`DynInst`] and skips the replay-buffer copy,
+    /// and a source that has only been walked never allocates its buffer.
     ///
     /// # Panics
     ///
     /// Panics while a rewind is pending (the next fetch must replay).
-    pub fn advance_unbuffered(&mut self) -> (u64, DynInst) {
-        assert!(
-            self.cursor.is_none(),
-            "unbuffered advance during a pending replay"
-        );
-        if !self.buffer.is_empty() {
-            // Keep the buffer contiguous: everything older is unrewindable.
-            self.buffer.clear();
+    pub fn walk(&mut self, n: u64, mut visit: impl FnMut(u64, Option<u64>, Option<BranchInfo>)) {
+        assert!(self.cursor.is_none(), "walk during a pending replay");
+        // Keep the buffer contiguous: everything older is unrewindable.
+        self.buffer.clear();
+        self.next_seq += n;
+        let base = self.thread_base;
+        let mut left = n;
+        while left > 0 {
+            let block = &self.program.blocks[self.walk.block];
+            let body = &block.body[self.walk.slot..];
+            let take = (body.len() as u64).min(left) as usize;
+            for s in &body[..take] {
+                let addr = s
+                    .access
+                    .map(|a| self.walk.materialize(a, s.static_id, base));
+                visit(s.pc + base, addr, None);
+            }
+            self.walk.slot += take;
+            left -= take as u64;
+            if left > 0 {
+                let pc = block.branch_inst.pc + base;
+                visit(pc, None, Some(self.walk.terminate(&self.program, base)));
+                left -= 1;
+            }
         }
-        let inst = self.generate();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        (seq, inst)
     }
 
     /// Rewinds the stream so the next fetch returns sequence `seq` again.
@@ -190,15 +198,15 @@ impl TraceSource {
     }
 
     fn generate(&mut self) -> DynInst {
-        let block = &self.program.blocks[self.block];
-        if self.slot < block.body.len() {
-            let s = block.body[self.slot];
-            self.slot += 1;
+        let base = self.thread_base;
+        let block = &self.program.blocks[self.walk.block];
+        if let Some(&s) = block.body.get(self.walk.slot) {
+            self.walk.slot += 1;
             let mem = s
                 .access
-                .map(|a| MemInfo::new(self.materialize(a, s.static_id), 8));
+                .map(|a| MemInfo::new(self.walk.materialize(a, s.static_id, base), 8));
             return DynInst {
-                pc: s.pc + self.thread_base,
+                pc: s.pc + base,
                 op: s.op,
                 dest: s.dest,
                 srcs: s.srcs,
@@ -206,18 +214,48 @@ impl TraceSource {
                 branch: None,
             };
         }
-        // Terminator.
-        let b = self.block;
         let s = block.branch_inst;
-        let term = block.terminator;
+        DynInst {
+            pc: s.pc + base,
+            op: OpClass::Branch,
+            dest: None,
+            srcs: s.srcs,
+            mem: None,
+            branch: Some(self.walk.terminate(&self.program, base)),
+        }
+    }
+}
+
+/// The control-flow-graph walk: where the stream is, and every piece of
+/// state its branch outcomes and data addresses are drawn from. The one
+/// implementation behind both [`TraceSource::fetch`] and
+/// [`TraceSource::walk`], so the two draw from the RNG in the same order.
+#[derive(Clone, Debug)]
+struct WalkState {
+    block: usize,
+    /// Next body instruction of `block`; `body.len()` means its terminator.
+    slot: usize,
+    loop_remaining: Vec<Option<u32>>,
+    call_stack: Vec<usize>,
+    // Per-static-instruction address state.
+    stride_counters: Vec<u64>,
+    chase_state: Vec<u64>,
+    rng: SmallRng,
+}
+
+impl WalkState {
+    /// Resolves the current block's terminator and moves to the start of
+    /// the next block.
+    fn terminate(&mut self, program: &Program, thread_base: u64) -> BranchInfo {
+        let b = self.block;
         // Fall-through of the last block wraps to block 0 (hand-written
         // kernels may end in a conditional).
-        let fallthrough = if b + 1 < self.program.blocks.len() {
+        let fallthrough = if b + 1 < program.blocks.len() {
             b + 1
         } else {
             0
         };
-        let (taken, next, is_call, is_return) = match term {
+        let (taken, next, is_call, is_return) = match program.blocks[b].terminator {
             Terminator::Loop { target, trip_mean } => {
                 let rng = &mut self.rng;
                 let rem = self.loop_remaining[b]
@@ -247,32 +285,25 @@ impl TraceSource {
                 (true, ret, false, true)
             }
         };
-        let next_pc = self.program.blocks[next].start_pc + self.thread_base;
         self.block = next;
         self.slot = 0;
-        DynInst {
-            pc: s.pc + self.thread_base,
-            op: OpClass::Branch,
-            dest: None,
-            srcs: s.srcs,
-            mem: None,
-            branch: Some(BranchInfo {
-                taken,
-                next_pc,
-                is_call,
-                is_return,
-            }),
+        BranchInfo {
+            taken,
+            next_pc: program.blocks[next].start_pc + thread_base,
+            is_call,
+            is_return,
         }
     }
 
-    fn materialize(&mut self, access: AccessPattern, static_id: u32) -> u64 {
+    /// The data address of one dynamic instance of `access`. Region sizes
+    /// are powers of two, so offsets wrap with a mask.
+    fn materialize(&mut self, access: AccessPattern, static_id: u32, thread_base: u64) -> u64 {
         let sid = static_id as usize;
         let off = match access {
             AccessPattern::Strided { region, stride } => {
                 let c = self.stride_counters[sid];
                 self.stride_counters[sid] = c + 1;
-                let base = region.base();
-                base + (c * stride as u64) % region.size()
+                region.base() + ((c * stride as u64) & (region.size() - 1))
             }
             AccessPattern::Random { region } => {
                 region.base() + (self.rng.gen_range(0..region.size()) & !7)
@@ -282,10 +313,10 @@ impl TraceSource {
                 self.chase_state[sid] =
                     state.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xB5);
                 // Cache-line-aligned hops across the region.
-                region.base() + ((state % region.size()) & !63)
+                region.base() + ((state & (region.size() - 1)) & !63)
             }
         };
-        DATA_BASE + self.thread_base + (off & !7)
+        DATA_BASE + thread_base + (off & !7)
     }
 }
 
@@ -359,25 +390,83 @@ mod tests {
         t.rewind_to(5);
     }
 
+    /// Every program a walk must reproduce: the benchmark suite, the
+    /// kernel library and the shipped `kernels/*.s` files.
+    fn every_program() -> Vec<(String, Program)> {
+        let mut programs: Vec<(String, Program)> = suite::all()
+            .iter()
+            .map(|p| (p.name.to_owned(), p.build_program(11)))
+            .collect();
+        for k in crate::kernels::KERNELS {
+            programs.push((k.name.to_owned(), k.assemble().unwrap()));
+        }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "s"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no kernels/*.s found");
+        for f in files {
+            let source = std::fs::read_to_string(&f).unwrap();
+            let program = crate::asm::assemble(&source).unwrap();
+            programs.push((f.display().to_string(), program));
+        }
+        programs
+    }
+
+    /// What a walk reports of one fetched instruction.
+    fn walked(inst: &DynInst) -> (u64, Option<u64>, Option<BranchInfo>) {
+        (inst.pc, inst.mem.map(|m| m.addr), inst.branch)
+    }
+
     #[test]
     fn unbuffered_advance_matches_fetch_stream() {
-        for name in ["gcc", "mcf", "xalancbmk"] {
-            let (n, m) = (3_000u64, 500u64);
-            let mut plain = source(name, 1);
-            let mut warmed = source(name, 1);
-            let expected: Vec<(u64, DynInst)> = (0..n + m).map(|_| plain.fetch()).collect();
-            for item in &expected[..n as usize] {
-                assert_eq!(warmed.advance_unbuffered(), *item);
+        const LONG: u64 = 10_000;
+        const TAIL: u64 = 500;
+        for (name, program) in every_program() {
+            let mut plain = TraceSource::new(program.clone(), 1);
+            let expected: Vec<(u64, DynInst)> = (0..LONG + TAIL).map(|_| plain.fetch()).collect();
+            let is_branch = |i: usize| expected[i].1.branch.is_some();
+            // Stops between two body instructions, just before a
+            // terminator and just after one.
+            let mid = (1..expected.len()).find(|&i| !is_branch(i - 1) && !is_branch(i));
+            let before_term = (0..expected.len()).find(|&i| is_branch(i)).unwrap();
+            let stops = [0, 1, before_term, before_term + 1, LONG as usize];
+            for n in stops.into_iter().chain(mid) {
+                let mut warmed = TraceSource::new(program.clone(), 1);
+                let mut seen = Vec::new();
+                warmed.walk(n as u64, |pc, addr, branch| seen.push((pc, addr, branch)));
+                let want: Vec<_> = expected[..n].iter().map(|(_, i)| walked(i)).collect();
+                assert!(seen == want, "{name}: walk of {n} left the fetch stream");
+                assert_eq!(warmed.next_fetch_seq(), n as u64, "{name}");
+                for item in &expected[n..n + TAIL as usize] {
+                    assert_eq!(warmed.fetch(), *item, "{name}: fetch after a walk of {n}");
+                }
+                // Rewinds inside the post-walk stream still replay exactly.
+                warmed.rewind_to(n as u64 + 10);
+                for item in &expected[n + 10..n + TAIL as usize] {
+                    assert_eq!(warmed.fetch(), *item, "{name}: replay after a walk of {n}");
+                }
             }
-            assert_eq!(warmed.next_fetch_seq(), n);
-            for item in &expected[n as usize..] {
-                assert_eq!(warmed.fetch(), *item);
-            }
-            // Rewinds inside the post-warm-up stream still replay exactly.
-            warmed.rewind_to(n + 10);
-            for item in &expected[(n + 10) as usize..] {
-                assert_eq!(warmed.fetch(), *item);
-            }
+        }
+    }
+
+    #[test]
+    fn walk_after_fetches_continues_the_stream() {
+        let mut plain = source("mcf", 0);
+        let expected: Vec<(u64, DynInst)> = (0..700).map(|_| plain.fetch()).collect();
+        let mut t = source("mcf", 0);
+        for item in &expected[..100] {
+            assert_eq!(t.fetch(), *item);
+        }
+        let mut seen = Vec::new();
+        t.walk(500, |pc, addr, branch| seen.push((pc, addr, branch)));
+        let want: Vec<_> = expected[100..600].iter().map(|(_, i)| walked(i)).collect();
+        assert_eq!(seen, want);
+        for item in &expected[600..] {
+            assert_eq!(t.fetch(), *item);
         }
     }
 
@@ -385,9 +474,7 @@ mod tests {
     #[should_panic(expected = "fell out of the replay window")]
     fn rewind_into_unbuffered_warmup_panics() {
         let mut t = source("gcc", 0);
-        for _ in 0..100 {
-            t.advance_unbuffered();
-        }
+        t.walk(100, |_, _, _| {});
         for _ in 0..20 {
             t.fetch();
         }
@@ -402,7 +489,7 @@ mod tests {
             t.fetch();
         }
         t.rewind_to(5);
-        t.advance_unbuffered();
+        t.walk(1, |_, _, _| {});
     }
 
     #[test]

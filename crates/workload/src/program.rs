@@ -717,4 +717,12 @@ mod tests {
         assert!(Region::L1.base() < Region::L2.base());
         assert!(Region::L2.base() + Region::L2.size() <= Region::Mem.base());
     }
+
+    #[test]
+    fn region_sizes_are_powers_of_two() {
+        // Address generation wraps offsets with `size - 1` as a mask.
+        for r in [Region::L1, Region::L2, Region::Mem] {
+            assert!(r.size().is_power_of_two(), "{r:?}");
+        }
+    }
 }

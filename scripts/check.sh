@@ -105,7 +105,7 @@ cargo test -q -p shelfsim-core --test cycle_skipping partial_skip
 echo "== skip sanitizer smoke: cycle_skipping under per-cycle pipeline audits"
 cargo test -q -p shelfsim-core --features sanitize --test cycle_skipping
 
-echo "== perfbench smoke: the benchmark builds, passes its tests and runs sweep-short"
+echo "== perfbench smoke: the benchmark builds, passes its tests and checks every workload's goldens"
 # perfbench is its own workspace, so neither tier-1 nor clippy above
 # compiles it; a core API change that breaks it would otherwise go unseen.
 cargo test --release --manifest-path perfbench/Cargo.toml
@@ -125,6 +125,19 @@ for name, value in values.items():
     assert value > 0, f"{name} must be positive, got {value}"
 print("perfbench sweep-short ok:", values)
 '
+# Both engine workloads, one batch each: every simulation's fingerprint
+# must match its golden.
+for workload in smt4-compute smt2-membound; do
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds 0 --trace 0 | tail -1 \
+    | WORKLOAD="$workload" python3 -c '
+import json, os, sys
+doc = json.loads(sys.stdin.read())
+assert doc["correct"] is True and doc["failed"] == 0, doc
+workload, runs = os.environ["WORKLOAD"], doc["attempted"]
+print(f"perfbench {workload} ok: {runs} simulations match their goldens")
+'
+done
 perfbench 1 | python3 -c '
 import json, sys
 doc = json.loads(sys.stdin.read())
