@@ -15,7 +15,7 @@ use shelfsim_workload::Program;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Per-worker scratch reused across runs (arena-style): memoizes
 /// `build_program` results keyed by `(benchmark, program seed)`, with each
@@ -24,21 +24,31 @@ use std::sync::Mutex;
 /// re-runs the same mixes against every design point, and a single run
 /// reads its programs up to three times (pre-flight, validation tier,
 /// attempt) — the memo collapses all of those to one generation and one
-/// program analysis each. The warm-up is design-independent, so
-/// consecutive runs of one mix on different designs clone the kept state
-/// instead of warming again; [`run_campaign`] orders its runs to make such
-/// runs consecutive.
+/// program analysis each. Memoized programs are shared (`Arc`) with the
+/// warmed states built from them, never copied. The warm-up is
+/// design-independent, so consecutive runs of one mix on different designs
+/// clone the kept state instead of warming again; [`run_campaign`] orders
+/// its runs to make such runs consecutive.
+///
+/// Inside [`run_campaign`] the scratch knows how many queued runs still
+/// need each program and each warm-up: it forgets a program (with its
+/// facts) and the kept state once no run needs them, and hands the kept
+/// state to the last run of its group instead of cloning it. A scratch
+/// from [`WorkerScratch::new`] has no such knowledge and keeps everything.
 #[derive(Default)]
 pub struct WorkerScratch {
     programs: HashMap<(String, u64), MemoEntry>,
     warm: Option<(WarmKey, WarmState)>,
+    /// The campaign's remaining-use counts (`None` outside a campaign).
+    uses: Option<Arc<RemainingUses>>,
     /// Programs generated from scratch (memo misses).
     pub builds: usize,
     /// Programs served from the memo.
     pub hits: usize,
     /// Warm-ups run from scratch.
     pub warm_builds: usize,
-    /// Runs started from a clone of the kept warmed state.
+    /// Runs started from the kept warmed state (a clone, or the state
+    /// itself for the last run of its group).
     pub warm_hits: usize,
 }
 
@@ -46,8 +56,77 @@ pub struct WorkerScratch {
 /// it, its pre-flight facts (so campaigns without a pre-flight never
 /// analyse it).
 struct MemoEntry {
-    program: Program,
+    program: Arc<Program>,
     facts: Option<ProgramFacts>,
+}
+
+/// The memo keys `(benchmark, program seed)` of `spec`'s thread programs,
+/// in thread order.
+fn program_keys(spec: &RunSpec) -> impl Iterator<Item = (String, u64)> + '_ {
+    spec.mix.iter().enumerate().map(|(t, name)| {
+        (
+            name.clone(),
+            shelfsim_core::thread_program_seed(spec.seed, t),
+        )
+    })
+}
+
+/// How many of a campaign's unfinished runs need each thread program and
+/// each warm-up, shared by its workers. A key leaves its map when its
+/// count reaches zero.
+struct RemainingUses {
+    programs: Mutex<HashMap<(String, u64), usize>>,
+    warm: Mutex<HashMap<WarmKey, usize>>,
+}
+
+impl RemainingUses {
+    /// The counts over the runs `pending` indexes.
+    fn new(runs: &[RunSpec], pending: &[usize]) -> Self {
+        let mut programs = HashMap::new();
+        let mut warm = HashMap::new();
+        for &i in pending {
+            for key in program_keys(&runs[i]) {
+                *programs.entry(key).or_insert(0) += 1;
+            }
+            if let Some(key) = warm_key(&runs[i]) {
+                *warm.entry(key).or_insert(0) += 1;
+            }
+        }
+        RemainingUses {
+            programs: Mutex::new(programs),
+            warm: Mutex::new(warm),
+        }
+    }
+
+    /// Counts `spec` out: it no longer needs its programs or warm-up.
+    fn finish(&self, spec: &RunSpec) {
+        fn count_out<K: std::hash::Hash + Eq>(map: &mut HashMap<K, usize>, key: K) {
+            if let Entry::Occupied(mut e) = map.entry(key) {
+                *e.get_mut() -= 1;
+                if *e.get() == 0 {
+                    e.remove();
+                }
+            }
+        }
+        let mut programs = self.programs.lock().expect("use counts");
+        for key in program_keys(spec) {
+            count_out(&mut programs, key);
+        }
+        drop(programs);
+        if let Some(key) = warm_key(spec) {
+            count_out(&mut self.warm.lock().expect("use counts"), key);
+        }
+    }
+
+    /// Unfinished runs that start from warm-up `key`.
+    fn warm_uses(&self, key: &WarmKey) -> usize {
+        self.warm
+            .lock()
+            .expect("use counts")
+            .get(key)
+            .copied()
+            .unwrap_or(0)
+    }
 }
 
 impl WorkerScratch {
@@ -56,24 +135,43 @@ impl WorkerScratch {
         Self::default()
     }
 
-    /// The memo entry of thread program `(name, seed)`, built on a miss.
-    /// Errors as [`WorkerScratch::programs_for`] does.
-    fn entry(&mut self, name: &str, seed: u64) -> Result<&mut MemoEntry, String> {
-        match self.programs.entry((name.to_owned(), seed)) {
+    /// A fresh arena for one of a campaign's workers, forgetting what no
+    /// run counted in `uses` needs any more.
+    fn for_campaign(uses: Arc<RemainingUses>) -> Self {
+        WorkerScratch {
+            uses: Some(uses),
+            ..Self::default()
+        }
+    }
+
+    /// The memo entry of thread program `key`, built on a miss. Errors as
+    /// [`WorkerScratch::programs_for`] does.
+    fn entry(&mut self, key: (String, u64)) -> Result<&mut MemoEntry, String> {
+        match self.programs.entry(key) {
             Entry::Occupied(e) => {
                 self.hits += 1;
                 Ok(e.into_mut())
             }
             Entry::Vacant(e) => {
+                let (name, seed) = e.key();
                 let profile = shelfsim_workload::suite::by_name(name)
                     .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+                let program = Arc::new(profile.build_program(*seed));
                 self.builds += 1;
                 Ok(e.insert(MemoEntry {
-                    program: profile.build_program(seed),
+                    program,
                     facts: None,
                 }))
             }
         }
+    }
+
+    /// The memoized programs of `spec`'s threads, shared with the memo.
+    /// Errors as [`WorkerScratch::programs_for`] does.
+    fn shared_programs(&mut self, spec: &RunSpec) -> Result<Vec<Arc<Program>>, String> {
+        program_keys(spec)
+            .map(|key| Ok(Arc::clone(&self.entry(key)?.program)))
+            .collect()
     }
 
     /// The exact per-thread `(name, program)` pairs `spec` simulates,
@@ -81,27 +179,25 @@ impl WorkerScratch {
     /// text `Simulation::from_names` produces, so the `Config` failure
     /// taxonomy is unchanged).
     pub fn programs_for(&mut self, spec: &RunSpec) -> Result<Vec<(String, Program)>, String> {
-        let mut out = Vec::with_capacity(spec.mix.len());
-        for (t, name) in spec.mix.iter().enumerate() {
-            let seed = shelfsim_core::thread_program_seed(spec.seed, t);
-            let program = self.entry(name, seed)?.program.clone();
-            out.push((name.clone(), program));
-        }
-        Ok(out)
+        let programs = self.shared_programs(spec)?;
+        Ok(spec
+            .mix
+            .iter()
+            .cloned()
+            .zip(programs.iter().map(|p| Program::clone(p)))
+            .collect())
     }
 
     /// The pre-flight facts of each of `spec`'s thread programs, derived
     /// on first use and kept with the memoized program. Errors as
     /// [`WorkerScratch::programs_for`] does.
     fn facts_for(&mut self, spec: &RunSpec) -> Result<Vec<&ProgramFacts>, String> {
-        let mut keys = Vec::with_capacity(spec.mix.len());
-        for (t, name) in spec.mix.iter().enumerate() {
-            let seed = shelfsim_core::thread_program_seed(spec.seed, t);
-            let entry = self.entry(name, seed)?;
+        let keys: Vec<(String, u64)> = program_keys(spec).collect();
+        for key in &keys {
+            let entry = self.entry(key.clone())?;
             entry
                 .facts
                 .get_or_insert_with(|| ProgramFacts::new(&entry.program));
-            keys.push((name.clone(), seed));
         }
         Ok(keys
             .iter()
@@ -110,24 +206,50 @@ impl WorkerScratch {
     }
 
     /// The warmed state `spec` starts from on `cfg` (its resolved config):
-    /// a clone of the kept state when the [`WarmKey`] matches, otherwise a
-    /// fresh [`WarmState::new`] over [`WorkerScratch::programs_for`], which
-    /// then replaces the kept one. Errors as `programs_for` does.
+    /// the kept state when the [`WarmKey`] matches, otherwise a fresh
+    /// [`WarmState::new`] over the memoized programs, which then replaces
+    /// the kept one. The kept state is cloned, unless `spec` is the last
+    /// run of a campaign that needs it: that run takes the state itself,
+    /// and a fresh state for such a run is not kept. Errors as
+    /// [`WorkerScratch::programs_for`] does.
     pub fn warm_for(&mut self, spec: &RunSpec, cfg: &CoreConfig) -> Result<WarmState, String> {
         let key = WarmKey::new(cfg, &spec.mix, spec.seed);
-        if let Some((kept, warm)) = &self.warm {
-            if *kept == key {
-                self.warm_hits += 1;
-                return Ok(warm.clone());
-            }
+        let last_use = self.uses.as_ref().is_some_and(|u| u.warm_uses(&key) <= 1);
+        if self.warm.as_ref().is_some_and(|(kept, _)| *kept == key) {
+            self.warm_hits += 1;
+            return Ok(if last_use {
+                self.warm.take().expect("checked above").1
+            } else {
+                self.warm.as_ref().expect("checked above").1.clone()
+            });
         }
         // Drop the old state first: at most one is kept alive.
         self.warm = None;
-        let programs = self.programs_for(spec)?;
-        let warm = WarmState::new(cfg, programs.into_iter().map(|(_, p)| p));
+        let programs = self.shared_programs(spec)?;
+        let warm = WarmState::new(cfg, programs);
         self.warm_builds += 1;
-        self.warm = Some((key, warm.clone()));
+        if !last_use {
+            self.warm = Some((key, warm.clone()));
+        }
         Ok(warm)
+    }
+
+    /// Counts `spec` out of the campaign's remaining uses, then forgets
+    /// every memoized program and the kept state that no unfinished run
+    /// needs. Without remaining-use counts, keeps everything.
+    fn finish(&mut self, spec: &RunSpec) {
+        let Some(uses) = &self.uses else {
+            return;
+        };
+        uses.finish(spec);
+        let programs = uses.programs.lock().expect("use counts");
+        self.programs.retain(|key, _| programs.contains_key(key));
+        drop(programs);
+        if let Some((key, _)) = &self.warm {
+            if uses.warm_uses(key) == 0 {
+                self.warm = None;
+            }
+        }
     }
 }
 
@@ -665,6 +787,36 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
     }
 }
 
+/// One worker's share of a campaign: runs queued indices until every
+/// queue drains, journaling each record to the worker's own `shard` (no
+/// shared lock) and collecting it in `finished`. Returns the scratch,
+/// whose memo by then holds only what runs still unfinished elsewhere
+/// need.
+fn work(
+    w: usize,
+    queues: &StealQueues,
+    spec: &CampaignSpec,
+    mut scratch: WorkerScratch,
+    mut shard: Option<ShardWriter>,
+    finished: &Mutex<Vec<(usize, RunRecord)>>,
+    io_error: &Mutex<Option<std::io::Error>>,
+) -> WorkerScratch {
+    while let Some(i) = queues.next(w) {
+        let record = execute(&spec.runs[i], spec, &mut scratch);
+        scratch.finish(&spec.runs[i]);
+        if let Some(sw) = &mut shard {
+            // The entry is buffered and flushed with one write per run
+            // completion.
+            sw.buffer(&record.to_journal_entry());
+            if let Err(e) = sw.flush() {
+                io_error.lock().expect("io error slot").get_or_insert(e);
+            }
+        }
+        finished.lock().expect("results").push((i, record));
+    }
+    scratch
+}
+
 /// Runs a campaign to completion: dedupes the matrix against the merged
 /// journal history in `spec.journal_dir`, executes the cache
 /// misses on `spec.workers` threads via work-stealing deques with per-run
@@ -673,9 +825,9 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
 /// and the report carries partial results plus the error taxonomy.
 ///
 /// Each worker keeps a scratch arena (memoized program builds with their
-/// pre-flight facts, and the last warmed state) for its whole lifetime
-/// and, when `spec.journal_dir` is set, appends outcomes to its own
-/// journal shard with no shared lock.
+/// pre-flight facts, and the last warmed state) that forgets whatever no
+/// unfinished run needs, and, when `spec.journal_dir` is set, appends
+/// outcomes to its own journal shard with no shared lock.
 /// Misses run grouped by warm-up key, so runs that share a warm-up are
 /// adjacent and a worker warms once per group; records still land at
 /// their matrix index, and merged shard bytes do not depend on execution
@@ -703,32 +855,21 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
 
     let _quiet = QuietPanics::new(spec.quiet_panics);
     let queues = StealQueues::new(warm_order(&spec.runs, &admission.misses), workers);
+    let uses = Arc::new(RemainingUses::new(&spec.runs, &admission.misses));
     let finished: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
     // Summed scratch counters: programs built/reused, warm-ups built/reused.
     let scratch_counts: Mutex<[usize; 4]> = Mutex::new([0; 4]);
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
-        for (w, mut shard) in shard_writers.into_iter().enumerate() {
+        for (w, shard) in shard_writers.into_iter().enumerate() {
             let queues = &queues;
             let finished = &finished;
             let io_error = &io_error;
             let scratch_counts = &scratch_counts;
+            let scratch = WorkerScratch::for_campaign(Arc::clone(&uses));
             scope.spawn(move || {
-                let mut scratch = WorkerScratch::new();
-                while let Some(i) = queues.next(w) {
-                    let record = execute(&spec.runs[i], spec, &mut scratch);
-                    if let Some(sw) = &mut shard {
-                        // Lock-free: this worker owns the shard file. The
-                        // entry is buffered and flushed with one write per
-                        // run completion.
-                        sw.buffer(&record.to_journal_entry());
-                        if let Err(e) = sw.flush() {
-                            io_error.lock().expect("io error slot").get_or_insert(e);
-                        }
-                    }
-                    finished.lock().expect("results").push((i, record));
-                }
+                let scratch = work(w, queues, spec, scratch, shard, finished, io_error);
                 let mine = [
                     scratch.builds,
                     scratch.hits,
@@ -802,6 +943,79 @@ mod tests {
             RunStatus::Ok
         );
         assert_eq!((scratch.builds, analysed(&scratch)), (2, 2));
+    }
+
+    /// Two designs over three mixes whose programs recur in non-adjacent
+    /// warm groups: `gcc` in thread 0 of the first and third, `lbm` in
+    /// thread 1 of the second and third.
+    fn recurring_matrix() -> Vec<RunSpec> {
+        let mixes: Vec<Vec<String>> = [["gcc", "mcf"], ["hmmer", "lbm"], ["gcc", "lbm"]]
+            .iter()
+            .map(|m| m.iter().map(|s| (*s).to_owned()).collect())
+            .collect();
+        CampaignSpec::matrix(
+            &["base64".to_owned(), "shelf-opt".to_owned()],
+            &mixes,
+            3,
+            100,
+            300,
+        )
+    }
+
+    #[test]
+    fn memo_forgets_what_no_unfinished_run_needs() {
+        let runs = recurring_matrix();
+        let campaign = CampaignSpec::new(runs.clone());
+        let all: Vec<usize> = (0..runs.len()).collect();
+        let order = warm_order(&runs, &all);
+        let mut scratch = WorkerScratch::for_campaign(Arc::new(RemainingUses::new(&runs, &all)));
+        let memo = |scratch: &WorkerScratch| -> Vec<String> {
+            let mut keys: Vec<String> = scratch.programs.keys().map(|(n, _)| n.clone()).collect();
+            keys.sort();
+            keys
+        };
+        for (n, &i) in order.iter().enumerate() {
+            assert_eq!(
+                execute(&runs[i], &campaign, &mut scratch).status,
+                RunStatus::Ok
+            );
+            scratch.finish(&runs[i]);
+            // Groups are two runs long; the kept state outlives a group
+            // only while one of its runs is unfinished.
+            let group_done = n % 2 == 1;
+            assert_eq!(scratch.warm.is_none(), group_done, "after run {n}");
+            if n == 1 {
+                assert_eq!(memo(&scratch), ["gcc"], "mcf is needed by no later run");
+            }
+            if n == 3 {
+                assert_eq!(memo(&scratch), ["gcc", "lbm"]);
+            }
+        }
+        assert!(scratch.programs.is_empty());
+        // Nothing is built twice, and the kept state served its group's
+        // second run (handed off, not cloned).
+        assert_eq!(
+            (scratch.builds, scratch.warm_builds, scratch.warm_hits),
+            (4, 3, 3)
+        );
+    }
+
+    #[test]
+    fn a_drained_worker_holds_no_programs_and_no_warm_state() {
+        let runs = recurring_matrix();
+        let campaign = CampaignSpec::new(runs.clone());
+        let all: Vec<usize> = (0..runs.len()).collect();
+        let queues = StealQueues::new(warm_order(&runs, &all), 1);
+        let uses = Arc::new(RemainingUses::new(&runs, &all));
+        let finished = Mutex::new(Vec::new());
+        let io_error = Mutex::new(None);
+        let scratch = WorkerScratch::for_campaign(Arc::clone(&uses));
+        let scratch = work(0, &queues, &campaign, scratch, None, &finished, &io_error);
+        assert_eq!(finished.into_inner().unwrap().len(), runs.len());
+        assert!(scratch.programs.is_empty() && scratch.warm.is_none());
+        assert_eq!(scratch.builds, 4, "each distinct program built once");
+        assert!(uses.programs.lock().unwrap().is_empty());
+        assert!(uses.warm.lock().unwrap().is_empty());
     }
 
     #[test]

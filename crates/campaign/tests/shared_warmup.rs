@@ -161,3 +161,64 @@ fn transient_panic_inside_a_warm_group_retries_to_the_fresh_line() {
     );
     assert_eq!(report.warm_hits, runs.len() - keys);
 }
+
+/// Programs that recur in non-adjacent warm groups stay memoized until the
+/// last run that needs them, so one worker builds each exactly once; the
+/// memo's forgetting changes no journal byte on any worker count.
+#[test]
+fn recurring_programs_are_built_once_and_journal_bytes_hold() {
+    let dir = tmp("recurring");
+    let mixes: Vec<Vec<String>> = [
+        ["gcc", "mcf"],
+        ["hmmer", "lbm"],
+        ["gcc", "lbm"],
+        ["mcf", "hmmer"],
+    ]
+    .iter()
+    .map(|m| m.iter().map(|s| (*s).to_owned()).collect())
+    .collect();
+    let runs = CampaignSpec::matrix(
+        &["base64".to_owned(), "shelf-opt".to_owned()],
+        &mixes,
+        5,
+        200,
+        800,
+    );
+    let distinct: HashSet<(String, u64)> = runs
+        .iter()
+        .flat_map(|r| {
+            r.mix
+                .iter()
+                .enumerate()
+                .map(|(t, name)| (name.clone(), shelfsim_core::thread_program_seed(r.seed, t)))
+        })
+        .collect();
+    let solo_dir = dir.join("solo");
+    let solo = run_campaign(
+        &CampaignSpec::new(runs.clone())
+            .with_workers(1)
+            .with_journal_dir(&solo_dir),
+    )
+    .expect("solo campaign");
+    assert_eq!(solo.completed(), runs.len());
+    assert_eq!(solo.program_builds, distinct.len(), "nothing built twice");
+    assert_eq!(
+        (solo.warm_builds, solo.warm_hits),
+        (mixes.len(), runs.len() - mixes.len())
+    );
+    let duo_dir = dir.join("duo");
+    let duo = run_campaign(
+        &CampaignSpec::new(runs.clone())
+            .with_workers(2)
+            .with_journal_dir(&duo_dir),
+    )
+    .expect("two-worker campaign");
+    assert_eq!(duo.completed(), runs.len());
+    assert_eq!(
+        ShardedJournal::new(&solo_dir)
+            .merged_bytes()
+            .expect("bytes"),
+        ShardedJournal::new(&duo_dir).merged_bytes().expect("bytes"),
+        "worker count must not change the merged journal"
+    );
+}

@@ -552,7 +552,9 @@ fn cmd_characterize(p: &Args) -> Result<String, CliError> {
         // second half is measured.
         for n in 0..2 * sample {
             let measured = n >= sample;
-            let (_, i) = t.fetch();
+            // Nothing is ever rewound: release each instruction at once.
+            let (seq, i) = t.fetch();
+            t.release_through(seq);
             if measured {
                 code.insert(i.pc >> 6);
                 match i.op {

@@ -3532,6 +3532,7 @@ impl Core {
                         }
                         let in_seq = slot.in_sequence;
                         let wrong_path = slot.wrong_path;
+                        let seq = slot.seq;
                         if !wrong_path {
                             self.record_commit(head);
                             self.observe_commit(head);
@@ -3541,9 +3542,7 @@ impl Core {
                         self.skip.note_progress(t);
                         self.slab.remove(head);
                         if !wrong_path {
-                            self.threads[t].committed += 1;
-                            self.threads[t].classifier.commit(in_seq);
-                            acc(&mut self.counters.committed, 1);
+                            self.retire_real(t, seq, in_seq);
                         }
                         budget -= 1;
                     }
@@ -3575,6 +3574,7 @@ impl Core {
                         let inst = slot.inst;
                         let in_seq = slot.in_sequence;
                         let wrong_path = slot.wrong_path;
+                        let seq = slot.seq;
                         let prev = slot.prev_mapping;
 
                         self.threads[t].rob.pop_front();
@@ -3604,15 +3604,24 @@ impl Core {
                         self.skip.note_progress(t);
                         self.slab.remove(head);
                         if !wrong_path {
-                            self.threads[t].committed += 1;
-                            self.threads[t].classifier.commit(in_seq);
-                            acc(&mut self.counters.committed, 1);
+                            self.retire_real(t, seq, in_seq);
                         }
                         budget -= 1;
                     }
                 }
             }
         }
+    }
+
+    /// Bookkeeping for thread `t`'s retiring trace instruction `seq`: it
+    /// counts as committed, and its trace no longer keeps it for replay
+    /// (every rewind targets an un-retired instruction).
+    fn retire_real(&mut self, t: usize, seq: u64, in_seq: bool) {
+        let th = &mut self.threads[t];
+        th.committed += 1;
+        th.classifier.commit(in_seq);
+        th.trace.release_through(seq);
+        acc(&mut self.counters.committed, 1);
     }
 
     fn drain_store_buffers(&mut self) {
@@ -3632,6 +3641,22 @@ impl Core {
     }
 
     // ----------------------------------------------------------- sanitizer
+
+    /// Thread `t`'s un-retired trace instructions in the window and the
+    /// front end (wrong-path ones come from no trace): how many, and the
+    /// oldest sequence among them.
+    #[cfg(any(test, feature = "sanitize"))]
+    fn unretired_trace(&self, t: usize) -> (usize, Option<u64>) {
+        let th = &self.threads[t];
+        th.window
+            .iter()
+            .chain(&th.frontend)
+            .map(|&id| self.slab.get(id))
+            .filter(|s| !s.wrong_path)
+            .fold((0, None), |(n, oldest), s| {
+                (n + 1, Some(oldest.map_or(s.seq, |o: u64| o.min(s.seq))))
+            })
+    }
 
     /// The dynamic invariant sanitizer: audits token conservation and queue
     /// bookkeeping at the end of every cycle, panicking with a structured
@@ -3654,6 +3679,10 @@ impl Core {
     ///    extension mappings held by in-window instructions (IQ holders
     ///    release at retire; shelf holders release at writeback, so
     ///    completed shelf instructions no longer hold one).
+    /// 7. Replay-buffer bound: each thread's trace buffers exactly from its
+    ///    oldest un-retired trace instruction (in the window or front end,
+    ///    or owed by a pending replay) on, so it can rewind to every one of
+    ///    them and holds no retired one.
     #[cfg(feature = "sanitize")]
     fn audit_invariants(&self) {
         use std::fmt::Write as _;
@@ -3740,6 +3769,26 @@ impl Core {
                     th.shelf_retired.len(),
                     th.shelf_next_idx,
                     th.shelf_retire_ptr
+                )
+                .expect("write");
+            }
+
+            let (_, in_flight) = self.unretired_trace(t);
+            let next = th.trace.next_fetch_seq();
+            let oldest = in_flight.map_or(next, |s| s.min(next));
+            let front = th.trace.oldest_rewindable();
+            if front > oldest {
+                writeln!(
+                    v,
+                    "thread {t}: replay buffer starts at seq {front}, after \
+                     un-retired seq {oldest}"
+                )
+                .expect("write");
+            } else if front < oldest {
+                writeln!(
+                    v,
+                    "thread {t}: replay buffer still holds retired seq {front} \
+                     (oldest un-retired {oldest})"
                 )
                 .expect("write");
             }
@@ -3862,6 +3911,58 @@ mod tests {
         assert_eq!(min_writeback_latency(OpClass::Load), 2);
         assert_eq!(min_writeback_latency(OpClass::IntAlu), 1);
         assert_eq!(min_writeback_latency(OpClass::IntDiv), 12);
+    }
+
+    /// The replay buffer holds only the in-flight window: after every
+    /// bounded tick block, each thread buffers at most its un-retired trace
+    /// instructions plus the fetches a pending replay still owes.
+    #[test]
+    fn replay_buffer_holds_only_the_in_flight_window() {
+        let mixes: [&[&str]; 3] = [&["mcf"], &["gcc", "lbm"], &["gcc", "mcf", "hmmer", "lbm"]];
+        for mix in mixes {
+            let n = mix.len();
+            let designs = [
+                CoreConfig::base64(n),
+                CoreConfig::base128(n),
+                CoreConfig::base64_shelf64(n, SteerPolicy::Practical, false),
+                CoreConfig::base64_shelf64(n, SteerPolicy::Practical, true),
+            ];
+            for cfg in designs {
+                for skipping in [true, false] {
+                    let traces = mix
+                        .iter()
+                        .enumerate()
+                        .map(|(t, name)| {
+                            let profile = shelfsim_workload::suite::by_name(name).unwrap();
+                            TraceSource::new(profile.build_program(3 + t as u64), t)
+                        })
+                        .collect();
+                    let mut core = Core::new(cfg.clone(), traces);
+                    core.set_cycle_skipping(skipping);
+                    core.warm_caches();
+                    core.warm_functional(2_000);
+                    let mut peak = 0;
+                    for _ in 0..8 {
+                        core.tick_bounded(250);
+                        for t in 0..n {
+                            let trace = &core.threads[t].trace;
+                            let (unretired, _) = core.unretired_trace(t);
+                            let bound = unretired + trace.pending_replay();
+                            assert!(
+                                trace.buffered() <= bound,
+                                "{mix:?} skipping={skipping} thread {t}: {} buffered > \
+                                 {unretired} un-retired + {} owed",
+                                trace.buffered(),
+                                trace.pending_replay()
+                            );
+                            peak = peak.max(trace.buffered());
+                        }
+                    }
+                    assert!(peak > 0, "{mix:?}: nothing was ever in flight");
+                    assert!(core.committed(0) > 0, "{mix:?}: thread 0 never committed");
+                }
+            }
+        }
     }
 
     #[test]

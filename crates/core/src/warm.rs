@@ -15,11 +15,13 @@ use crate::sim::{thread_program_seed, DEFAULT_FUNCTIONAL_WARMUP};
 use shelfsim_mem::{Hierarchy, HierarchyConfig};
 use shelfsim_uarch::{BranchPredictor, BranchPredictorConfig, PredictorKind};
 use shelfsim_workload::{Program, TraceSource};
+use std::sync::Arc;
 
 /// The state a core's warm-up produces: the memory hierarchy plus each
 /// thread's trace position and branch predictor. Cloning one and handing
 /// it to [`crate::Core::from_warm`] is bit-identical to building the core
-/// cold and warming it again.
+/// cold and warming it again. The traces share their programs, so a clone
+/// copies no program.
 #[derive(Clone, Debug)]
 pub struct WarmState {
     pub(crate) hierarchy: Hierarchy,
@@ -31,12 +33,16 @@ impl WarmState {
     /// Builds and warms the state `cfg` runs `programs` (one per hardware
     /// thread, in thread order) from: the caches are warmed with each
     /// thread's footprint, then every thread is functionally fast-forwarded
-    /// by [`DEFAULT_FUNCTIONAL_WARMUP`] instructions.
+    /// by [`DEFAULT_FUNCTIONAL_WARMUP`] instructions. Programs may be owned
+    /// or shared (`Arc<Program>`); a shared one is not copied.
     ///
     /// # Panics
     ///
     /// Panics if the program count does not match `cfg.threads`.
-    pub fn new(cfg: &CoreConfig, programs: impl IntoIterator<Item = Program>) -> Self {
+    pub fn new<P: Into<Arc<Program>>>(
+        cfg: &CoreConfig,
+        programs: impl IntoIterator<Item = P>,
+    ) -> Self {
         let traces: Vec<TraceSource> = programs
             .into_iter()
             .enumerate()

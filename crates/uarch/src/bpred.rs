@@ -69,12 +69,11 @@ pub struct Prediction {
     pub tage: crate::tage::TageInfo,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct BtbEntry {
-    tag: u64,
-    target: u64,
-    valid: bool,
-}
+/// One BTB entry, packed into 16 bytes as `[tag, target]`: the tag is the
+/// branch pc plus one, so the all-zero entry of freshly zeroed memory is
+/// invalid and never hits. (Pc `u64::MAX`, which has no fall-through
+/// address, is never stored.)
+type BtbEntry = [u64; 2];
 
 /// A per-thread direction predictor (bimodal / gshare / tournament) with a
 /// BTB and a return-address stack.
@@ -90,7 +89,8 @@ pub struct BranchPredictor {
     btb: Vec<BtbEntry>,
     ras: Vec<u64>,
     history: u64,
-    tage: crate::tage::Tage,
+    /// The TAGE tables, allocated for [`PredictorKind::Tage`] only.
+    tage: Option<crate::tage::Tage>,
     /// Total direction lookups (conditional branches predicted).
     pub lookups: u64,
     /// Direction mispredictions observed at update time.
@@ -106,17 +106,11 @@ impl BranchPredictor {
             pht: vec![1; 1 << config.pht_bits],
             bimodal: vec![1; 1 << config.pht_bits],
             chooser: vec![2; 1 << config.pht_bits],
-            btb: vec![
-                BtbEntry {
-                    tag: 0,
-                    target: 0,
-                    valid: false
-                };
-                1 << config.btb_bits
-            ],
+            // Zeroed memory: every entry starts invalid.
+            btb: vec![[0; 2]; 1 << config.btb_bits],
             ras: Vec::with_capacity(config.ras_depth),
             history: 0,
-            tage: crate::tage::Tage::new(),
+            tage: (config.kind == PredictorKind::Tage).then(crate::tage::Tage::new),
             lookups: 0,
             direction_mispredicts: 0,
             target_mispredicts: 0,
@@ -158,7 +152,11 @@ impl BranchPredictor {
                 }
             }
             PredictorKind::Tage => {
-                let (t, info) = self.tage.predict(pc);
+                let tage = self
+                    .tage
+                    .as_mut()
+                    .expect("TAGE predictors own their tables");
+                let (t, info) = tage.predict(pc);
                 tage_info = info;
                 t
             }
@@ -166,8 +164,8 @@ impl BranchPredictor {
         let target = if is_return {
             self.ras.last().copied()
         } else {
-            let e = &self.btb[self.btb_index(pc)];
-            (e.valid && e.tag == pc).then_some(e.target)
+            let [tag, target] = self.btb[self.btb_index(pc)];
+            (pc.checked_add(1) == Some(tag)).then_some(target)
         };
         Prediction {
             taken,
@@ -215,8 +213,8 @@ impl BranchPredictor {
                 predicted.gshare_taken == taken,
             );
         }
-        if self.config.kind == PredictorKind::Tage {
-            self.tage.update(pc, predicted.tage, taken);
+        if let Some(tage) = &mut self.tage {
+            tage.update(pc, predicted.tage, taken);
         }
         // Speculative history update would be cleaner; updating at resolve
         // keeps the model simple and is a common simulator simplification.
@@ -225,11 +223,7 @@ impl BranchPredictor {
         // Target training.
         if taken && !is_return {
             let bi = self.btb_index(pc);
-            self.btb[bi] = BtbEntry {
-                tag: pc,
-                target,
-                valid: true,
-            };
+            self.btb[bi] = [pc.wrapping_add(1), target];
         }
         if is_call {
             if self.ras.len() == self.config.ras_depth {
@@ -347,5 +341,79 @@ mod tests {
         p.update(0x40, pred, true, 0x1000, false, false, 0x44);
         assert!(p.mispredict_ratio() > 0.0); // cold target miss or direction
         assert_eq!(p.lookups, 1);
+    }
+
+    #[test]
+    fn btb_entries_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<BtbEntry>(), 16);
+    }
+
+    /// Trains one taken branch at `pc` and returns the target predicted
+    /// before and after.
+    fn train_target(p: &mut BranchPredictor, pc: u64, target: u64) -> (Option<u64>, Option<u64>) {
+        let before = p.predict(pc, false);
+        p.update(pc, before, true, target, false, false, pc.wrapping_add(4));
+        (before.target, p.predict(pc, false).target)
+    }
+
+    #[test]
+    fn btb_hits_at_pc_zero_and_the_largest_pc() {
+        let mut p = bp();
+        assert_eq!(train_target(&mut p, 0, 0x40), (None, Some(0x40)));
+        // The largest instruction pc: one with a fall-through address.
+        let top = u64::MAX - 3;
+        assert_eq!(train_target(&mut p, top, 0), (None, Some(0)));
+        // Both entries survive each other (distinct BTB sets).
+        assert_eq!(p.predict(0, false).target, Some(0x40));
+    }
+
+    #[test]
+    fn invalid_btb_entries_never_hit() {
+        let mut p = bp();
+        // Every entry starts zeroed: no pc whose set is untouched hits,
+        // including pc 0 and the pc whose tag would wrap to zero.
+        for pc in [0, 4, 0x1000, u64::MAX - 3, u64::MAX] {
+            assert_eq!(p.predict(pc, false).target, None, "pc {pc:#x}");
+        }
+        // A trained entry does not hit for another pc of its set.
+        let sets = 1u64 << BranchPredictorConfig::default().btb_bits;
+        train_target(&mut p, 0x40, 0x800);
+        assert_eq!(p.predict(0x40 + 4 * sets, false).target, None);
+        // Pc `u64::MAX` is never stored, so it never hits.
+        assert_eq!(train_target(&mut p, u64::MAX, 0x80), (None, None));
+    }
+
+    #[test]
+    fn tage_tables_exist_only_for_tage_and_still_train() {
+        let cfg = |kind| BranchPredictorConfig {
+            kind,
+            ..BranchPredictorConfig::default()
+        };
+        for kind in [
+            PredictorKind::Bimodal,
+            PredictorKind::Gshare,
+            PredictorKind::Tournament,
+        ] {
+            assert!(BranchPredictor::new(cfg(kind)).tage.is_none(), "{kind:?}");
+        }
+        let mut p = BranchPredictor::new(cfg(PredictorKind::Tage));
+        // A period-5 pattern (taken four times, then not): TAGE learns it
+        // from global history.
+        let pc = 0x400;
+        let mut late_wrong = 0;
+        for i in 0..2_000 {
+            let taken = i % 5 != 4;
+            let pred = p.predict(pc, false);
+            let wrong = pred.taken != taken;
+            p.update(pc, pred, taken, 0x100, false, false, pc + 4);
+            if i >= 1_500 && wrong {
+                late_wrong += 1;
+            }
+        }
+        assert!(
+            late_wrong <= 5,
+            "TAGE did not learn the pattern: {late_wrong}"
+        );
+        assert!(p.direction_mispredicts > late_wrong);
     }
 }

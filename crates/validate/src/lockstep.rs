@@ -16,6 +16,7 @@ use crate::value::{ArchState, InstEffect};
 use shelfsim_core::{CommitEvent, Core, CoreConfig};
 use shelfsim_workload::program::Program;
 use shelfsim_workload::TraceSource;
+use std::sync::Arc;
 
 /// Occupancy-sampling period for the harness tracer (samples are retained
 /// only so the divergence dump has context; any fixed period works).
@@ -226,10 +227,12 @@ pub fn run_lockstep(cfg: &CoreConfig, programs: &[Program], lcfg: &LockstepConfi
     assert_eq!(programs.len(), cfg.threads, "one program per thread");
     let threads = cfg.threads;
 
+    // One copy of each program, shared by the core and the reference.
+    let programs: Vec<Arc<Program>> = programs.iter().cloned().map(Arc::new).collect();
     let traces: Vec<TraceSource> = programs
         .iter()
         .enumerate()
-        .map(|(t, p)| TraceSource::new(p.clone(), t))
+        .map(|(t, p)| TraceSource::new(Arc::clone(p), t))
         .collect();
     let mut core = Core::new(cfg.clone(), traces);
     core.set_cycle_skipping(lcfg.cycle_skipping);
@@ -249,7 +252,7 @@ pub fn run_lockstep(cfg: &CoreConfig, programs: &[Program], lcfg: &LockstepConfi
     // replay buffer.
     let mut refs: Vec<RefThread> = (0..threads)
         .map(|t| {
-            let mut src = TraceSource::new(programs[t].clone(), t);
+            let mut src = TraceSource::new(Arc::clone(&programs[t]), t);
             src.walk(core.next_fetch_seq(t), |_, _, _| {});
             RefThread {
                 src,
@@ -286,7 +289,10 @@ pub fn run_lockstep(cfg: &CoreConfig, programs: &[Program], lcfg: &LockstepConfi
             if r.commit_index >= lcfg.commits_per_thread {
                 continue; // past the validated window
             }
+            // The reference never rewinds: each instruction is released
+            // as soon as it is compared.
             let (exp_seq, exp_inst) = r.src.fetch();
+            r.src.release_through(exp_seq);
             let exp_effect = r.expected_state.apply(&exp_inst);
             let got_effect = r.got_state.apply(&ev.inst);
 

@@ -1,16 +1,27 @@
 //! Functional execution of a [`Program`] into a dynamic instruction stream,
-//! with bounded replay for squash-and-refetch.
+//! with a bounded replay buffer for squash-and-refetch.
+//!
+//! The buffer holds every fetched instruction a consumer may still rewind
+//! to. A consumer that retires instructions in order reports each one with
+//! [`TraceSource::release_through`], so the buffer holds exactly the
+//! in-flight window: `[oldest un-retired seq, next seq)`, a few hundred
+//! entries on the modelled cores. A consumer that never releases keeps at
+//! most the newest `REPLAY_CAPACITY` instructions, as a ring.
 
 use crate::program::{AccessPattern, Program, Terminator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use shelfsim_isa::{BranchInfo, DynInst, MemInfo, OpClass};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Base virtual address of a program's data segment.
 const DATA_BASE: u64 = 0x1000_0000;
-/// Replay window: must exceed the deepest possible in-flight state
-/// (ROB + shelf + front end + execution pipes).
+/// Ring bound of the replay buffer for consumers that never call
+/// [`TraceSource::release_through`]: the oldest instruction is dropped
+/// once this many are buffered. It must exceed the deepest in-flight state
+/// such a consumer can rewind across. Consumers that release as they
+/// retire never come near it.
 const REPLAY_CAPACITY: usize = 8192;
 
 /// A per-thread dynamic instruction source.
@@ -19,16 +30,19 @@ const REPLAY_CAPACITY: usize = 8192;
 /// counts and data-dependent branch outcomes from a seeded RNG, and
 /// materializing memory addresses from each static instruction's access
 /// pattern. Every emitted instruction is retained in a bounded replay buffer
-/// so the core can *rewind* after a memory-order violation or memory
-/// dependence mispredict (paper §III-D: "cause a pipeline flush and restart
-/// at the mispredicted instruction") and receive byte-identical
-/// instructions.
+/// until [`TraceSource::release_through`] retires it, so the core can
+/// *rewind* after a memory-order violation or memory dependence mispredict
+/// (paper §III-D: "cause a pipeline flush and restart at the mispredicted
+/// instruction") and receive byte-identical instructions.
+///
+/// The program is shared behind an [`Arc`]: cloning a source, or building
+/// several sources over one program, copies no program.
 ///
 /// All code and data addresses are offset by a per-thread base so SMT
 /// threads, like the paper's multiprogrammed mixes, share no data.
 #[derive(Clone, Debug)]
 pub struct TraceSource {
-    program: Program,
+    program: Arc<Program>,
     thread_base: u64,
     walk: WalkState,
     // Stream state.
@@ -40,13 +54,15 @@ pub struct TraceSource {
 
 impl TraceSource {
     /// Creates a source for `program` running as SMT context `thread_index`.
+    /// An owned [`Program`] and a shared `Arc<Program>` are both accepted.
     ///
     /// # Panics
     ///
     /// Panics if the program fails [`Program::validate`] (hand-built
     /// programs with out-of-range targets or inconsistent layout would
     /// otherwise fail deep inside the simulator).
-    pub fn new(program: Program, thread_index: usize) -> Self {
+    pub fn new(program: impl Into<Arc<Program>>, thread_index: usize) -> Self {
+        let program = program.into();
         if let Err(e) = program.validate() {
             panic!("invalid program `{}`: {e}", program.name);
         }
@@ -69,7 +85,8 @@ impl TraceSource {
                 rng: SmallRng::seed_from_u64(seed),
             },
             next_seq: 0,
-            // Allocated by the first buffered fetch.
+            // Grows with the first buffered fetches, up to the in-flight
+            // window of a releasing consumer.
             buffer: VecDeque::new(),
             cursor: None,
             program,
@@ -128,11 +145,38 @@ impl TraceSource {
         self.next_seq += 1;
         if self.buffer.len() == REPLAY_CAPACITY {
             self.buffer.pop_front();
-        } else if self.buffer.capacity() == 0 {
-            self.buffer.reserve_exact(REPLAY_CAPACITY);
         }
         self.buffer.push_back((seq, inst));
         (seq, inst)
+    }
+
+    /// Retires every buffered instruction up to and including `seq`: none
+    /// of them can be rewound to afterwards. Entries at or after a pending
+    /// replay cursor are kept, since the next fetches must replay them.
+    /// A consumer that commits in order calls this once per retired
+    /// instruction, which bounds the buffer by its in-flight window.
+    pub fn release_through(&mut self, seq: u64) {
+        let keep_from = self.cursor.unwrap_or(u64::MAX).min(seq.saturating_add(1));
+        while self.buffer.front().is_some_and(|&(s, _)| s < keep_from) {
+            self.buffer.pop_front();
+        }
+    }
+
+    /// The oldest sequence [`TraceSource::rewind_to`] still accepts: the
+    /// first buffered instruction, or the next one to be generated when
+    /// nothing is buffered.
+    pub fn oldest_rewindable(&self) -> u64 {
+        self.buffer.front().map_or(self.next_seq, |&(s, _)| s)
+    }
+
+    /// Instructions held for replay.
+    pub fn buffered(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// Fetches still owed by a pending replay (0 when none is pending).
+    pub fn pending_replay(&self) -> usize {
+        self.cursor.map_or(0, |c| (self.next_seq - c) as usize)
     }
 
     /// Advances the stream by `n` instructions one basic block at a time,
@@ -185,11 +229,7 @@ impl TraceSource {
             seq < self.next_seq,
             "cannot rewind to the future (seq {seq})"
         );
-        let front = self
-            .buffer
-            .front()
-            .map(|&(s, _)| s)
-            .expect("non-empty replay buffer");
+        let front = self.oldest_rewindable();
         assert!(
             seq >= front,
             "seq {seq} fell out of the replay window (oldest {front})"
@@ -490,6 +530,71 @@ mod tests {
         }
         t.rewind_to(5);
         t.walk(1, |_, _, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "fell out of the replay window")]
+    fn rewind_into_a_released_seq_panics() {
+        let mut t = source("gcc", 0);
+        for _ in 0..50 {
+            t.fetch();
+        }
+        t.release_through(19);
+        assert_eq!(t.oldest_rewindable(), 20);
+        t.rewind_to(20);
+        t.rewind_to(19);
+    }
+
+    #[test]
+    fn release_keeps_a_pending_replay() {
+        let mut t = source("mcf", 0);
+        let first: Vec<(u64, DynInst)> = (0..40).map(|_| t.fetch()).collect();
+        t.rewind_to(25);
+        // Releasing past the cursor stops at it: the replay still owes
+        // fetches of 25..40.
+        t.release_through(35);
+        assert_eq!((t.oldest_rewindable(), t.buffered()), (25, 15));
+        for item in &first[25..30] {
+            assert_eq!(t.fetch(), *item);
+        }
+        t.release_through(u64::MAX);
+        assert_eq!((t.oldest_rewindable(), t.buffered()), (30, 10));
+        for item in &first[30..] {
+            assert_eq!(t.fetch(), *item);
+        }
+        t.release_through(u64::MAX);
+        assert_eq!((t.oldest_rewindable(), t.buffered()), (40, 0));
+        assert_eq!(t.fetch().0, 40);
+    }
+
+    /// A consumer that retires in order, with rewinds into its in-flight
+    /// window, sees the same fetch stream whether or not it releases what
+    /// it retired; a releasing one buffers only that window.
+    #[test]
+    fn released_source_streams_like_an_unreleased_one() {
+        let mut kept = source("xalancbmk", 2);
+        let mut released = source("xalancbmk", 2);
+        let mut rng = SmallRng::seed_from_u64(5);
+        // Every seq below `retired` has retired; `[retired, next fetch)`
+        // is in flight.
+        let mut retired = 0u64;
+        let mut peak = 0;
+        for _ in 0..20_000 {
+            assert_eq!(released.fetch(), kept.fetch());
+            let in_flight = released.next_fetch_seq() - retired;
+            if rng.gen_range(0..50) == 0 {
+                let back = retired + rng.gen_range(0..in_flight);
+                kept.rewind_to(back);
+                released.rewind_to(back);
+            } else if in_flight > 200 || rng.gen_range(0..3) == 0 {
+                retired += rng.gen_range(1..=in_flight);
+                released.release_through(retired - 1);
+            }
+            assert_eq!(released.oldest_rewindable(), retired);
+            peak = peak.max(released.buffered());
+        }
+        assert!(peak <= 400, "buffered {peak} beyond the in-flight window");
+        assert!(kept.buffered() > peak);
     }
 
     #[test]
