@@ -6,6 +6,8 @@
 //! or a config file — a source [`Span`]. A [`Report`] collects the findings
 //! of one lint run and renders them as text or JSON.
 
+use shelfsim_core::json_escape;
+
 /// How serious a finding is.
 ///
 /// Only [`Severity::Error`] makes a lint run fail (nonzero CLI exit);
@@ -357,21 +359,6 @@ pub fn render_code_table() -> String {
             Severity::Error => "Error",
         };
         out.push_str(&format!("| {} | {} | {} |\n", c.code, sev, c.summary));
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
     out
 }

@@ -17,9 +17,9 @@
 //!   cycle window the run aborts with a deadlock diagnosis (ROB/IQ/LSQ/
 //!   shelf occupancy snapshot) instead of burning the whole cycle budget.
 //! * **Retry with escalation** — failed runs are retried a bounded number
-//!   of times; the first retry escalates to the diagnostics tier (commit
-//!   log enabled, invariant sanitizer when compiled with `--features
-//!   sanitize`); runs that keep failing are quarantined and the campaign
+//!   of times; the first retry escalates to the diagnostics tier (a
+//!   lifecycle trace dumped on a diagnosed deadlock when a trace directory
+//!   is set); runs that keep failing are quarantined and the campaign
 //!   completes with partial results plus an error-taxonomy summary.
 //! * **Resumable journal** ([`ShardedJournal`]) — every final run outcome
 //!   is appended to its worker's JSONL shard keyed by a configuration

@@ -250,7 +250,7 @@ impl ParetoReport {
                     r#""edp":{:.6},"area":{:.4},"on_frontier":{}}}{}"#,
                     "\n"
                 ),
-                crate::journal::json_escape(&p.design),
+                shelfsim_core::json_escape(&p.design),
                 p.threads,
                 p.runs,
                 p.stp,

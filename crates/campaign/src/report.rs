@@ -1,8 +1,8 @@
 //! Campaign reporting: graceful-degradation summaries over whatever subset
 //! of the matrix completed, plus the error taxonomy.
 
-use crate::journal::json_escape;
 use crate::runner::{RunRecord, RunStatus};
+use shelfsim_core::json_escape;
 use shelfsim_stats::{grouped_geomean, Tally};
 use std::fmt::Write as _;
 

@@ -634,15 +634,11 @@ fn run_attempt(
         // `cfg` moves into the simulation.
         let energy = shelfsim_energy::EnergyModel::for_config(&cfg);
         let mut sim = Simulation::from_warm(cfg, warm, spec.mix.clone(), spec.seed);
-        if diagnostics {
-            // Escalation tier: keep a commit log so a reproduced failure
-            // carries pipeline context. With `--features sanitize` the
-            // per-cycle invariant audits are compiled in as well.
-            sim.enable_commit_log(64);
-            if trace_dir.is_some() {
-                // Full lifecycle trace, dumped below on a diagnosed failure.
-                sim.enable_tracer(256, 64);
-            }
+        if diagnostics && trace_dir.is_some() {
+            // Escalation tier: a full lifecycle trace, dumped below on a
+            // diagnosed failure. (With `--features sanitize` every attempt
+            // runs the per-cycle invariant audits.)
+            sim.enable_tracer(256, 64);
         }
         match fault {
             Some(FaultKind::Stall) => {

@@ -14,6 +14,7 @@
 //! one parser enforces it. Everything is plumbed through [`run_cli`] so the
 //! argument handling is unit-testable without spawning a process.
 
+use shelfsim::trace::{EndKind, QueueKind};
 use shelfsim::{
     balanced_random_mixes, suite, CampaignSpec, CoreConfig, EnergyModel, MemoryModel, RunSpec,
     Simulation,
@@ -665,7 +666,6 @@ fn cmd_trace(p: &Args) -> Result<String, CliError> {
     let names: Vec<&str> = mix.iter().map(String::as_str).collect();
     let mut sim =
         Simulation::from_names(cfg, &names, p.num("--seed", 7)?).map_err(|e| err(e.to_string()))?;
-    sim.enable_commit_log(48);
     sim.enable_tracer(window, sample.max(1));
     let _ = sim.run(warmup, measure);
     let mut out = String::new();
@@ -675,37 +675,45 @@ fn cmd_trace(p: &Args) -> Result<String, CliError> {
         "thr", "seq", "op", "queue", "fetch", "dispatch", "issue", "complete", "commit"
     )
     .expect("write");
-    let records: Vec<_> = sim.core().commit_log().copied().collect();
-    let base = records.iter().map(|r| r.fetch).min().unwrap_or(0);
-    for r in &records {
+    let tracer = sim.tracer().expect("tracer enabled above");
+    // The lane chart draws the last 48 committed lifecycles in the
+    // tracer's ring (commits always carry issue and writeback cycles).
+    let commits: Vec<_> = tracer
+        .lifecycles()
+        .filter_map(|r| match (r.end_kind, r.issue, r.writeback) {
+            (EndKind::Commit, Some(issue), Some(complete)) => Some((r, issue, complete)),
+            _ => None,
+        })
+        .collect();
+    let records = &commits[commits.len().saturating_sub(48)..];
+    let base = records.iter().map(|(r, ..)| r.fetch).min().unwrap_or(0);
+    for &(r, issue, complete) in records {
         let lane = |c: u64| ((c - base) / 2).min(38) as usize;
         let mut bar = vec![b'.'; 40];
         bar[lane(r.fetch)] = b'F';
         bar[lane(r.dispatch)] = b'D';
-        bar[lane(r.issue)] = b'I';
-        bar[lane(r.complete)] = b'C';
-        bar[lane(r.commit)] = b'R';
+        bar[lane(issue)] = b'I';
+        bar[lane(complete)] = b'C';
+        bar[lane(r.end)] = b'R';
         writeln!(
             out,
-            "t{:<3} {:>8} {:<8} {:<6} {:>7} {:>8} {:>7} {:>8} {:>7}  {}{}",
+            "t{:<3} {:>8} {:<8} {:<6} {:>7} {:>8} {:>7} {:>8} {:>7}  {}",
             r.thread,
             r.seq,
             r.op.to_string(),
-            match r.steer {
-                shelfsim::core::Steer::Iq => "IQ",
-                shelfsim::core::Steer::Shelf => "shelf",
+            match r.queue {
+                QueueKind::Iq => "IQ",
+                QueueKind::Shelf => "shelf",
             },
             r.fetch,
             r.dispatch,
-            r.issue,
-            r.complete,
-            r.commit,
+            issue,
+            complete,
+            r.end,
             String::from_utf8_lossy(&bar),
-            if r.in_sequence { "  in-seq" } else { "" }
         )
         .expect("write");
     }
-    let tracer = sim.tracer().expect("tracer enabled above");
     out.push_str("\nstall attribution (% of measured cycles per thread):\n");
     out.push_str(&tracer.stall_summary());
     if let Some(path) = p.value("--jsonl") {

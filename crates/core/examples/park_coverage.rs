@@ -1,6 +1,6 @@
-//! Skip-engine coverage on three SMT mixes: cycles skipped, park
-//! certificates, reduced ticks, jumps, and the share of skipped cycles
-//! that came from jumps taken with a held thread.
+//! Skip-engine coverage on three SMT mixes: cycles skipped, parks,
+//! thread-cycles and ticks with a park bit set, jumps, and the share of
+//! skipped cycles that came from jumps taken with a held thread.
 //!
 //! ```bash
 //! cargo run --release -p shelfsim-core --example park_coverage

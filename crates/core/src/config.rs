@@ -183,10 +183,10 @@ impl CoreConfig {
     }
 
     /// Hard cap on hardware threads per core. [`CoreConfig::validate`]
-    /// enforces it, and the skip engine sizes its park-certificate file from
-    /// the same constant — a const assertion in `skip.rs` ties the two
+    /// enforces it, and the skip engine's per-thread bitmasks are sized
+    /// from the same constant — a const assertion in `skip.rs` ties the two
     /// together so raising the cap for wider SMT campaigns cannot silently
-    /// truncate the certificate file.
+    /// overflow a mask.
     pub const MAX_THREADS: usize = 8;
 
     /// ROB entries available to each thread (static partitioning, §V).

@@ -216,43 +216,6 @@ pub struct StallCounters {
     pub barrier: u64,
 }
 
-/// Dispatch-blocking causes rooted purely in a thread's *own* partitioned
-/// resources. The partial-progress skip engine records one of these on a
-/// park certificate: unlike shared causes (IQ occupancy, free lists), a
-/// local full condition cannot be released by another thread's activity,
-/// so the recorded cause stays the first-failing check for as long as the
-/// thread is parked.
-// The `Full` postfix is the information: each variant names *which*
-// partitioned structure is full, mirroring the `StallCause` vocabulary.
-#[allow(clippy::enum_variant_names)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum LocalStall {
-    /// ROB partition full.
-    RobFull,
-    /// LQ partition full.
-    LqFull,
-    /// SQ partition full.
-    SqFull,
-    /// Shelf partition full (entries).
-    ShelfFull,
-    /// Shelf virtual index space exhausted.
-    ShelfIndexFull,
-}
-
-impl LocalStall {
-    /// Bumps the matching [`StallCounters`] field — the park-certificate
-    /// replay of the real dispatch stage's per-cycle charge.
-    pub(crate) fn bump(self, s: &mut StallCounters) {
-        match self {
-            LocalStall::RobFull => s.rob_full += 1,
-            LocalStall::LqFull => s.lq_full += 1,
-            LocalStall::SqFull => s.sq_full += 1,
-            LocalStall::ShelfFull => s.shelf_full += 1,
-            LocalStall::ShelfIndexFull => s.shelf_index_full += 1,
-        }
-    }
-}
-
 impl Counters {
     /// Creates zeroed counters.
     pub fn new() -> Self {

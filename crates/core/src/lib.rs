@@ -41,7 +41,7 @@ pub use counters::{Counters, StallCounters};
 pub use inst::{InstId, Slab, Slot, Stage, Steer};
 #[cfg(feature = "chaos")]
 pub use pipeline::{ChaosKind, ChaosPlan};
-pub use pipeline::{CommitEvent, CommitRecord, Core, ThreadOccupancy};
+pub use pipeline::{CommitEvent, Core, ThreadOccupancy};
 pub use sim::{
     thread_program_seed, Completion, DeadlockReport, RunMeta, RunResult, SimError, Simulation,
     ThreadResult, UnknownBenchmark, Watchdog,
@@ -52,5 +52,5 @@ pub use warm::{WarmKey, WarmState};
 // Re-export the observability types so downstream users of the core don't
 // need a separate `shelfsim-trace` dependency to consume traces.
 pub use shelfsim_trace::{
-    EndKind, Lifecycle, OccupancySample, QueueKind, StallCause, Tracer, STALL_CAUSES,
+    json_escape, EndKind, Lifecycle, OccupancySample, QueueKind, StallCause, Tracer, STALL_CAUSES,
 };

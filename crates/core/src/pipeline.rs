@@ -21,11 +21,11 @@
 
 use crate::classify::Classifier;
 use crate::config::{CoreConfig, FetchPolicy, MemoryModel, SteerPolicy};
-use crate::counters::{acc, Counters, LocalStall};
+use crate::counters::{acc, Counters};
 use crate::inst::{InstId, Slab, Slot, Stage, Steer};
 use crate::skip::{
-    consider, ParkCert, ParkDispatch, ParkIssue, SkipCause, SkipEngine, SkipStats, TickDelta,
-    Verdict, MAX_SKIP_THREADS, MIN_PARK_JUMP_SPAN,
+    consider, SkipCause, SkipEngine, SkipStats, TickDelta, Verdict, MAX_SKIP_THREADS,
+    MIN_PARK_JUMP_SPAN,
 };
 use crate::steer::{OracleSteer, PracticalSteer};
 use crate::warm::{self, WarmState};
@@ -292,39 +292,10 @@ impl Thread {
     }
 }
 
-/// A per-instruction lifecycle record emitted at commit (the analogue of
-/// gem5's O3 pipeline-viewer traces), for debugging and the CLI `trace`
-/// command.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CommitRecord {
-    /// Hardware thread.
-    pub thread: usize,
-    /// Trace sequence number.
-    pub seq: u64,
-    /// Static PC.
-    pub pc: u64,
-    /// Operation class.
-    pub op: OpClass,
-    /// Which queue the instruction went through.
-    pub steer: Steer,
-    /// Classified in-sequence at issue.
-    pub in_sequence: bool,
-    /// Fetch cycle.
-    pub fetch: u64,
-    /// Dispatch cycle.
-    pub dispatch: u64,
-    /// Issue cycle.
-    pub issue: u64,
-    /// Writeback cycle.
-    pub complete: u64,
-    /// Commit cycle.
-    pub commit: u64,
-}
-
 /// One architecturally committed (correct-path) instruction, as emitted by
 /// the commit observer for lockstep differential validation (see the
-/// `shelfsim-validate` crate). Unlike [`CommitRecord`] — a timing-oriented
-/// debugging record — this carries the full decoded [`DynInst`] so a
+/// `shelfsim-validate` crate). Unlike the tracer's timing-oriented
+/// [`Lifecycle`] record, this carries the full decoded [`DynInst`] so a
 /// functional reference model can replay the exact architectural stream:
 /// PC, operation, registers, memory address, and branch outcome.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -358,9 +329,8 @@ pub enum ChaosKind {
     /// commit — a squash that failed to kill its instruction.
     DropSquash,
     /// Silently drop *all* of one thread's due pipeline events for a cycle
-    /// — the partial-skip failure mode where a parked thread's wake-up is
-    /// missed and its tick effectively skipped. The lost writebacks wedge
-    /// the thread.
+    /// — the partial-skip failure mode where a thread's tick is
+    /// effectively skipped. The lost writebacks wedge the thread.
     SkipThreadTick,
 }
 
@@ -468,9 +438,6 @@ pub struct Core {
     /// Per functional-unit-kind busy-until cycles.
     fu_busy: [Vec<u64>; 4],
     events: EventWheel,
-    /// Ring buffer of recent commit records (empty unless enabled).
-    commit_log: VecDeque<CommitRecord>,
-    commit_log_capacity: usize,
     /// Queued [`CommitEvent`]s awaiting [`Core::drain_commit_events`]
     /// (empty unless the commit observer is enabled).
     commit_events: VecDeque<CommitEvent>,
@@ -507,7 +474,7 @@ pub struct Core {
     scratch_mshr_losers: Vec<InstId>,
     scratch_counts: Vec<usize>,
     scratch_eligible: Vec<bool>,
-    /// Event-driven cycle skipping (park certificates + accounting); see
+    /// Event-driven cycle skipping (park bits + accounting); see
     /// [`crate::skip`]. Runtime-toggleable, on by default, used only via
     /// [`Core::tick_bounded`] — plain [`Core::tick`] never skips.
     skip: SkipEngine,
@@ -645,8 +612,6 @@ impl Core {
             icount: Icount::new(),
             fetch_rr: 0,
             events: EventWheel::new(),
-            commit_log: VecDeque::new(),
-            commit_log_capacity: 0,
             commit_events: VecDeque::new(),
             commit_observer: false,
             #[cfg(feature = "chaos")]
@@ -662,18 +627,6 @@ impl Core {
             scratch_eligible: Vec::new(),
             skip: SkipEngine::new(),
         }
-    }
-
-    /// Enables the commit log: the last `capacity` committed instructions'
-    /// lifecycle records are retained (see [`CommitRecord`]).
-    pub fn enable_commit_log(&mut self, capacity: usize) {
-        self.commit_log_capacity = capacity;
-        self.commit_log = VecDeque::with_capacity(capacity);
-    }
-
-    /// The retained commit records, oldest first.
-    pub fn commit_log(&self) -> impl Iterator<Item = &CommitRecord> {
-        self.commit_log.iter()
     }
 
     /// Enables pipeline tracing: the last `window` instruction lifecycles
@@ -733,29 +686,6 @@ impl Core {
             writeback,
             end: self.now,
             end_kind,
-        });
-    }
-
-    fn record_commit(&mut self, id: InstId) {
-        if self.commit_log_capacity == 0 {
-            return;
-        }
-        let s = self.slab.get(id);
-        if self.commit_log.len() == self.commit_log_capacity {
-            self.commit_log.pop_front();
-        }
-        self.commit_log.push_back(CommitRecord {
-            thread: s.thread,
-            seq: s.seq,
-            pc: s.inst.pc,
-            op: s.inst.op,
-            steer: s.steer,
-            in_sequence: s.in_sequence,
-            fetch: s.fetch_cycle,
-            dispatch: s.dispatch_cycle,
-            issue: s.issue_cycle,
-            complete: s.complete_cycle,
-            commit: self.now,
         });
     }
 
@@ -1069,35 +999,11 @@ impl Core {
 
     /// Advances the core by one cycle.
     pub fn tick(&mut self) {
-        // Revoke stale park certificates first: `tick` must stay sound
-        // when called directly (sim driver, tests) with threads still
-        // parked from an earlier `tick_bounded` block. Inside
-        // `tick_bounded` the loop already ran this pass, making this a
-        // cheap no-op.
-        if self.skip.parked != 0 {
-            self.unpark_expired_and_due();
-        }
         // Snapshot tracker heads for conservative same-cycle semantics.
         for t in &mut self.threads {
             t.tracker_head_snapshot = t.issue_tracker.head();
         }
         self.process_events();
-        // Data-ready arrivals surface here, not in the issue stage, so a
-        // ready operand due this cycle unparks its owner ahead of the
-        // issue-stage classification replay. Hoisting the drain is free:
-        // wheel pushes clamp to `now + 1`, so nothing a later stage pushes
-        // this tick could have been due this tick anyway.
-        let mut pool = std::mem::take(&mut self.ready_pool);
-        let fresh = pool.len();
-        self.ready_wheel.drain_due(self.now, &mut pool);
-        if self.skip.parked != 0 {
-            for &(age, id) in &pool[fresh..] {
-                if self.slab.live_with_age(id, age) {
-                    self.skip.parked &= !(1 << self.slab.thread_of(id));
-                }
-            }
-        }
-        self.ready_pool = pool;
         self.commit_stage();
         self.drain_store_buffers();
         self.issue_stage();
@@ -1161,9 +1067,6 @@ impl Core {
     /// execution strategy with no architectural effect.
     pub fn set_cycle_skipping(&mut self, on: bool) {
         self.skip.enabled = on;
-        if !on {
-            self.skip.unpark_all();
-        }
     }
 
     /// Whether event-driven cycle skipping is enabled.
@@ -1176,12 +1079,11 @@ impl Core {
         &self.skip.stats
     }
 
-    /// Advances the core by exactly `limit` cycles, running *reduced ticks*
-    /// while a subset of threads hold park certificates and fast-forwarding
-    /// whole spans once every thread is parked or held (see
-    /// [`crate::skip`]). Bit-identical to `limit` calls of [`Core::tick`] —
-    /// counters, commit stream, and trace tallies included. Returns the
-    /// cycles advanced (always `limit`).
+    /// Advances the core by exactly `limit` cycles, fast-forwarding whole
+    /// spans once every thread is parked or held (see [`crate::skip`]).
+    /// Bit-identical to `limit` calls of [`Core::tick`] — counters, commit
+    /// stream, and trace tallies included. Returns the cycles advanced
+    /// (always `limit`).
     pub fn tick_bounded(&mut self, limit: u64) -> u64 {
         if !self.skip.enabled || self.threads.len() > MAX_SKIP_THREADS {
             for _ in 0..limit {
@@ -1192,23 +1094,35 @@ impl Core {
         let nthreads = self.threads.len();
         let full_mask: u64 = (1 << nthreads) - 1;
         let mut advanced = 0u64;
-        // Threads `try_park` found held after the last walked tick. Held
-        // verdicts carry no certificate and no revocation path, so they
-        // live for exactly one loop iteration and never outlive this call.
+        // Threads found held after the last walked tick or when the window
+        // opened. Held verdicts live for exactly one loop iteration and
+        // never outlive this call.
         let mut held = 0u64;
         // Horizon cache for the current all-parked window. The window only
-        // runs reduced ticks strictly before the cached horizon, where by
+        // walks ticks strictly before the cached horizon, where by
         // definition nothing fires and no parked thread progresses, so
         // every `skip_horizon` term is static for the whole window and one
         // computation serves the entry gate, the jump-worthiness gate, and
         // the jump itself.
         let mut window: Option<(u64, SkipCause)> = None;
         while advanced < limit {
-            // Revoke certificates whose horizon has arrived or whose
-            // thread has work due this very cycle, *before* the tick that
-            // would act on that work.
-            if self.skip.parked != 0 {
-                self.unpark_expired_and_due();
+            if window.is_none() && (self.skip.parked | held) == full_mask {
+                // A window is about to open, and park bits are only hints:
+                // re-derive every parked thread's verdict on the current
+                // state. A held thread trades its park bit for a held bit;
+                // a rejected one loses its bit, which abandons the window.
+                for t in 0..nthreads {
+                    if self.skip.parked & (1 << t) != 0 {
+                        match self.try_park(t) {
+                            Verdict::Park => {}
+                            Verdict::Held => {
+                                self.skip.parked &= !(1 << t);
+                                held |= 1 << t;
+                            }
+                            Verdict::Reject => self.skip.parked &= !(1 << t),
+                        }
+                    }
+                }
             }
             let parked = self.skip.parked;
             let still = parked | std::mem::take(&mut held);
@@ -1216,36 +1130,33 @@ impl Core {
                 // Every thread is parked or held, so the coming tick repeats
                 // until the event horizon: one captured tick supplies the
                 // per-cycle delta. A jump only repays its fixed costs
-                // (counter clones, scaled replay) over a long enough span
-                // when the alternative is cheap reduced ticks — staggered
-                // per-thread fills in SMT mixes open many short all-parked
-                // windows — so the capture is gated on the window horizon
-                // unless a held thread would walk full ticks anyway.
+                // (counter clones, scaled replay) over a long enough span —
+                // staggered per-thread fills in SMT mixes open many short
+                // all-parked windows — so the capture is gated on the window
+                // horizon unless a thread is held.
                 let (horizon, cause) = *window.get_or_insert_with(|| self.skip_horizon());
                 let span = horizon.saturating_sub(self.now + 1);
                 let all_parked = parked == full_mask;
                 // A horizon term due this very cycle means the coming tick
-                // is not a fixed point (the in-tick wheel drains wake the
-                // owners at full fidelity); a held thread with no span to
-                // jump walks a normal tick to be re-examined.
+                // is not a fixed point; a held thread with no span to jump
+                // walks a normal tick to be re-examined.
                 if horizon > self.now && (all_parked || span > 0) {
                     let will_jump = !all_parked || span >= MIN_PARK_JUMP_SPAN;
                     let pre = will_jump.then(|| (self.counters.clone(), self.hierarchy.counters()));
                     self.walk_tick();
                     advanced += 1;
                     if self.skip.progress {
-                        // A verdict lied. The per-tick soundness net: revoke
-                        // everything and fall back to walked ticks, which
+                        // A verdict lied. The per-tick soundness net: clear
+                        // every park and fall back to walked ticks, which
                         // re-examine every thread from scratch.
                         self.skip.stats.park_aborts += 1;
-                        self.skip.unpark_all();
+                        self.skip.parked = 0;
                         window = None;
                         continue;
                     }
                     let Some((pre_c, pre_m)) = pre else {
-                        // Short all-parked window: reduced ticks walk it
-                        // cycle by cycle and the cached horizon stays valid
-                        // until the revocation pass ends the window.
+                        // Short all-parked window: walk it cycle by cycle;
+                        // the cached horizon stays valid until it arrives.
                         continue;
                     };
                     let rec = TickDelta {
@@ -1253,11 +1164,6 @@ impl Core {
                         mem_delta: self.hierarchy.counters().diff(&pre_m),
                         streak_bumped: self.skip.streak_bumped,
                     };
-                    // Every certificate horizon term (fetch stall, frontend
-                    // maturation, store-buffer drain, MSHR fill) is also a
-                    // `skip_horizon` term with at-or-after-`now` semantics, so
-                    // an expired certificate yields `k == 0` rather than a
-                    // jump past its wake-up.
                     let budget = limit - advanced;
                     let mut k = horizon.saturating_sub(self.now);
                     let mut cause = cause;
@@ -1288,7 +1194,10 @@ impl Core {
             for t in 0..nthreads {
                 if idle & (1 << t) != 0 {
                     match self.try_park(t) {
-                        Verdict::Park(cert) => self.skip.park(t, cert),
+                        Verdict::Park => {
+                            self.skip.parked |= 1 << t;
+                            self.skip.stats.parks += 1;
+                        }
                         Verdict::Held => held |= 1 << t,
                         Verdict::Reject => {}
                     }
@@ -1298,9 +1207,9 @@ impl Core {
         advanced
     }
 
-    /// One tick under fresh per-tick progress tracking, booking the parked
+    /// One tick under fresh per-tick progress tracking, booking the park
     /// coverage it ran with. Returns the threads still parked after it
-    /// (event wake-ups inside the tick clear bits).
+    /// (progress inside the tick clears bits).
     fn walk_tick(&mut self) -> u64 {
         self.skip.progress = false;
         self.skip.progress_mask = 0;
@@ -1314,78 +1223,10 @@ impl Core {
         parked
     }
 
-    /// The per-tick certificate revocation pass: unparks any thread whose
-    /// horizon has arrived. The event half of the park contract lives at
-    /// the wheel drain points instead — `process_events` and the ready-
-    /// wheel drain clear the owner's bit the moment a due entry surfaces,
-    /// before any stage consults parked state — so this pass is a
-    /// two-compare no-op until the cached earliest horizon arrives.
-    fn unpark_expired_and_due(&mut self) {
-        let now = self.now;
-        if self.skip.revoked_at == now {
-            return; // already ran for this cycle (loop-top + tick-top)
-        }
-        self.skip.revoked_at = now;
-        if now < self.skip.next_horizon {
-            return;
-        }
-        let mut wake = 0u64;
-        let mut next = u64::MAX;
-        for (t, cert) in self.skip.certs.iter().enumerate().take(self.threads.len()) {
-            if self.skip.parked & (1 << t) != 0 {
-                if cert.horizon <= now {
-                    wake |= 1 << t;
-                } else {
-                    next = next.min(cert.horizon);
-                }
-            }
-        }
-        self.skip.parked &= !wake;
-        self.skip.next_horizon = next;
-    }
-
-    /// Replays the dispatch-stage outcome for a parked thread's mature
-    /// head: the certificate's (frozen) resource verdict, with the one
-    /// shared input the real walk checks first — IQ occupancy — re-checked
-    /// live. Counter bumps and stall causes match `try_dispatch` exactly.
-    fn park_dispatch_mirror(&mut self, t: usize) -> DispatchOutcome {
-        match self.skip.certs[t].dispatch {
-            ParkDispatch::NoHead => {
-                // The real loop's head/maturity pre-checks keep NoHead
-                // certificates from ever reaching the mirror.
-                debug_assert!(false, "dispatch mirror reached without a mature head");
-                DispatchOutcome::Stalled(StallCause::NotReady)
-            }
-            ParkDispatch::Barrier => {
-                self.counters.stalls.barrier += 1;
-                DispatchOutcome::Stalled(StallCause::Barrier)
-            }
-            ParkDispatch::IqBlocked(local) => {
-                if self.iq.len() >= self.cfg.iq_entries {
-                    self.counters.stalls.iq_full += 1;
-                    return DispatchOutcome::Stalled(StallCause::IqFull);
-                }
-                local.bump(&mut self.counters.stalls);
-                DispatchOutcome::Stalled(match local {
-                    LocalStall::RobFull => StallCause::RobFull,
-                    LocalStall::LqFull | LocalStall::SqFull => StallCause::LsqFull,
-                    LocalStall::ShelfFull | LocalStall::ShelfIndexFull => StallCause::ShelfFull,
-                })
-            }
-            ParkDispatch::ShelfBlocked(local) => {
-                local.bump(&mut self.counters.stalls);
-                DispatchOutcome::Stalled(match local {
-                    LocalStall::SqFull => StallCause::LsqFull,
-                    _ => StallCause::ShelfFull,
-                })
-            }
-        }
-    }
-
-    /// Whether thread `t`'s commit stage is provably a no-op for the whole
-    /// park: nothing poppable at the TSO SQ head and the window head not
-    /// committable. Blocked heads are fine — their `commit_stalls` bumps
-    /// happen in the real (budget-gated) commit stage exactly as always.
+    /// Whether thread `t`'s commit stage is provably a no-op until the
+    /// thread progresses: nothing poppable at the TSO SQ head and the
+    /// window head not committable. Blocked heads are fine — their
+    /// `commit_stalls` bumps repeat identically every cycle.
     fn commit_frozen(&self, t: usize) -> bool {
         let th = &self.threads[t];
         if self.cfg.memory_model == MemoryModel::Tso {
@@ -1406,7 +1247,7 @@ impl Core {
             Steer::Shelf => {
                 if self.slab.stage(head) != Stage::Completed || self.slab.is_squashed(head) {
                     // Completion and squash both arrive via `t`'s own
-                    // events, and the event-drain wake unparks first.
+                    // events, which are `skip_horizon` terms.
                     return true;
                 }
                 if let Some(sq_idx) = slot.sq_idx {
@@ -1429,7 +1270,7 @@ impl Core {
                     return true;
                 }
                 if slot.inst.is_store() && th.store_buffer.len() >= self.cfg.store_buffer_entries {
-                    return true; // the store buffer is frozen while parked
+                    return true; // the store buffer is frozen while `t` is still
                 }
                 false
             }
@@ -1438,55 +1279,50 @@ impl Core {
 
     /// Decides whether thread `t`, which made no progress in the tick just
     /// walked, is still (see the [`crate::skip`] module docs). Every
-    /// `Reject` is a condition whose per-cycle replay the reduced tick could
-    /// not keep exact, or a passive state flip with no event or horizon term
-    /// to wake the thread. Every hold is a shared input — MSHR, FU, IQ or
-    /// free-list space — that changes only at a `skip_horizon` term or
-    /// through another thread's progress.
+    /// `Reject` is a condition that could let the thread progress, or flip
+    /// its per-cycle effects, with no event or horizon term ahead of it.
+    /// Every hold is a shared input — MSHR, FU, IQ or free-list space —
+    /// that changes only at a `skip_horizon` term or through another
+    /// thread's progress. Passive wake-ups (fetch-stall expiry, frontend
+    /// maturation, store-buffer readiness, fills) need no check here: each
+    /// is a `skip_horizon` term, so no window jumps past one.
     fn try_park(&self, t: usize) -> Verdict {
         let now = self.now;
 
         // SSR decay must be a provable no-op; quiescence also pins the
         // classification chain's SSR branch false and `shelf_allows` true
-        // for the whole park.
+        // until the thread progresses.
         if !self.threads[t].ssr.is_quiescent() {
             return Verdict::Reject;
         }
 
-        let mut horizon = u64::MAX;
         let mut held = false;
+        let th = &self.threads[t];
 
+        // ---- fetch: must stay ineligible ----
+        // (`!room` and `waiting_branch` change only through `t`'s own
+        // progress: a dispatch pop, the branch's writeback.)
+        let room = th.frontend.len() + self.cfg.fetch_width <= self.cfg.frontend_per_thread();
+        if th.fetch_stalled_until <= now
+            && room
+            && (th.waiting_branch.is_none() || self.cfg.wrong_path_fetch)
         {
-            let th = &self.threads[t];
-            // ---- fetch: must stay ineligible ----
-            let room = th.frontend.len() + self.cfg.fetch_width <= self.cfg.frontend_per_thread();
-            if th.fetch_stalled_until > now {
-                // The stall expires passively at a known cycle.
-                horizon = horizon.min(th.fetch_stalled_until);
-            } else if room && (th.waiting_branch.is_none() || self.cfg.wrong_path_fetch) {
-                return Verdict::Reject; // eligible: the fetch selector could pick it
-            }
-            // (`!room` is frozen — fetch can't push and a parked dispatch
-            // never pops; `waiting_branch` clears only at the branch's own
-            // writeback event, which unparks the thread first.)
+            return Verdict::Reject; // eligible: the fetch selector could pick it
+        }
 
-            // ---- store buffer: drain attempts must be provable no-ops ----
-            if let Some(&(_, ready)) = th.store_buffer.front() {
-                if ready < now {
-                    // Due last tick and still queued: the hierarchy rejected
-                    // the drain for want of an MSHR, and rejects every retry
-                    // identically until the next fill frees one. A front
-                    // due exactly now is a `skip_horizon` term instead.
-                    held = true;
-                } else {
-                    horizon = horizon.min(ready);
-                }
-            }
+        // ---- store buffer: drain attempts must be provable no-ops ----
+        // A front due last tick and still queued lost its drain for want of
+        // an MSHR, and loses every retry identically until the next fill
+        // frees one.
+        if th
+            .store_buffer
+            .front()
+            .is_some_and(|&(_, ready)| ready < now)
+        {
+            held = true;
         }
 
         // ---- issue: none of `t`'s IQ work may be selectable ----
-        // (Future ready-wheel arrivals are fine: the ready-wheel drain at
-        // the top of `tick` unparks the thread the cycle they come due.)
         // A load blocked by `t`'s own store set may stay: the block clears
         // only at the elder store's writeback (or squash), `t`'s own event.
         // Any other resident is ready but unissued after a still tick: it
@@ -1505,78 +1341,51 @@ impl Core {
             return Verdict::Reject;
         }
 
-        // ---- dispatch head: record the frozen resource verdict ----
-        let th = &self.threads[t];
-        let dispatch = if let Some(&head) = th.frontend.front() {
-            let mature = self.slab.get(head).fetch_cycle + self.cfg.fetch_to_dispatch as u64;
-            if mature > now {
-                // Maturation is passive and exact: a horizon term.
-                horizon = horizon.min(mature);
-                ParkDispatch::NoHead
-            } else {
-                let slot = self.slab.get(head);
-                let inst = slot.inst;
-                if inst.op == OpClass::MemBarrier {
-                    if th.window.is_empty() && th.store_buffer.is_empty() {
-                        return Verdict::Reject; // would dispatch
-                    }
-                    // The window shrinks only at commit (frozen above) and
-                    // the store buffer is frozen, so the barrier stays put.
-                    ParkDispatch::Barrier
-                } else {
-                    // A first dispatch attempt would mutate predictor
-                    // state; only already-memoized heads can park.
-                    let Some((steer, _)) = slot.steer_memo else {
-                        return Verdict::Reject;
-                    };
-                    match steer {
-                        Steer::Iq => {
-                            // First failing *thread-local* check in
-                            // `try_dispatch` order. Shared inputs (IQ
-                            // occupancy, free lists) fluctuate with live
-                            // threads: the IQ is re-checked live by the
-                            // mirror (the real walk checks it before any
-                            // local), and a head held back *only* by a
-                            // shared input is held, not parked.
-                            if th.rob.is_full() {
-                                ParkDispatch::IqBlocked(LocalStall::RobFull)
-                            } else if inst.is_load() && th.lq.is_full() {
-                                ParkDispatch::IqBlocked(LocalStall::LqFull)
-                            } else if inst.is_store() && th.sq.is_full() {
-                                ParkDispatch::IqBlocked(LocalStall::SqFull)
-                            } else {
-                                held = true;
-                                ParkDispatch::NoHead
-                            }
-                        }
-                        Steer::Shelf => {
-                            if th.shelf.len() >= th.shelf_capacity {
-                                ParkDispatch::ShelfBlocked(LocalStall::ShelfFull)
-                            } else if self.cfg.memory_model == MemoryModel::Tso
-                                && inst.is_store()
-                                && th.sq.is_full()
-                            {
-                                ParkDispatch::ShelfBlocked(LocalStall::SqFull)
-                            } else if th.shelf_next_idx - th.shelf_retire_ptr
-                                >= th.shelf_index_space(self.cfg.narrow_shelf_index)
-                            {
-                                ParkDispatch::ShelfBlocked(LocalStall::ShelfIndexFull)
-                            } else {
-                                held = true; // only the shared extension tags
-                                ParkDispatch::NoHead
-                            }
-                        }
-                    }
+        // ---- dispatch head: a mature head must be blocked ----
+        if let Some(&head) = th.frontend.front() {
+            let slot = self.slab.get(head);
+            let inst = slot.inst;
+            if slot.fetch_cycle + self.cfg.fetch_to_dispatch as u64 > now {
+                // Still maturing: nothing to dispatch yet.
+            } else if inst.op == OpClass::MemBarrier {
+                // The window shrinks only at commit (frozen above) and the
+                // store buffer drains only through the hierarchy, so a
+                // serialized barrier stays put.
+                if th.window.is_empty() && th.store_buffer.is_empty() {
+                    return Verdict::Reject; // would dispatch
                 }
+            } else {
+                // A first dispatch attempt would mutate predictor state;
+                // only already-memoized heads can be still.
+                let Some((steer, _)) = slot.steer_memo else {
+                    return Verdict::Reject;
+                };
+                // A head blocked by a full *thread-local* partition stays
+                // blocked until `t` progresses. One held back only by
+                // shared IQ or free-list space is held.
+                let local_full = match steer {
+                    Steer::Iq => {
+                        th.rob.is_full()
+                            || (inst.is_load() && th.lq.is_full())
+                            || (inst.is_store() && th.sq.is_full())
+                    }
+                    Steer::Shelf => {
+                        th.shelf.len() >= th.shelf_capacity
+                            || (self.cfg.memory_model == MemoryModel::Tso
+                                && inst.is_store()
+                                && th.sq.is_full())
+                            || th.shelf_next_idx - th.shelf_retire_ptr
+                                >= th.shelf_index_space(self.cfg.narrow_shelf_index)
+                    }
+                };
+                held |= !local_full;
             }
-        } else {
-            ParkDispatch::NoHead
-        };
+        }
 
-        // ---- shelf head: record the frozen classification outcome ----
-        let issue = if let Some(&sid) = th.shelf.front() {
-            // The parking tick's issue stage just ran its head-change
-            // stanza on this (unchanged) head.
+        // ---- shelf head: must be blocked on a stable local cause ----
+        if let Some(&sid) = th.shelf.front() {
+            // The last tick's issue stage ran its head-change stanza on
+            // this (unchanged) head.
             debug_assert_eq!(th.head_blocked_id, Some(sid));
             let slot = self.slab.get(sid);
             // Cross-cluster limbo: a source whose scoreboard base cycle
@@ -1595,81 +1404,32 @@ impl Core {
                     }
                 }
             }
-            if self.tracker_head_view(t) < slot.iq_barrier {
-                // Order barrier: clears only when `t`'s own IQ work issues.
-                ParkIssue {
-                    bucket: Some(0),
-                    streak: false,
-                    cause: Some(StallCause::ShelfHeadBlocked),
-                }
-            } else if slot
-                .src_tags
-                .iter()
-                .flatten()
-                .any(|tag| !self.scoreboard.is_ready(*tag, now))
-            {
-                // RAW: resolves at the producer's writeback, which is this
-                // thread's own event (renaming is per-thread).
-                ParkIssue {
-                    bucket: Some(2),
-                    streak: true,
-                    cause: Some(StallCause::ShelfHeadBlocked),
-                }
-            } else if slot
-                .prev_mapping
-                .is_some_and(|p| !self.scoreboard.is_ready(p.tag, now))
-            {
-                // WAW on the shared destination register.
-                ParkIssue {
-                    bucket: Some(3),
-                    streak: false,
-                    cause: Some(StallCause::ShelfHeadBlocked),
-                }
-            } else if slot.inst.is_load() && !self.store_set_clear(sid, slot) {
-                // Store-set block: clears at an elder store's writeback.
-                ParkIssue {
-                    bucket: Some(4),
-                    streak: false,
-                    cause: Some(StallCause::ShelfHeadBlocked),
-                }
-            } else if slot.inst.is_store() && th.store_buffer.len() >= self.cfg.store_buffer_entries
-            {
-                // The structural bucket, stably true through its store-
-                // buffer limb whatever the (shared) FUs do.
-                ParkIssue {
-                    bucket: Some(4),
-                    streak: false,
-                    cause: Some(StallCause::FuBusy),
-                }
-            } else {
-                // Every remaining chain outcome (a pure FU-busy bump, or
-                // no bump at all for a TSO-held head or one that lost MSHR
-                // arbitration) depends on shared FU or MSHR state that
-                // fluctuates with live threads: not certifiable, but held.
-                held = true;
-                ParkIssue::default()
-            }
-        } else {
-            ParkIssue::default()
-        };
+            // Each local cause clears only through `t`'s own progress or
+            // events: the order barrier when `t`'s IQ work issues, RAW and
+            // WAW at the producers' writebacks (renaming is per-thread), a
+            // store-set block at the elder store's writeback, and a full
+            // store buffer at a drain.
+            let blocked_locally = self.tracker_head_view(t) < slot.iq_barrier
+                || slot
+                    .src_tags
+                    .iter()
+                    .flatten()
+                    .any(|tag| !self.scoreboard.is_ready(*tag, now))
+                || slot
+                    .prev_mapping
+                    .is_some_and(|p| !self.scoreboard.is_ready(p.tag, now))
+                || (slot.inst.is_load() && !self.store_set_clear(sid, slot))
+                || (slot.inst.is_store() && th.store_buffer.len() >= self.cfg.store_buffer_entries);
+            // Every other chain outcome (FU busy, a TSO-held head, a lost
+            // MSHR arbitration) depends on shared state: held.
+            held |= !blocked_locally;
+        }
 
         if held {
-            return Verdict::Held;
+            Verdict::Held
+        } else {
+            Verdict::Park
         }
-        // A fill for a line this thread is waiting on can change fetch or
-        // store-buffer behavior the cycle it lands; bound the park by it.
-        if let Some(c) = self.hierarchy.next_fill_after_for(now.saturating_sub(1), t) {
-            horizon = horizon.min(c);
-        }
-        if horizon <= now {
-            // Would expire before the next tick: not worth a certificate.
-            return Verdict::Reject;
-        }
-        Verdict::Park(ParkCert {
-            horizon,
-            issue,
-            dispatch,
-        })
     }
 
     /// The event horizon: the earliest future cycle at which any stage's
@@ -1998,14 +1758,7 @@ impl Core {
                 if ready_cycle > self.now {
                     continue;
                 }
-                // Parked threads replay their certificate's (frozen)
-                // resource verdict instead of re-walking `try_dispatch`.
-                let outcome = if self.skip.is_parked(t) {
-                    self.park_dispatch_mirror(t)
-                } else {
-                    self.try_dispatch(t, head)
-                };
-                match outcome {
+                match self.try_dispatch(t, head) {
                     DispatchOutcome::Dispatched => {
                         self.threads[t].frontend.pop_front();
                         self.skip.note_progress(t);
@@ -2351,21 +2104,6 @@ impl Core {
                 self.threads[t].head_blocked_id = self.threads[t].shelf.front().copied();
                 self.threads[t].head_blocked_streak = 0;
             }
-            if self.skip.is_parked(t) {
-                // Certificate replay: a parked thread's shelf head (and so
-                // its whole classification chain) is frozen, so the bump
-                // pattern recorded at park time repeats verbatim.
-                let issue = self.skip.certs[t].issue;
-                if let Some(b) = issue.bucket {
-                    self.counters.shelf_head_stalls[b as usize] += 1;
-                }
-                if issue.streak {
-                    self.threads[t].head_blocked_streak += 1;
-                    self.skip.streak_bumped |= 1 << t;
-                }
-                *cause_slot = issue.cause;
-                continue;
-            }
             if let Some(&id) = self.threads[t].shelf.front() {
                 let slot = self.slab.get(id);
                 if self.tracker_head_view(t) < slot.iq_barrier {
@@ -2416,14 +2154,14 @@ impl Core {
         let mut mshr_mask = 0u64;
         // Source readiness cannot change mid-cycle (broadcasts announce
         // future ready cycles), so data-ready IQ candidates arrive through
-        // the ready wheel at their (final) ready cycle — drained at the top
-        // of `tick`, where arrivals double as park wake-ups — and stay in
-        // the pool until they issue or vanish; only the per-pick structural
+        // the ready wheel at their (final) ready cycle and stay in the pool
+        // until they issue or vanish; only the per-pick structural
         // checks (FU, store sets) re-run inside the selection loop. The
         // pool is compacted and re-sorted each cycle — it holds only ready-
         // but-unissued entries, a small set the full IQ scan used to
         // rediscover from scratch.
         let mut ready = std::mem::take(&mut self.ready_pool);
+        self.ready_wheel.drain_due(self.now, &mut ready);
         ready.retain(|&(age, id)| {
             self.slab.live_with_age(id, age) && self.slab.stage(id) == Stage::Dispatched
         });
@@ -2440,12 +2178,7 @@ impl Core {
         let mut shelf_cand: [Option<(u64, InstId)>; 8] = [None; 8];
         let nthreads = self.threads.len();
         for (t, cand) in shelf_cand.iter_mut().enumerate().take(nthreads) {
-            // Parked threads are certified not issue-eligible.
-            *cand = if self.skip.is_parked(t) {
-                None
-            } else {
-                self.shelf_candidate(t)
-            };
+            *cand = self.shelf_candidate(t);
         }
         // Cursor into the age-sorted pool: every condition that skips an
         // entry is sticky for the rest of the cycle (issued entries leave
@@ -2569,12 +2302,7 @@ impl Core {
     /// became order-eligible (paper §III-B run-copy).
     fn refresh_ssr_copies(&mut self) {
         for t in 0..self.threads.len() {
-            // A parked thread's run-copy condition is frozen false: the
-            // head, its `ssr_copied` flag, and the tracker view cannot
-            // change while the certificate holds.
-            if !self.skip.is_parked(t) {
-                self.refresh_ssr_copy(t);
-            }
+            self.refresh_ssr_copy(t);
         }
     }
 
@@ -3011,17 +2739,6 @@ impl Core {
             // provided) so squashes mark younger in-flight work first.
             due.sort_unstable_by_key(|ev| ev.age);
             self.events.len -= due.len();
-            // A due event is the wake-up the park contract promised: clear
-            // the owner's certificate before any effect executes, so the
-            // rest of this tick runs that thread at full fidelity (every
-            // stage that consults parked state comes after this drain).
-            if self.skip.parked != 0 {
-                for ev in &due {
-                    if self.slab.live_with_age(ev.id, ev.age) {
-                        self.skip.parked &= !(1 << self.slab.thread_of(ev.id));
-                    }
-                }
-            }
             #[cfg(feature = "chaos")]
             self.chaos_skip_thread_tick(&mut due);
             for ev in due.drain(..) {
@@ -3534,7 +3251,6 @@ impl Core {
                         let wrong_path = slot.wrong_path;
                         let seq = slot.seq;
                         if !wrong_path {
-                            self.record_commit(head);
                             self.observe_commit(head);
                         }
                         self.trace_end(head, EndKind::Commit);
@@ -3596,7 +3312,6 @@ impl Core {
                             }
                         }
                         if !wrong_path {
-                            self.record_commit(head);
                             self.observe_commit(head);
                         }
                         self.trace_end(head, EndKind::Commit);

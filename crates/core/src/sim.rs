@@ -217,6 +217,19 @@ impl RunResult {
     }
 }
 
+/// Cumulative statistics at the start of the measured region, subtracted
+/// from the end-of-run values so results cover the measured region only.
+struct MeasureStart {
+    committed: Vec<u64>,
+    /// Per-thread `(in-sequence, reordered)` commit classification counts.
+    class: Vec<(u64, u64)>,
+    /// Per-thread branch-predictor `(lookups, mispredicts)`.
+    bpred: Vec<(u64, u64)>,
+    l1i: CacheStats,
+    l1d: CacheStats,
+    l2: CacheStats,
+}
+
 fn cache_delta(now: &CacheStats, then: &CacheStats) -> CacheStats {
     CacheStats {
         accesses: now.accesses - then.accesses,
@@ -464,12 +477,6 @@ impl Simulation {
         Ok(())
     }
 
-    /// Enables the per-instruction commit log (see
-    /// [`crate::pipeline::CommitRecord`]).
-    pub fn enable_commit_log(&mut self, capacity: usize) {
-        self.core.enable_commit_log(capacity);
-    }
-
     /// Enables the commit observer (see [`Core::enable_commit_observer`]):
     /// every correct-path commit is queued as a
     /// [`crate::pipeline::CommitEvent`] until drained.
@@ -546,25 +553,7 @@ impl Simulation {
     ) -> Result<RunResult, SimError> {
         let mut wd = self.watchdog_state(watchdog);
         self.drive(warmup_cycles, &mut wd)?;
-        let committed0: Vec<u64> = (0..self.names.len())
-            .map(|t| self.core.committed(t))
-            .collect();
-        let class0: Vec<(u64, u64)> = (0..self.names.len())
-            .map(|t| {
-                let c = self.core.classifier(t);
-                (c.committed_in_sequence, c.committed_reordered)
-            })
-            .collect();
-        let bpred0: Vec<(u64, u64)> = (0..self.names.len())
-            .map(|t| self.core.bpred_counts(t))
-            .collect();
-        let l1i0 = *self.core.hierarchy().l1i_stats();
-        let l1d0 = *self.core.hierarchy().l1d_stats();
-        let l20 = *self.core.hierarchy().l2_stats();
-        self.core.counters = Counters::new();
-        if let Some(tracer) = self.core.tracer_mut() {
-            tracer.reset();
-        }
+        let start = self.begin_measurement();
 
         let mut measured = 0u64;
         let mut completion = Completion::MaxCyclesExpired;
@@ -578,23 +567,14 @@ impl Simulation {
                 self.watchdog_check(state)?;
             }
             if (0..self.names.len())
-                .all(|t| self.core.committed(t) - committed0[t] >= insts_per_thread)
+                .all(|t| self.core.committed(t) - start.committed[t] >= insts_per_thread)
             {
                 completion = Completion::CommitTarget;
                 break;
             }
         }
         self.core.finish_classification();
-        Ok(self.collect(
-            measured,
-            completion,
-            &committed0,
-            &class0,
-            &bpred0,
-            l1i0,
-            l1d0,
-            l20,
-        ))
+        Ok(self.collect(measured, completion, &start))
     }
 
     /// Warms the core for `warmup_cycles`, then measures `measure_cycles`
@@ -621,59 +601,45 @@ impl Simulation {
     ) -> Result<RunResult, SimError> {
         let mut wd = self.watchdog_state(watchdog);
         self.drive(warmup_cycles, &mut wd)?;
-        // Snapshot at measurement start.
-        let committed0: Vec<u64> = (0..self.names.len())
-            .map(|t| self.core.committed(t))
-            .collect();
-        let class0: Vec<(u64, u64)> = (0..self.names.len())
-            .map(|t| {
-                let c = self.core.classifier(t);
-                (c.committed_in_sequence, c.committed_reordered)
-            })
-            .collect();
-        let bpred0: Vec<(u64, u64)> = (0..self.names.len())
-            .map(|t| self.core.bpred_counts(t))
-            .collect();
-        let l1i0 = *self.core.hierarchy().l1i_stats();
-        let l1d0 = *self.core.hierarchy().l1d_stats();
-        let l20 = *self.core.hierarchy().l2_stats();
+        let start = self.begin_measurement();
+        self.drive(measure_cycles, &mut wd)?;
+        self.core.finish_classification();
+        Ok(self.collect(measure_cycles, Completion::FixedWindow, &start))
+    }
+
+    /// Opens the measured region: snapshots the cumulative per-thread and
+    /// cache statistics that [`Simulation::collect`] reports as deltas,
+    /// then zeroes the counters and resets the tracer.
+    fn begin_measurement(&mut self) -> MeasureStart {
+        let threads = 0..self.names.len();
+        let start = MeasureStart {
+            committed: threads.clone().map(|t| self.core.committed(t)).collect(),
+            class: threads
+                .clone()
+                .map(|t| {
+                    let c = self.core.classifier(t);
+                    (c.committed_in_sequence, c.committed_reordered)
+                })
+                .collect(),
+            bpred: threads.map(|t| self.core.bpred_counts(t)).collect(),
+            l1i: *self.core.hierarchy().l1i_stats(),
+            l1d: *self.core.hierarchy().l1d_stats(),
+            l2: *self.core.hierarchy().l2_stats(),
+        };
         self.core.counters = Counters::new();
         if let Some(tracer) = self.core.tracer_mut() {
             tracer.reset();
         }
-
-        self.drive(measure_cycles, &mut wd)?;
-        self.core.finish_classification();
-        Ok(self.collect(
-            measure_cycles,
-            Completion::FixedWindow,
-            &committed0,
-            &class0,
-            &bpred0,
-            l1i0,
-            l1d0,
-            l20,
-        ))
+        start
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn collect(
-        &self,
-        measured: u64,
-        completion: Completion,
-        committed0: &[u64],
-        class0: &[(u64, u64)],
-        bpred0: &[(u64, u64)],
-        l1i0: CacheStats,
-        l1d0: CacheStats,
-        l20: CacheStats,
-    ) -> RunResult {
+    fn collect(&self, measured: u64, completion: Completion, start: &MeasureStart) -> RunResult {
         let threads = (0..self.names.len())
             .map(|t| {
-                let committed = self.core.committed(t) - committed0[t];
+                let committed = self.core.committed(t) - start.committed[t];
                 let c = self.core.classifier(t);
-                let in_seq = c.committed_in_sequence - class0[t].0;
-                let reordered = c.committed_reordered - class0[t].1;
+                let in_seq = c.committed_in_sequence - start.class[t].0;
+                let reordered = c.committed_reordered - start.class[t].1;
                 let total = in_seq + reordered;
                 ThreadResult {
                     benchmark: self.names[t].clone(),
@@ -691,7 +657,7 @@ impl Simulation {
                     missteer_rate: self.core.missteer_rate(t),
                     branch_mispredict_ratio: {
                         let (l, m) = self.core.bpred_counts(t);
-                        let (dl, dm) = (l - bpred0[t].0, m - bpred0[t].1);
+                        let (dl, dm) = (l - start.bpred[t].0, m - start.bpred[t].1);
                         if dl == 0 {
                             0.0
                         } else {
@@ -708,9 +674,9 @@ impl Simulation {
             cycles: measured,
             threads,
             counters: self.core.counters.clone(),
-            l1i: cache_delta(self.core.hierarchy().l1i_stats(), &l1i0),
-            l1d: cache_delta(self.core.hierarchy().l1d_stats(), &l1d0),
-            l2: cache_delta(self.core.hierarchy().l2_stats(), &l20),
+            l1i: cache_delta(self.core.hierarchy().l1i_stats(), &start.l1i),
+            l1d: cache_delta(self.core.hierarchy().l1d_stats(), &start.l1d),
+            l2: cache_delta(self.core.hierarchy().l2_stats(), &start.l2),
             late_shelf_commits: self.core.late_shelf_commits(),
             completion,
             meta: self.meta.clone(),

@@ -1,11 +1,10 @@
-//! Event-driven cycle skipping: one certificate protocol.
+//! Event-driven cycle skipping: parks are hints, jumps are verified.
 //!
 //! A memory-bound core spends most of its cycles doing *nothing*: every
 //! stage blocked, waiting for a DRAM fill hundreds of cycles away. Under
 //! SMT the stall is per thread: one thread waits on its own shelf head,
-//! store set or MSHR fill while its siblings run. This module provides the
-//! bookkeeping for skipping that dead work, first per thread and then, when
-//! every thread is still, for the whole core.
+//! store set or MSHR fill while its siblings run. This module holds the
+//! bookkeeping for skipping that dead work once every thread is still.
 //!
 //! # Verdicts
 //!
@@ -20,33 +19,25 @@
 //!   *local* (partitioned) resource, shelf head blocked on a stable local
 //!   cause, ready-pool residents (if any) all loads blocked by the thread's
 //!   own store set, store buffer quiet, SSR pair quiescent, commit frozen.
-//!   The thread gets a [`ParkCert`].
+//!   The thread's bit in [`SkipEngine::parked`] is set.
 //! * **Held** — the thread passes every local check, but at least one
 //!   obstacle is a *shared* input that changes solely at a
 //!   `skip_horizon` term: a ready load losing MSHR arbitration, a due
 //!   store-buffer drain the hierarchy rejects, a ready entry or shelf head
 //!   waiting on a busy functional unit, an IQ- or shelf-steered dispatch
-//!   head held only by shared IQ or free-list space. No certificate: the
-//!   thread runs real stages, but counts toward the whole-core jump.
+//!   head held only by shared IQ or free-list space. Held lasts one loop
+//!   iteration of `Core::tick_bounded`.
 //! * **Reject** — anything else.
 //!
-//! # Reduced ticks
+//! # Parks are hints
 //!
-//! Ticks with a parked thread skip its issue-stage head classification,
-//! shelf-candidate evaluation and dispatch resource walk, replaying the
-//! certificate's recorded per-cycle counter bumps instead (with the one
-//! shared input of the dispatch walk, IQ occupancy, re-checked live each
-//! cycle). Everything cheap or shared (commit, decay, occupancy integrals,
-//! tracer sampling, the ready-pool scan) still runs for real, so reduced
-//! ticks are bit-identical to full ticks.
-//!
-//! A certificate carries a **horizon**: the earliest passive wake-up
-//! (fetch-stall expiry, frontend maturation, store-buffer readiness, the
-//! thread's own next MSHR fill). Event wake-ups need no horizon term: the
-//! wheel drains inside the tick clear a parked owner's bit the moment an
-//! entry comes due, ahead of every stage that consults parked state, so
-//! the moment a shared structure couples a parked thread back in it runs a
-//! full tick again.
+//! A park bit changes no stage: parked threads run the real fetch,
+//! dispatch, issue and commit logic every walked tick. Its only effect is
+//! that `tick_bounded` does not re-examine the thread after each walked
+//! tick. The first architectural progress by the thread clears its bit
+//! (`SkipEngine::note_progress`). A bit can therefore be stale — its
+//! thread may have been woken by a fill or an event without progressing
+//! yet — and is never trusted on its own.
 //!
 //! # Whole-core jumps
 //!
@@ -54,26 +45,28 @@
 //! event horizon — the earliest pending pipeline event, ready-wheel entry,
 //! MSHR fill, functional-unit release, fetch-stall expiry, frontend
 //! maturation or store-buffer readiness — so every cycle up to it repeats
-//! the next one. The engine runs that one tick as a capture, recording the
-//! [`Counters`] delta, the [`HierarchyCounters`] delta and the streak-bump
-//! mask in a [`TickDelta`]. If the capture made progress, a verdict was
-//! wrong: the jump is abandoned (`park_aborts`) and every certificate is
-//! revoked. Otherwise `fast_forward` replays the delta scaled to the
-//! horizon (`delta * k`), replays decaying state (SSRs, steering tables)
-//! exactly, and jumps the cycle counter.
+//! the next one. Each such window opens by re-deriving the verdict of
+//! every parked thread on the current state: a thread now held loses its
+//! bit and counts as held, and a single reject unparks that thread and
+//! abandons the window. The engine then runs one tick as a capture,
+//! recording the [`Counters`] delta, the [`HierarchyCounters`] delta and
+//! the streak-bump mask in a [`TickDelta`]. If the capture made progress,
+//! a verdict was wrong: the jump is abandoned (`park_aborts`) and every
+//! bit is cleared. Otherwise `fast_forward` replays the delta scaled to
+//! the horizon (`delta * k`), replays decaying state (SSRs, steering
+//! tables) exactly, and jumps the cycle counter.
 //!
 //! Skipped cycles are accounted per horizon cause in [`SkipStats`] so runs
-//! can report where their idle time went; parked coverage (thread-cycles
-//! mirrored instead of walked) is reported alongside.
+//! can report where their idle time went; park coverage (thread-cycles
+//! with a park bit set) is reported alongside.
 
 use crate::config::CoreConfig;
-use crate::counters::{Counters, LocalStall};
+use crate::counters::Counters;
 use shelfsim_mem::HierarchyCounters;
-use shelfsim_trace::StallCause;
 
 /// Maximum hardware threads the skip engine covers. Tied by definition to
 /// the config validator's thread cap: a config that validates can never
-/// carry more threads than the skip engine has park certificates for.
+/// carry more threads than the skip engine's bitmasks cover.
 pub(crate) const MAX_SKIP_THREADS: usize = CoreConfig::MAX_THREADS;
 
 // The pipeline tracks threads in u64 bitmasks (progress, parked, streak
@@ -152,13 +145,12 @@ pub(crate) fn consider(best: &mut (u64, SkipCause), cycle: u64, cause: SkipCause
 
 /// Minimum estimated all-parked span (cycles) worth converting into a
 /// capture-and-jump. A jump's fixed costs — two counter-block clones and
-/// the scaled fast-forward replay — amortize to roughly a dozen reduced
+/// the scaled fast-forward replay — amortize to roughly a dozen walked
 /// ticks, and SMT mixes with staggered per-thread fills open a stream of
-/// shorter all-parked windows than that. Those windows run as plain
-/// reduced ticks instead; correctness is unaffected either way (the gate
-/// consults a pre-tick horizon estimate only). The gate never applies
-/// while a thread is held: a held thread walks full ticks, so any jump is
-/// cheaper than walking.
+/// shorter all-parked windows than that. Those windows are walked tick by
+/// tick instead; correctness is unaffected either way (the gate consults
+/// a pre-tick horizon estimate only). The gate never applies while a
+/// thread is held, so a window with a held thread always jumps.
 pub const MIN_PARK_JUMP_SPAN: u64 = 16;
 
 /// Cycle-skip accounting: every skipped cycle is attributed to the horizon
@@ -173,100 +165,40 @@ pub struct SkipStats {
     pub by_cause: [u64; SKIP_CAUSES],
     /// Always 0. Counted failed fixed-point comparisons of the retired
     /// probe-pair protocol; kept so existing readers of the field still
-    /// build. Every jump now comes from certificates (`park_jumps`).
+    /// build. Every jump now comes from verdicts (`park_jumps`).
     pub probe_mismatches: u64,
-    /// Thread-cycles spent parked: each reduced tick contributes one per
-    /// parked thread. The partial-progress coverage metric — these are
-    /// thread-walks the engine replayed from certificates instead of
-    /// evaluating.
+    /// Thread-cycles with a park bit set: each walked tick adds the number
+    /// of threads still parked after it. Parked threads run every stage,
+    /// so this measures how long verdicts stay settled, not work saved.
     pub parked_thread_cycles: u64,
-    /// Ticks that ran with at least one thread parked.
+    /// Walked ticks after which at least one park bit was set.
     pub reduced_ticks: u64,
-    /// Park certificates granted.
+    /// `Park` verdicts from the examination after a walked tick (the
+    /// re-derivations that open a jump window are not counted).
     pub parks: u64,
     /// Whole-core fast-forwards taken with every thread parked or held.
     /// The only way to jump, so always equal to `spans`.
     pub park_jumps: u64,
     /// Skipped cycles of jumps taken with at least one thread held rather
     /// than parked (a subset of `skipped_cycles`): the coverage that
-    /// shared-input holds add on top of certificates alone.
+    /// shared-input holds add on top of parks alone.
     pub held_jump_cycles: u64,
     /// Capture ticks that unexpectedly made progress, forcing the jump to
-    /// be abandoned and every certificate revoked. Nonzero values indicate
+    /// be abandoned and every park bit cleared. Nonzero values indicate
     /// a verdict soundness bug — the release-mode safety net caught it,
     /// but coverage is being lost.
     pub park_aborts: u64,
-}
-
-/// Issue-stage head classification replayed for a parked thread: what the
-/// real per-cycle classifier would record, proven constant by the park
-/// predicate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ParkIssue {
-    /// `Counters::shelf_head_stalls` bucket bumped each cycle (`None`: no
-    /// shelf head; a head blocked outside the diagnostic chain, e.g. by a
-    /// TSO elder load, is held rather than parked).
-    pub bucket: Option<u8>,
-    /// Whether the head-blocked streak (and the engine's streak-bump mask)
-    /// advances each cycle.
-    pub streak: bool,
-    /// Issue-side tracer attribution to inject as the head cause (`None`:
-    /// fall through to the live attribution logic, whose remaining inputs
-    /// are frozen for a parked thread).
-    pub cause: Option<StallCause>,
-}
-
-/// Dispatch-stage outcome replayed for a parked thread. The mirror runs
-/// *inside* the real dispatch rotation (budget accounting, blocked-mask
-/// updates and round-robin order are shared state and stay live); only the
-/// head's resource walk is replaced.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum ParkDispatch {
-    /// Frontend empty or head still maturing through the fetch-to-dispatch
-    /// pipe: the real loop's cheap pre-checks handle it; nothing to mirror.
-    #[default]
-    NoHead,
-    /// Memory-barrier head serialized behind its thread's instruction
-    /// window / store buffer: bump `stalls.barrier` once per cycle.
-    Barrier,
-    /// IQ-steered head with a persistent *local* full condition. The shared
-    /// IQ-occupancy check still runs live each cycle (it is first in
-    /// `try_dispatch`'s order and other threads change it); only when the
-    /// IQ has room is the recorded local cause charged.
-    IqBlocked(LocalStall),
-    /// Shelf-steered head with a persistent local full condition (every
-    /// check ahead of the recorded one is local and frozen).
-    ShelfBlocked(LocalStall),
-}
-
-/// Proof that a thread is at a per-thread fixed point: the per-cycle
-/// effects the pipeline would produce for it (replayed by reduced ticks)
-/// and the first cycle at which the proof expires.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ParkCert {
-    /// First cycle the certificate no longer covers: the earliest passive
-    /// wake-up among fetch-stall expiry, frontend-head maturation,
-    /// store-buffer readiness and the thread's next claimed MSHR fill.
-    /// The thread unparks at the top of this cycle's tick. (Event- and
-    /// ready-wheel wake-ups are handled separately at the wheel drain
-    /// points inside the tick, and can fire earlier.)
-    pub horizon: u64,
-    /// Issue-stage per-cycle replay.
-    pub issue: ParkIssue,
-    /// Dispatch-stage per-cycle replay.
-    pub dispatch: ParkDispatch,
 }
 
 /// `Core::try_park`'s verdict on a thread that made no progress in a tick
 /// (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Verdict {
-    /// Still by its own state alone: replayed by reduced ticks under the
-    /// certificate.
-    Park(ParkCert),
+    /// Still by its own state alone: the thread's park bit is set.
+    Park,
     /// Still, but only because of shared inputs that change solely at a
-    /// `skip_horizon` term: walks full ticks, yet counts toward the
-    /// whole-core jump.
+    /// `skip_horizon` term: counts toward the whole-core jump for one
+    /// loop iteration.
     Held,
     /// Not provably still.
     Reject,
@@ -282,8 +214,7 @@ pub(crate) struct TickDelta {
     pub streak_bumped: u64,
 }
 
-/// The per-core skip engine: runtime toggle, park certificates, and
-/// accounting.
+/// The per-core skip engine: runtime toggle, park bits, and accounting.
 ///
 /// Deliberately *not* part of [`crate::CoreConfig`]: skipping is an engine
 /// execution strategy with no architectural effect, and config hashes feed
@@ -298,20 +229,10 @@ pub(crate) struct SkipEngine {
     pub progress_mask: u64,
     /// Per-thread bitmask: `head_blocked_streak` incremented this tick.
     pub streak_bumped: u64,
-    /// Per-thread bitmask of currently parked threads.
+    /// Per-thread bitmask of parked threads: a hint that spares the thread
+    /// re-examination after walked ticks (see the module docs). No stage
+    /// reads it.
     pub parked: u64,
-    /// Certificates for parked threads (only entries whose `parked` bit is
-    /// set are meaningful).
-    pub certs: [ParkCert; MAX_SKIP_THREADS],
-    /// Cycle the revocation pass last ran for, deduplicating the
-    /// `tick_bounded` loop-top pass against the one at the top of `tick()`
-    /// (the latter keeps direct `tick()` driving sound).
-    pub revoked_at: u64,
-    /// Earliest certificate horizon among parked threads — the revocation
-    /// pass is a two-compare no-op until this cycle arrives. Event wake-ups
-    /// clear `parked` bits without touching it, so the cache may run stale-
-    /// low; that only costs one wasted recomputation, never a missed wake.
-    pub next_horizon: u64,
     pub stats: SkipStats,
 }
 
@@ -323,50 +244,18 @@ impl SkipEngine {
             progress_mask: 0,
             streak_bumped: 0,
             parked: 0,
-            certs: [ParkCert::default(); MAX_SKIP_THREADS],
-            revoked_at: u64::MAX,
-            next_horizon: u64::MAX,
             stats: SkipStats::default(),
         }
     }
 
-    /// Records architectural progress by thread `t` this tick.
-    ///
-    /// A parked thread making progress would mean its certificate replay
-    /// diverged from reality — the debug assertion is the partial-progress
-    /// layer's soundness tripwire (release builds additionally guard the
-    /// capture tick of every jump with a progress check).
+    /// Records architectural progress by thread `t` this tick. Progress
+    /// ends a park: the thread is examined afresh after its next still
+    /// tick.
     #[inline]
     pub(crate) fn note_progress(&mut self, t: usize) {
         self.progress = true;
         self.progress_mask |= 1 << t;
-        debug_assert!(
-            self.parked & (1 << t) == 0,
-            "parked thread {t} made architectural progress"
-        );
-    }
-
-    /// Whether thread `t` currently holds a park certificate.
-    #[inline]
-    pub(crate) fn is_parked(&self, t: usize) -> bool {
-        self.parked & (1 << t) != 0
-    }
-
-    /// Grants thread `t` a park certificate.
-    pub(crate) fn park(&mut self, t: usize, cert: ParkCert) {
-        debug_assert!(!self.is_parked(t));
-        self.parked |= 1 << t;
-        self.next_horizon = self.next_horizon.min(cert.horizon);
-        self.certs[t] = cert;
-        self.stats.parks += 1;
-    }
-
-    /// Revokes every certificate (engine toggle, abort, or reset). The
-    /// per-thread paths clear `parked` bits individually instead: horizon
-    /// expiry in the revocation pass, event wake-ups at the wheel drains.
-    pub(crate) fn unpark_all(&mut self) {
-        self.parked = 0;
-        self.next_horizon = u64::MAX;
+        self.parked &= !(1 << t);
     }
 }
 
@@ -398,9 +287,8 @@ mod tests {
 
     #[test]
     fn skip_thread_cap_matches_config_thread_cap() {
-        // `CoreConfig::validate` rejects anything the certificate file
-        // cannot hold; this pins the tie so neither side
-        // can drift silently.
+        // `CoreConfig::validate` rejects anything the skip bitmasks cannot
+        // hold; this pins the tie so neither side can drift silently.
         assert_eq!(MAX_SKIP_THREADS, CoreConfig::MAX_THREADS);
     }
 
@@ -431,25 +319,12 @@ mod tests {
 
     #[test]
     fn park_and_unpark_track_the_mask() {
+        // Parking sets a bit; a thread's own progress clears only its bit.
         let mut e = SkipEngine::new();
-        assert!(!e.is_parked(2));
-        e.park(
-            2,
-            ParkCert {
-                horizon: 400,
-                ..ParkCert::default()
-            },
-        );
-        assert!(e.is_parked(2));
-        assert_eq!(e.certs[2].horizon, 400);
-        assert_eq!(e.stats.parks, 1);
-        e.park(5, ParkCert::default());
-        assert_eq!(e.parked, (1 << 2) | (1 << 5));
-        // Bulk revocation by wake mask, as the revocation pass does it.
-        e.parked &= !(1 << 2);
-        assert!(!e.is_parked(2));
-        assert!(e.is_parked(5));
-        e.unpark_all();
-        assert_eq!(e.parked, 0);
+        e.parked = (1 << 2) | (1 << 5);
+        e.note_progress(2);
+        assert_eq!(e.parked, 1 << 5);
+        assert_eq!(e.progress_mask, 1 << 2);
+        assert!(e.progress);
     }
 }

@@ -97,8 +97,8 @@ fn assert_equivalent(cfg: CoreConfig, kernel_names: &[&str], cycles: u64) -> Ski
         stats.by_cause.iter().sum::<u64>(),
         "every skipped cycle must be attributed to a cause"
     );
-    // One skip protocol: every span is a certificate-derived jump, and
-    // no capture tick ever contradicted its verdicts.
+    // One skip protocol: every span is a verdict-derived jump, and no
+    // capture tick ever contradicted its verdicts.
     assert_eq!(stats.spans, stats.park_jumps, "{stats:?}");
     assert_eq!(stats.probe_mismatches, 0, "{stats:?}");
     assert_eq!(stats.park_aborts, 0, "{stats:?}");
@@ -130,8 +130,8 @@ fn skip_matches_tick_on_two_thread_memory_bound_mix() {
         "two blocked chases must still yield skips"
     );
 
-    // A data-ready load blocked by its own thread's store set earns a park
-    // certificate: the block clears only at the elder store's writeback,
+    // A data-ready load blocked by its own thread's store set lets its
+    // thread park: the block clears only at the elder store's writeback,
     // the thread's own event. Without that, the chase thread next to a
     // live compute kernel would never park.
     let stats = assert_equivalent(cfg.clone(), &["store_set_chase", "reduce"], cycles);
@@ -261,7 +261,7 @@ fn large_skip_spans_do_not_corrupt_cycle_arithmetic() {
 
 #[test]
 fn partial_skip_matches_tick_on_asymmetric_two_thread_mix() {
-    // The partial-progress tentpole's target shape: one mcf-like pointer
+    // The per-thread parking target shape: one mcf-like pointer
     // chase parked on DRAM while an hmmer-like compute kernel keeps the
     // core busy. Whole-core fixed points are rare here; per-thread parking
     // must still be invisible.
@@ -271,27 +271,57 @@ fn partial_skip_matches_tick_on_asymmetric_two_thread_mix() {
 
 #[test]
 fn partial_skip_parks_blocked_threads_in_asymmetric_four_thread_mix() {
-    // Two chases blocked on fills + two compute kernels running: the park
-    // engine must certify the blocked threads and run reduced ticks while
-    // the live threads progress — and stay bit-identical doing it.
+    // Two chases blocked on fills + two compute kernels running: the
+    // blocked threads must park while the live threads progress — and the
+    // run must stay bit-identical doing it.
     let cfg = CoreConfig::base64_shelf64(4, SteerPolicy::Practical, true);
     assert_equivalent(cfg.clone(), &["chase", "reduce", "chase2", "triad"], 40_000);
 
     let mut core = core_for(cfg, &["chase", "reduce", "chase2", "triad"]);
     core.tick_bounded(40_000);
     let stats = core.skip_stats();
-    assert!(
-        stats.parks > 0,
-        "blocked chase threads must earn park certificates"
-    );
+    assert!(stats.parks > 0, "blocked chase threads must park");
     assert!(
         stats.parked_thread_cycles > 0 && stats.reduced_ticks > 0,
-        "reduced ticks must run while threads are parked: {stats:?}"
+        "walked ticks must run with park bits set: {stats:?}"
     );
     assert!(
         stats.parked_thread_cycles >= stats.reduced_ticks,
-        "each reduced tick covers at least one parked thread"
+        "each tick with a park bit set counts at least one parked thread"
     );
+}
+
+#[test]
+fn direct_ticks_between_bounded_blocks_stay_exact() {
+    // Park bits outlive a `tick_bounded` call. Plain `tick()` calls in
+    // between must still run every stage exactly, and the next bounded
+    // block must re-derive every verdict before it jumps.
+    let cfg = CoreConfig::base64_shelf64(4, SteerPolicy::Practical, true);
+    let kernels = ["chase", "reduce", "chase2", "triad"];
+    let blocks = 1_000u64;
+
+    let mut plain = core_for(cfg.clone(), &kernels);
+    plain.set_cycle_skipping(false);
+    plain.enable_commit_observer();
+    plain.tick_bounded(blocks * 38);
+
+    let mut mixed = core_for(cfg, &kernels);
+    mixed.enable_commit_observer();
+    for _ in 0..blocks {
+        assert_eq!(mixed.tick_bounded(37), 37);
+        mixed.tick();
+    }
+
+    assert_eq!(plain.now(), mixed.now(), "cycle counters diverged");
+    assert_eq!(plain.counters, mixed.counters, "counters diverged");
+    let mut a = Vec::new();
+    let mut b = Vec::new();
+    plain.drain_commit_events(&mut a);
+    mixed.drain_commit_events(&mut b);
+    assert_eq!(a, b, "commit streams diverged");
+    let stats = mixed.skip_stats();
+    assert!(stats.parks > 0, "blocked chases must park: {stats:?}");
+    assert_eq!(stats.park_aborts, 0, "{stats:?}");
 }
 
 #[test]

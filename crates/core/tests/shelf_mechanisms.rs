@@ -2,7 +2,7 @@
 //! the extension tag space and virtual index space, shelf sizing, the
 //! conservative/optimistic issue assumption, and the commit log.
 
-use shelfsim_core::{CoreConfig, Simulation, Steer, SteerPolicy};
+use shelfsim_core::{CoreConfig, EndKind, QueueKind, Simulation, SteerPolicy};
 
 fn run(cfg: CoreConfig, mix: &[&str], seed: u64) -> shelfsim_core::RunResult {
     let mut sim = Simulation::from_names(cfg, mix, seed).expect("suite benchmarks");
@@ -96,39 +96,46 @@ fn conservative_mode_sees_iq_issues_late() {
 }
 
 #[test]
-fn commit_log_records_program_order_lifecycles() {
+fn tracer_commit_records_follow_program_order() {
     let cfg = CoreConfig::base64_shelf64(2, SteerPolicy::Practical, true);
     let mut sim = Simulation::from_names(cfg, &["hmmer", "gcc"], 4).expect("suite");
-    sim.enable_commit_log(128);
+    sim.enable_tracer(256, 64);
     let _ = sim.run(2_000, 8_000);
-    let records: Vec<_> = sim.core().commit_log().copied().collect();
-    assert!(records.len() > 64, "log should fill");
+    let records: Vec<_> = sim
+        .tracer()
+        .expect("tracer enabled")
+        .lifecycles()
+        .filter(|r| r.end_kind == EndKind::Commit)
+        .collect();
+    assert!(records.len() > 64, "ring should fill");
     let mut last_seq = [0u64; 2];
     let mut shelf_seen = false;
     for r in &records {
+        let issue = r.issue.expect("committed instructions issued");
+        let complete = r.writeback.expect("committed instructions wrote back");
         // Lifecycle cycles are monotone within an instruction.
         assert!(r.fetch <= r.dispatch, "fetch after dispatch: {r:?}");
-        assert!(r.dispatch <= r.issue, "dispatch after issue: {r:?}");
-        assert!(r.issue <= r.complete, "issue after complete: {r:?}");
-        assert!(r.complete <= r.commit, "complete after commit: {r:?}");
+        assert!(r.dispatch <= issue, "dispatch after issue: {r:?}");
+        assert!(issue <= complete, "issue after complete: {r:?}");
+        assert!(complete <= r.end, "complete after commit: {r:?}");
         // Per-thread commit order is program order.
+        let t = usize::from(r.thread);
         assert!(
-            r.seq >= last_seq[r.thread],
-            "thread {} commit order violated: {} after {}",
-            r.thread,
+            r.seq >= last_seq[t],
+            "thread {t} commit order violated: {} after {}",
             r.seq,
-            last_seq[r.thread]
+            last_seq[t]
         );
-        last_seq[r.thread] = r.seq;
-        shelf_seen |= r.steer == Steer::Shelf;
+        last_seq[t] = r.seq;
+        shelf_seen |= r.queue == QueueKind::Shelf;
     }
     assert!(
         shelf_seen,
         "practical steering should commit shelf instructions"
     );
-    // Commit cycles are globally non-decreasing in log order.
+    // Commit cycles are globally non-decreasing in ring order.
     for w in records.windows(2) {
-        assert!(w[0].commit <= w[1].commit);
+        assert!(w[0].end <= w[1].end);
     }
 }
 

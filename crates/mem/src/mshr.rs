@@ -150,10 +150,9 @@ impl MshrFile {
     }
 
     /// Earliest pending fill strictly after `now` whose entry is claimed by
-    /// `thread` (its bit set in the entry's thread mask). This is the
-    /// per-thread horizon the partial-progress skip engine uses: a *parked*
-    /// thread must be woken no later than its own next fill, while fills
-    /// belonging purely to other threads do not bound its park.
+    /// `thread` (its bit set in the entry's thread mask): a per-thread
+    /// horizon, in which fills belonging purely to other threads do not
+    /// appear.
     pub fn next_fill_after_for(&self, now: u64, thread: usize) -> Option<u64> {
         let bit = 1u64 << (thread as u32 % 64);
         self.entries

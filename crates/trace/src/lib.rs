@@ -615,9 +615,44 @@ impl Tracer {
     }
 }
 
+/// Escapes `s` for use inside a JSON string literal: `"` and `\` are
+/// backslash-escaped, `\n`, `\r` and `\t` use their short forms, and every
+/// other control character becomes `\u00XX`. Campaign journals and
+/// reports, validation reports and analysis diagnostics all escape through
+/// it, so their bytes agree.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_characters() {
+        assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("a\"b"), "a\\\"b");
+        assert_eq!(json_escape("a\\b"), "a\\\\b");
+        assert_eq!(json_escape("a\nb"), "a\\nb");
+        assert_eq!(json_escape("a\rb"), "a\\rb");
+        assert_eq!(json_escape("a\tb"), "a\\tb");
+        assert_eq!(json_escape("a\u{1}b\u{1f}"), "a\\u0001b\\u001f");
+        assert_eq!(json_escape("é ✓"), "é ✓");
+    }
 
     fn lc(seq: u64, end: u64) -> Lifecycle {
         Lifecycle {

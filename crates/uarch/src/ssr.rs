@@ -95,10 +95,9 @@ impl SsrPair {
 
     /// Whether both registers have fully decayed to zero. A quiescent pair
     /// is a fixed point of [`SsrPair::tick`]: further decay changes nothing,
-    /// and `shelf_allows` is `true` for every latency. The partial-progress
-    /// skip engine may only park a thread once its pair is quiescent —
-    /// otherwise per-cycle decay would change the shelf head's issue
-    /// eligibility mid-park.
+    /// and `shelf_allows` is `true` for every latency. The skip engine may
+    /// only park a thread once its pair is quiescent — otherwise per-cycle
+    /// decay would change the shelf head's issue eligibility mid-jump.
     pub fn is_quiescent(&self) -> bool {
         self.iq == 0 && self.shelf == 0
     }

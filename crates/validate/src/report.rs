@@ -7,6 +7,7 @@
 
 use crate::lockstep::Verdict;
 use crate::sweep::SweepReport;
+use shelfsim_core::json_escape;
 use std::fmt::Write as _;
 
 /// One validated (design × threads × workload) combination.
@@ -111,24 +112,6 @@ pub fn render_text(runs: &[RunReport]) -> String {
         }
         if let Some(path) = &r.regression {
             let _ = writeln!(out, "      regression case: {path}");
-        }
-    }
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
     out

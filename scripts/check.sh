@@ -97,9 +97,11 @@ echo "$out" | grep -q " 0 diverged, 0 invariant-violations" \
 
 echo "== partial-skip smoke: per-thread parking bit-identical on asymmetric mixes"
 # The asymmetric leg of the skip matrix: memory-parked threads next to
-# compute threads, where coverage comes from per-thread certificates and
-# reduced ticks rather than whole-core fixed points.
+# compute threads. Parked threads run every pipeline stage for real, and
+# each jump re-derives every park verdict first, so the leg runs again
+# under the per-cycle pipeline audits.
 cargo test -q -p shelfsim-validate --test skip_matrix skip_matrix_asymmetric
+cargo test -q -p shelfsim-validate --features shelfsim-core/sanitize --test skip_matrix skip_matrix_asymmetric
 cargo test -q -p shelfsim-core --test cycle_skipping partial_skip
 
 echo "== skip sanitizer smoke: cycle_skipping under per-cycle pipeline audits"
