@@ -21,6 +21,8 @@ pub struct CampaignReport {
     pub warm_builds: usize,
     /// Executed runs that started from a clone of a kept warmed state.
     pub warm_hits: usize,
+    /// The most thread programs any one worker's memo held at once.
+    pub programs_held_peak: usize,
 }
 
 impl CampaignReport {
@@ -33,6 +35,7 @@ impl CampaignReport {
             program_hits: 0,
             warm_builds: 0,
             warm_hits: 0,
+            programs_held_peak: 0,
         }
     }
 
@@ -174,8 +177,12 @@ impl CampaignReport {
         writeln!(out, "taxonomy: {}", self.taxonomy().render()).expect("write");
         writeln!(
             out,
-            "scratch: programs {} built, {} reused; warm-ups {} built, {} reused",
-            self.program_builds, self.program_hits, self.warm_builds, self.warm_hits
+            "scratch: programs {} built, {} reused; warm-ups {} built, {} reused; at most {} programs held",
+            self.program_builds,
+            self.program_hits,
+            self.warm_builds,
+            self.warm_hits,
+            self.programs_held_peak
         )
         .expect("write");
         out
@@ -234,7 +241,8 @@ impl CampaignReport {
             concat!(
                 r#"{{"runs":{},"completed":{},"quarantined":{},"rejected":{},"resumed":{},"#,
                 r#""scratch":{{"program_builds":{},"program_hits":{},"warm_builds":{},"#,
-                r#""warm_hits":{}}},"taxonomy":{{{}}},"per_design":[{}],"records":[{}]}}"#
+                r#""warm_hits":{},"programs_held_peak":{}}},"taxonomy":{{{}}},"per_design":[{}],"#,
+                r#""records":[{}]}}"#
             ),
             self.records.len(),
             self.completed(),
@@ -245,6 +253,7 @@ impl CampaignReport {
             self.program_hits,
             self.warm_builds,
             self.warm_hits,
+            self.programs_held_peak,
             taxonomy.join(","),
             per_design.join(","),
             records.join(",")

@@ -50,6 +50,8 @@ pub struct WorkerScratch {
     /// Runs started from the kept warmed state (a clone, or the state
     /// itself for the last run of its group).
     pub warm_hits: usize,
+    /// The most programs the memo has held at once.
+    pub programs_held_peak: usize,
 }
 
 /// One memoized thread program and, after the first pre-flight that read
@@ -147,6 +149,7 @@ impl WorkerScratch {
     /// The memo entry of thread program `key`, built on a miss. Errors as
     /// [`WorkerScratch::programs_for`] does.
     fn entry(&mut self, key: (String, u64)) -> Result<&mut MemoEntry, String> {
+        let held = self.programs.len();
         match self.programs.entry(key) {
             Entry::Occupied(e) => {
                 self.hits += 1;
@@ -158,6 +161,7 @@ impl WorkerScratch {
                     .ok_or_else(|| format!("unknown benchmark `{name}`"))?;
                 let program = Arc::new(profile.build_program(*seed));
                 self.builds += 1;
+                self.programs_held_peak = self.programs_held_peak.max(held + 1);
                 Ok(e.insert(MemoEntry {
                     program,
                     facts: None,
@@ -261,21 +265,74 @@ fn warm_key(spec: &RunSpec) -> Option<WarmKey> {
 }
 
 /// Reorders `pending` run indices so that runs sharing a [`WarmKey`] are
-/// adjacent: groups in the order of their first run, runs inside a group
-/// in `pending` order. A worker walking the result warms once per group.
+/// adjacent (a worker walking the result warms once per group; runs inside
+/// a group keep their `pending` order) and so that few thread programs are
+/// live at once. A program is live from the first run that needs it to the
+/// last; the worker's memo holds exactly the live ones. Groups are placed
+/// greedily: next is the unplaced group with the smallest (programs it must
+/// newly build) − (programs whose last remaining use it is), ties going to
+/// the group whose first run comes first in `pending`.
 fn warm_order(runs: &[RunSpec], pending: &[usize]) -> Vec<usize> {
-    let mut first: HashMap<WarmKey, usize> = HashMap::new();
-    let mut order: Vec<(usize, usize)> = pending
+    // Groups in the order of their first run; a run without a key (its
+    // design does not resolve) is a group of its own.
+    let mut group_of: HashMap<WarmKey, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in pending {
+        let g = warm_key(&runs[i]).map_or(groups.len(), |key| {
+            *group_of.entry(key).or_insert(groups.len())
+        });
+        if g == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[g].push(i);
+    }
+    // How many unplaced runs need each program, overall and per group.
+    let mut remaining: HashMap<(String, u64), usize> = HashMap::new();
+    let needs: Vec<HashMap<(String, u64), usize>> = groups
         .iter()
-        .enumerate()
-        .map(|(pos, &i)| {
-            let group = warm_key(&runs[i]).map_or(pos, |key| *first.entry(key).or_insert(pos));
-            (group, i)
+        .map(|members| {
+            let mut need = HashMap::new();
+            for &i in members {
+                for key in program_keys(&runs[i]) {
+                    *remaining.entry(key.clone()).or_insert(0) += 1;
+                    *need.entry(key).or_insert(0) += 1;
+                }
+            }
+            need
         })
         .collect();
-    // Stable: runs inside a group keep their `pending` order.
-    order.sort_by_key(|&(group, _)| group);
-    order.into_iter().map(|(_, i)| i).collect()
+    let mut live: HashSet<(String, u64)> = HashSet::new();
+    let mut unplaced: Vec<usize> = (0..groups.len()).collect();
+    let mut order = Vec::with_capacity(pending.len());
+    while !unplaced.is_empty() {
+        let growth = |g: usize| -> isize {
+            needs[g]
+                .iter()
+                .map(|(key, &n)| {
+                    isize::from(!live.contains(key)) - isize::from(remaining[key] == n)
+                })
+                .sum()
+        };
+        // `unplaced` stays in first-run order, so `min_by_key` keeps the
+        // earliest of equal scores.
+        let (pos, &g) = unplaced
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &g)| growth(g))
+            .expect("not empty");
+        unplaced.remove(pos);
+        for (key, &n) in &needs[g] {
+            let left = remaining.get_mut(key).expect("counted above");
+            *left -= n;
+            if *left == 0 {
+                live.remove(key);
+            } else {
+                live.insert(key.clone());
+            }
+        }
+        order.extend_from_slice(&groups[g]);
+    }
+    order
 }
 
 /// Warm-ups the `pending` runs need on one worker, which runs them
@@ -824,10 +881,11 @@ fn work(
 /// pre-flight facts, and the last warmed state) that forgets whatever no
 /// unfinished run needs, and, when `spec.journal_dir` is set, appends
 /// outcomes to its own journal shard with no shared lock.
-/// Misses run grouped by warm-up key, so runs that share a warm-up are
-/// adjacent and a worker warms once per group; records still land at
-/// their matrix index, and merged shard bytes do not depend on execution
-/// order.
+/// Misses run in `warm_order`: runs that share a warm-up are adjacent,
+/// so a worker warms once per group, and groups are ordered so that each
+/// thread program is needed over a short stretch of the queue, which is
+/// how long a worker's memo holds it. Records still land at their matrix
+/// index, and merged shard bytes do not depend on execution order.
 ///
 /// # Errors
 ///
@@ -853,31 +911,22 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
     let queues = StealQueues::new(warm_order(&spec.runs, &admission.misses), workers);
     let uses = Arc::new(RemainingUses::new(&spec.runs, &admission.misses));
     let finished: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-    // Summed scratch counters: programs built/reused, warm-ups built/reused.
-    let scratch_counts: Mutex<[usize; 4]> = Mutex::new([0; 4]);
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
-    std::thread::scope(|scope| {
-        for (w, shard) in shard_writers.into_iter().enumerate() {
-            let queues = &queues;
-            let finished = &finished;
-            let io_error = &io_error;
-            let scratch_counts = &scratch_counts;
-            let scratch = WorkerScratch::for_campaign(Arc::clone(&uses));
-            scope.spawn(move || {
-                let scratch = work(w, queues, spec, scratch, shard, finished, io_error);
-                let mine = [
-                    scratch.builds,
-                    scratch.hits,
-                    scratch.warm_builds,
-                    scratch.warm_hits,
-                ];
-                let mut counts = scratch_counts.lock().expect("scratch counts");
-                for (sum, n) in counts.iter_mut().zip(mine) {
-                    *sum += n;
-                }
-            });
-        }
+    let scratches: Vec<WorkerScratch> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_writers
+            .into_iter()
+            .enumerate()
+            .map(|(w, shard)| {
+                let (queues, finished, io_error) = (&queues, &finished, &io_error);
+                let scratch = WorkerScratch::for_campaign(Arc::clone(&uses));
+                scope.spawn(move || work(w, queues, spec, scratch, shard, finished, io_error))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread"))
+            .collect()
     });
 
     if let Some(e) = io_error.into_inner().expect("io error slot") {
@@ -891,12 +940,13 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
         .map(|r| r.expect("every run either resumed or executed"))
         .collect();
     let mut report = CampaignReport::new(records, resumed);
-    [
-        report.program_builds,
-        report.program_hits,
-        report.warm_builds,
-        report.warm_hits,
-    ] = scratch_counts.into_inner().expect("scratch counts");
+    for scratch in &scratches {
+        report.program_builds += scratch.builds;
+        report.program_hits += scratch.hits;
+        report.warm_builds += scratch.warm_builds;
+        report.warm_hits += scratch.warm_hits;
+        report.programs_held_peak = report.programs_held_peak.max(scratch.programs_held_peak);
+    }
     Ok(report)
 }
 
@@ -963,7 +1013,9 @@ mod tests {
         let runs = recurring_matrix();
         let campaign = CampaignSpec::new(runs.clone());
         let all: Vec<usize> = (0..runs.len()).collect();
-        let order = warm_order(&runs, &all);
+        // The groups in first-run order (designs outer: run `i` and run
+        // `i + 3` share a mix), so `gcc` outlives the second group.
+        let order = [0, 3, 1, 4, 2, 5];
         let mut scratch = WorkerScratch::for_campaign(Arc::new(RemainingUses::new(&runs, &all)));
         let memo = |scratch: &WorkerScratch| -> Vec<String> {
             let mut keys: Vec<String> = scratch.programs.keys().map(|(n, _)| n.clone()).collect();
@@ -1014,6 +1066,67 @@ mod tests {
         assert!(uses.warm.lock().unwrap().is_empty());
     }
 
+    /// The order the runner used before it ordered by program lifetime:
+    /// warm groups in the order of their first run.
+    fn first_run_order(runs: &[RunSpec], pending: &[usize]) -> Vec<usize> {
+        let mut first: HashMap<WarmKey, usize> = HashMap::new();
+        let mut order: Vec<(usize, usize)> = pending
+            .iter()
+            .enumerate()
+            .map(|(pos, &i)| {
+                let group = warm_key(&runs[i]).map_or(pos, |key| *first.entry(key).or_insert(pos));
+                (group, i)
+            })
+            .collect();
+        order.sort_by_key(|&(group, _)| group);
+        order.into_iter().map(|(_, i)| i).collect()
+    }
+
+    /// The most programs live at once when one worker runs `order`: a
+    /// program is live from the first run that needs it through the last.
+    fn planned_programs_peak(runs: &[RunSpec], order: &[usize]) -> usize {
+        let mut remaining: HashMap<(String, u64), usize> = HashMap::new();
+        for &i in order {
+            for key in program_keys(&runs[i]) {
+                *remaining.entry(key).or_insert(0) += 1;
+            }
+        }
+        let mut live: HashSet<(String, u64)> = HashSet::new();
+        let mut peak = 0;
+        for &i in order {
+            live.extend(program_keys(&runs[i]));
+            peak = peak.max(live.len());
+            for key in program_keys(&runs[i]) {
+                let left = remaining.get_mut(&key).expect("counted above");
+                *left -= 1;
+                if *left == 0 {
+                    live.remove(&key);
+                }
+            }
+        }
+        peak
+    }
+
+    /// Asserts that `order` runs each of `pending` once, with the runs of
+    /// every warm group adjacent.
+    fn assert_grouped(runs: &[RunSpec], pending: &[usize], order: &[usize]) {
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        let mut want = pending.to_vec();
+        want.sort_unstable();
+        assert_eq!(sorted, want, "every pending run exactly once");
+        let mut closed: HashSet<WarmKey> = HashSet::new();
+        for pair in order.windows(2) {
+            let (a, b) = (warm_key(&runs[pair[0]]), warm_key(&runs[pair[1]]));
+            if a != b {
+                let a = a.expect("designs resolve");
+                assert!(closed.insert(a), "a warm group is split");
+            }
+        }
+        let last = warm_key(&runs[*order.last().expect("not empty")]);
+        assert!(!closed.contains(&last.expect("designs resolve")));
+    }
+
     #[test]
     fn warm_order_groups_design_points_of_a_mix() {
         let runs = SweepSpec {
@@ -1025,18 +1138,73 @@ mod tests {
             measure: 100,
         }
         .expand();
-        let per_design = runs.len() / 2;
-        // Designs outer: run `i` and run `i + per_design` share a mix.
+        // Designs outer: run `i` and run `i + 6` share a mix. Runs 0-1
+        // are `mcf+tonto` and `namd+soplex`, runs 2-5 the single-thread
+        // references `mcf`, `namd`, `soplex` and `tonto`.
         let all: Vec<usize> = (0..runs.len()).collect();
-        let expected: Vec<usize> = (0..per_design).flat_map(|i| [i, i + per_design]).collect();
-        assert_eq!(warm_order(&runs, &all), expected);
-        assert_eq!(warmups_needed(&runs, &all), per_design);
-        // A pending subset keeps group-of-first-run order.
-        let pending = [1, per_design, per_design + 1, per_design + 2];
-        assert_eq!(
-            warm_order(&runs, &pending),
-            vec![1, per_design + 1, per_design, per_design + 2]
-        );
+        let order = warm_order(&runs, &all);
+        assert_grouped(&runs, &all, &order);
+        assert_eq!(warmups_needed(&runs, &all), runs.len() / 2);
+        // `soplex` and `tonto` run in thread 1 of their mixes, so their
+        // references share no program and go first (build one, free one).
+        // Then `mcf+tonto` (ties with `namd+soplex`, first run wins), and
+        // at once the `mcf` reference that frees its thread-0 program.
+        assert_eq!(order, [4, 10, 5, 11, 0, 6, 2, 8, 1, 7, 3, 9]);
+        // A pending subset: `namd+soplex` needs nothing later (0), the
+        // `mcf` reference and `mcf+tonto` tie (1 each); `mcf`'s two
+        // design points stay adjacent.
+        let pending = [1, 2, 6, 8];
+        assert_eq!(warm_order(&runs, &pending), [1, 2, 8, 6]);
         assert_eq!(warmups_needed(&runs, &pending), 3);
+    }
+
+    /// `sweep-short`'s matrix: the bench crate's `campaign_matrix(3_000, 7)`.
+    fn sweep_short_matrix() -> Vec<RunSpec> {
+        SweepSpec {
+            designs: ["base64", "shelf-cons", "shelf-opt", "base128"]
+                .map(str::to_owned)
+                .to_vec(),
+            thread_counts: vec![2, 4],
+            mixes_per_count: 14,
+            seed: 7,
+            warmup: 500,
+            measure: 3_000,
+        }
+        .expand()
+    }
+
+    #[test]
+    fn warm_order_holds_fewer_programs_than_first_run_order() {
+        let runs = sweep_short_matrix();
+        let all: Vec<usize> = (0..runs.len()).collect();
+        let order = warm_order(&runs, &all);
+        assert_grouped(&runs, &all, &order);
+        let live = planned_programs_peak(&runs, &order);
+        let first = planned_programs_peak(&runs, &first_run_order(&runs, &all));
+        eprintln!("planned programs peak: {live} live-set order, {first} first-run order");
+        assert!(live < first, "{live} programs held vs {first}");
+    }
+
+    #[test]
+    fn one_worker_builds_each_program_once_and_holds_the_planned_peak() {
+        let runs = SweepSpec {
+            designs: vec!["base64".to_owned(), "shelf-opt".to_owned()],
+            thread_counts: vec![2, 4],
+            mixes_per_count: 2,
+            seed: 5,
+            warmup: 100,
+            measure: 300,
+        }
+        .expand();
+        let all: Vec<usize> = (0..runs.len()).collect();
+        let distinct: HashSet<(String, u64)> = runs.iter().flat_map(program_keys).collect();
+        let report =
+            run_campaign(&CampaignSpec::new(runs.clone()).with_workers(1)).expect("no journal");
+        assert_eq!(report.completed(), runs.len());
+        assert_eq!(report.program_builds, distinct.len());
+        assert_eq!(
+            report.programs_held_peak,
+            planned_programs_peak(&runs, &warm_order(&runs, &all))
+        );
     }
 }

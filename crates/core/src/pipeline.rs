@@ -1639,7 +1639,7 @@ impl Core {
         while fetched < self.cfg.fetch_width {
             let (seq, inst) = self.threads[t].trace.fetch();
             if cur_block != Some(inst.pc & block_mask) {
-                match self.hierarchy.access_inst_for(inst.pc, self.now, t) {
+                match self.hierarchy.access_inst(inst.pc, self.now) {
                     Ok(acc) => {
                         if acc.complete_cycle > self.now + l1_lat {
                             // I-miss: stall fetch until the fill and replay
@@ -2715,7 +2715,7 @@ impl Core {
         }
         match self
             .hierarchy
-            .access_data_pc_for(inst.pc, mem.addr, false, self.now, t)
+            .access_data_pc(inst.pc, mem.addr, false, self.now)
         {
             Ok(acc) => Some((acc.complete_cycle, Some(acc.level), None)),
             Err(_) => None,
@@ -3342,12 +3342,7 @@ impl Core {
     fn drain_store_buffers(&mut self) {
         for t in 0..self.threads.len() {
             if let Some(&(addr, ready)) = self.threads[t].store_buffer.front() {
-                if ready <= self.now
-                    && self
-                        .hierarchy
-                        .access_data_for(addr, true, self.now, t)
-                        .is_ok()
-                {
+                if ready <= self.now && self.hierarchy.access_data(addr, true, self.now).is_ok() {
                     self.threads[t].store_buffer.pop_front();
                     self.skip.note_progress(t);
                 }

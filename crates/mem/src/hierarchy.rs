@@ -1,19 +1,8 @@
 //! The L1I / L1D / L2 / DRAM hierarchy (paper Table I).
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
-use crate::mshr::{MshrFile, MshrFull, ALL_THREADS};
+use crate::mshr::{MshrFile, MshrFull};
 use crate::prefetch::{PrefetchKind, StridePrefetcher};
-
-/// MSHR thread mask for hardware thread `t` (threads ≥ 64 collapse onto the
-/// conservative all-threads mask rather than wrapping onto another thread's
-/// bit).
-fn thread_mask(thread: usize) -> u64 {
-    if thread < 64 {
-        1u64 << thread
-    } else {
-        ALL_THREADS
-    }
-}
 
 /// Which level of the hierarchy served an access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,36 +144,7 @@ impl Hierarchy {
         is_store: bool,
         now: u64,
     ) -> Result<Access, MshrFull> {
-        self.access_data_pc_masked(pc, addr, is_store, now, ALL_THREADS)
-    }
-
-    /// [`Hierarchy::access_data_pc`] with the requesting hardware thread
-    /// recorded on any MSHR entry it allocates or merges into (see
-    /// [`Hierarchy::next_fill_after_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MshrFull`] when the access misses L1 and no MSHR is free.
-    pub fn access_data_pc_for(
-        &mut self,
-        pc: u64,
-        addr: u64,
-        is_store: bool,
-        now: u64,
-        thread: usize,
-    ) -> Result<Access, MshrFull> {
-        self.access_data_pc_masked(pc, addr, is_store, now, thread_mask(thread))
-    }
-
-    fn access_data_pc_masked(
-        &mut self,
-        pc: u64,
-        addr: u64,
-        is_store: bool,
-        now: u64,
-        mask: u64,
-    ) -> Result<Access, MshrFull> {
-        let out = self.access_data_masked(addr, is_store, now, mask)?;
+        let out = self.access_data(addr, is_store, now)?;
         if !is_store && self.effective_prefetch() == PrefetchKind::Stride {
             if let Some(target) = self.stride_pf.observe(pc, addr) {
                 // Prefetch fills tags ahead of the demand stream; timing is
@@ -211,36 +171,10 @@ impl Hierarchy {
     /// Returns [`MshrFull`] when the access misses L1 and no MSHR is free;
     /// the issue stage must replay the access later.
     pub fn access_data(&mut self, addr: u64, is_store: bool, now: u64) -> Result<Access, MshrFull> {
-        self.access_data_masked(addr, is_store, now, ALL_THREADS)
-    }
-
-    /// [`Hierarchy::access_data`] with the requesting hardware thread
-    /// recorded on any MSHR entry it allocates or merges into.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MshrFull`] when the access misses L1 and no MSHR is free.
-    pub fn access_data_for(
-        &mut self,
-        addr: u64,
-        is_store: bool,
-        now: u64,
-        thread: usize,
-    ) -> Result<Access, MshrFull> {
-        self.access_data_masked(addr, is_store, now, thread_mask(thread))
-    }
-
-    fn access_data_masked(
-        &mut self,
-        addr: u64,
-        is_store: bool,
-        now: u64,
-        mask: u64,
-    ) -> Result<Access, MshrFull> {
         let block = addr & self.block_mask;
         // A block still being filled must not count as a hit even though its
         // tag is already installed: merge into the pending miss instead.
-        if let Some(fill) = self.data_mshrs.merge_inflight_for(block, now, mask) {
+        if let Some(fill) = self.data_mshrs.merge_inflight(block, now) {
             self.l1d.access(addr, is_store);
             return Ok(Access {
                 complete_cycle: fill,
@@ -264,9 +198,7 @@ impl Hierarchy {
                 Level::Memory,
             )
         };
-        let fill = self
-            .data_mshrs
-            .request_for(block, now, now + latency as u64, mask)?;
+        let fill = self.data_mshrs.request(block, now, now + latency as u64)?;
         self.l1d.access(addr, is_store);
         self.l2.access(addr, false);
         if self.effective_prefetch() == PrefetchKind::NextLine {
@@ -293,27 +225,8 @@ impl Hierarchy {
     ///
     /// Returns [`MshrFull`] when the fetch misses L1I and no MSHR is free.
     pub fn access_inst(&mut self, addr: u64, now: u64) -> Result<Access, MshrFull> {
-        self.access_inst_masked(addr, now, ALL_THREADS)
-    }
-
-    /// [`Hierarchy::access_inst`] with the fetching hardware thread recorded
-    /// on any MSHR entry it allocates or merges into.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MshrFull`] when the fetch misses L1I and no MSHR is free.
-    pub fn access_inst_for(
-        &mut self,
-        addr: u64,
-        now: u64,
-        thread: usize,
-    ) -> Result<Access, MshrFull> {
-        self.access_inst_masked(addr, now, thread_mask(thread))
-    }
-
-    fn access_inst_masked(&mut self, addr: u64, now: u64, mask: u64) -> Result<Access, MshrFull> {
         let block = addr & self.block_mask;
-        if let Some(fill) = self.inst_mshrs.merge_inflight_for(block, now, mask) {
+        if let Some(fill) = self.inst_mshrs.merge_inflight(block, now) {
             self.l1i.access(addr, false);
             return Ok(Access {
                 complete_cycle: fill,
@@ -335,9 +248,7 @@ impl Hierarchy {
                 Level::Memory,
             )
         };
-        let fill = self
-            .inst_mshrs
-            .request_for(block, now, now + latency as u64, mask)?;
+        let fill = self.inst_mshrs.request(block, now, now + latency as u64)?;
         self.l1i.access(addr, false);
         self.l2.access(addr, false);
         Ok(Access {
@@ -413,20 +324,6 @@ impl Hierarchy {
         match (
             self.data_mshrs.next_fill_after(now),
             self.inst_mshrs.next_fill_after(now),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Earliest pending MSHR fill (data or instruction side) strictly after
-    /// `now` claimed by hardware thread `thread`. The per-thread analogue of
-    /// [`Hierarchy::next_fill_after`]: a *parked* thread's wake-up horizon
-    /// is bounded by its own outstanding misses, not other threads'.
-    pub fn next_fill_after_for(&self, now: u64, thread: usize) -> Option<u64> {
-        match (
-            self.data_mshrs.next_fill_after_for(now, thread),
-            self.inst_mshrs.next_fill_after_for(now, thread),
         ) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -643,30 +540,6 @@ mod tests {
         plain.access_data(0x8000, false, 0).unwrap();
         let n2 = plain.access_data(0x8040, false, 300).unwrap();
         assert_ne!(n2.level, Level::L1);
-    }
-
-    #[test]
-    fn thread_tagged_accesses_drive_per_thread_horizons() {
-        let mut h = hier();
-        // Thread 0 misses on data, thread 1 on an instruction block.
-        let d = h.access_data_for(0x1_0000, false, 0, 0).unwrap();
-        let i = h.access_inst_for(0x9_0000, 0, 1).unwrap();
-        assert_eq!(h.next_fill_after_for(0, 0), Some(d.complete_cycle));
-        assert_eq!(h.next_fill_after_for(0, 1), Some(i.complete_cycle));
-        assert_eq!(h.next_fill_after_for(0, 2), None);
-        // Thread 2 merging into thread 0's fill claims it too.
-        let m = h.access_data_for(0x1_0008, false, 1, 2).unwrap();
-        assert_eq!(m.complete_cycle, d.complete_cycle);
-        assert_eq!(h.next_fill_after_for(1, 2), Some(d.complete_cycle));
-        // The global horizon is the min over both sides, unchanged.
-        assert_eq!(
-            h.next_fill_after(0),
-            Some(d.complete_cycle.min(i.complete_cycle))
-        );
-        // Untagged accesses stay conservative: everyone sees them.
-        let mut plain = hier();
-        let a = plain.access_data(0x2_0000, false, 0).unwrap();
-        assert_eq!(plain.next_fill_after_for(0, 5), Some(a.complete_cycle));
     }
 
     #[test]

@@ -22,16 +22,7 @@ impl std::error::Error for MshrFull {}
 struct Entry {
     block: u64,
     fill_cycle: u64,
-    /// Bitmask of hardware threads with a stake in this fill (requester
-    /// plus every thread that merged into it). Untagged legacy requests
-    /// use `ALL_THREADS`, which keeps every per-thread horizon query
-    /// conservative.
-    threads: u64,
 }
-
-/// Thread mask claiming a fill for every hardware thread (the conservative
-/// default used by the untagged request paths).
-pub const ALL_THREADS: u64 = u64::MAX;
 
 /// A file of miss-status holding registers.
 ///
@@ -66,7 +57,7 @@ impl MshrFile {
         }
     }
 
-    /// Requests a fill for `block`, claiming it for every thread.
+    /// Requests a fill for `block`.
     ///
     /// If the block is already in flight, merges and returns the existing
     /// fill cycle. Otherwise allocates an entry filling at `fill_cycle`.
@@ -75,59 +66,28 @@ impl MshrFile {
     ///
     /// Returns [`MshrFull`] when no register is free at `now`.
     pub fn request(&mut self, block: u64, now: u64, fill_cycle: u64) -> Result<u64, MshrFull> {
-        self.request_for(block, now, fill_cycle, ALL_THREADS)
-    }
-
-    /// [`MshrFile::request`] with the requesting thread's bit recorded on
-    /// the entry, so [`MshrFile::next_fill_after_for`] can answer per-thread
-    /// horizon queries. A merge ORs the mask in: the fill now also wakes the
-    /// merging thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MshrFull`] when no register is free at `now`.
-    pub fn request_for(
-        &mut self,
-        block: u64,
-        now: u64,
-        fill_cycle: u64,
-        thread_mask: u64,
-    ) -> Result<u64, MshrFull> {
         self.entries.retain(|e| e.fill_cycle > now);
-        if let Some(e) = self.entries.iter_mut().find(|e| e.block == block) {
+        if let Some(e) = self.entries.iter().find(|e| e.block == block) {
             self.merges += 1;
-            e.threads |= thread_mask;
             return Ok(e.fill_cycle);
         }
         if self.entries.len() >= self.capacity {
             self.rejections += 1;
             return Err(MshrFull);
         }
-        self.entries.push(Entry {
-            block,
-            fill_cycle,
-            threads: thread_mask,
-        });
+        self.entries.push(Entry { block, fill_cycle });
         self.allocations += 1;
         Ok(fill_cycle)
     }
 
     /// If `block` has an in-flight fill at `now`, returns its fill cycle and
-    /// counts a merge (claiming the fill for every thread). Used to route
-    /// accesses to a block that is still being fetched into the pending miss
-    /// instead of treating it as a hit.
+    /// counts a merge. Used to route accesses to a block that is still being
+    /// fetched into the pending miss instead of treating it as a hit.
     pub fn merge_inflight(&mut self, block: u64, now: u64) -> Option<u64> {
-        self.merge_inflight_for(block, now, ALL_THREADS)
-    }
-
-    /// [`MshrFile::merge_inflight`] with the merging thread's bit ORed onto
-    /// the entry's thread mask.
-    pub fn merge_inflight_for(&mut self, block: u64, now: u64, thread_mask: u64) -> Option<u64> {
         let e = self
             .entries
-            .iter_mut()
+            .iter()
             .find(|e| e.block == block && e.fill_cycle > now)?;
-        e.threads |= thread_mask;
         self.merges += 1;
         Some(e.fill_cycle)
     }
@@ -145,19 +105,6 @@ impl MshrFile {
         self.entries
             .iter()
             .filter(|e| e.fill_cycle > now)
-            .map(|e| e.fill_cycle)
-            .min()
-    }
-
-    /// Earliest pending fill strictly after `now` whose entry is claimed by
-    /// `thread` (its bit set in the entry's thread mask): a per-thread
-    /// horizon, in which fills belonging purely to other threads do not
-    /// appear.
-    pub fn next_fill_after_for(&self, now: u64, thread: usize) -> Option<u64> {
-        let bit = 1u64 << (thread as u32 % 64);
-        self.entries
-            .iter()
-            .filter(|e| e.fill_cycle > now && e.threads & bit != 0)
             .map(|e| e.fill_cycle)
             .min()
     }
@@ -225,40 +172,5 @@ mod tests {
     #[test]
     fn error_displays() {
         assert!(MshrFull.to_string().contains("occupied"));
-    }
-
-    #[test]
-    fn per_thread_horizon_sees_only_claimed_fills() {
-        let mut m = MshrFile::new(4);
-        m.request_for(0x40, 0, 300, 1 << 0).unwrap();
-        m.request_for(0x80, 0, 120, 1 << 1).unwrap();
-        assert_eq!(m.next_fill_after_for(0, 0), Some(300));
-        assert_eq!(m.next_fill_after_for(0, 1), Some(120));
-        assert_eq!(m.next_fill_after_for(0, 2), None);
-        // The global horizon still sees everything.
-        assert_eq!(m.next_fill_after(0), Some(120));
-    }
-
-    #[test]
-    fn merge_claims_the_fill_for_the_merging_thread() {
-        let mut m = MshrFile::new(2);
-        m.request_for(0x40, 0, 200, 1 << 0).unwrap();
-        assert_eq!(m.next_fill_after_for(0, 1), None);
-        // Thread 1 merges into thread 0's pending miss: both now wake at it.
-        assert_eq!(m.merge_inflight_for(0x40, 5, 1 << 1), Some(200));
-        assert_eq!(m.next_fill_after_for(5, 0), Some(200));
-        assert_eq!(m.next_fill_after_for(5, 1), Some(200));
-        // A request_for merge does the same.
-        m.request_for(0x40, 5, 999, 1 << 2).unwrap();
-        assert_eq!(m.next_fill_after_for(5, 2), Some(200));
-    }
-
-    #[test]
-    fn untagged_requests_are_conservative_for_every_thread() {
-        let mut m = MshrFile::new(2);
-        m.request(0x40, 0, 150).unwrap();
-        for t in [0usize, 3, 7, 63] {
-            assert_eq!(m.next_fill_after_for(0, t), Some(150));
-        }
     }
 }

@@ -187,7 +187,11 @@ echo "$out" | grep -q "3 warm-ups for 6 pending runs" \
 # journal identical entries.
 cold_a="$(mktemp -d)/shards"
 cold_b="$(mktemp -d)/shards"
-sweep_dir="$cold_a" sweep 1 >/dev/null
+out="$(sweep_dir="$cold_a" sweep 1)"
+# One worker builds each of the 3 programs once and warms each mix once,
+# whatever order its warm groups run in.
+echo "$out" | grep -q "scratch: programs 3 built, 9 reused; warm-ups 3 built, 3 reused" \
+  || { echo "FAIL: 1-worker cold sweep must build each program once"; echo "$out"; exit 1; }
 sweep_dir="$cold_b" sweep 2 >/dev/null
 [ "$(cat "$cold_a"/shard-*.jsonl | sort)" = "$(cat "$cold_b"/shard-*.jsonl | sort)" ] \
   || { echo "FAIL: 1- and 2-worker cold sweeps must journal identical entries"; exit 1; }
