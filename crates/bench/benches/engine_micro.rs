@@ -1,5 +1,6 @@
-//! Micro-benchmarks of the simulator engine itself: simulation throughput
-//! per design point and the cost of the hot structures.
+//! Micro-benchmarks of the simulator's hot structures, trace generation,
+//! program building and energy reporting. Simulation throughput is
+//! measured by perfbench alone.
 //!
 //! Formerly a criterion harness; rewritten against a small inline timer so
 //! the workspace builds with no network access to a crates registry. Each
@@ -34,26 +35,6 @@ fn sample_count() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(10)
-}
-
-fn bench_simulation(samples: usize) {
-    for (label, cfg) in [
-        ("simulate_1k/base64_4t", CoreConfig::base64(4)),
-        (
-            "simulate_1k/shelf64_4t",
-            CoreConfig::base64_shelf64(4, SteerPolicy::Practical, true),
-        ),
-        ("simulate_1k/base128_4t", CoreConfig::base128(4)),
-    ] {
-        let mut sim =
-            Simulation::from_names(cfg, &["gcc", "mcf", "hmmer", "lbm"], 1).expect("suite");
-        sim.run(5_000, 0); // warm the pipeline once
-        bench(label, samples, || {
-            for _ in 0..1_000 {
-                sim.step();
-            }
-        });
-    }
 }
 
 fn bench_structures(samples: usize) {
@@ -133,7 +114,6 @@ fn bench_energy(samples: usize) {
 fn main() {
     let samples = sample_count();
     println!("# Engine micro-benchmarks (median of {samples} samples)\n");
-    bench_simulation(samples);
     bench_structures(samples);
     bench_workload(samples);
     bench_energy(samples);

@@ -622,31 +622,26 @@ fn cmd_asm(p: &Args) -> Result<String, CliError> {
     let cfg = sim_config(p, p.value("--design").unwrap_or("shelf-opt"), threads)?;
     let warmup = p.num("--warmup", 10_000)?;
     let measure: u64 = p.num("--measure", 40_000)?;
-    let traces: Vec<shelfsim::workload::TraceSource> = (0..threads)
-        .map(|t| shelfsim::workload::TraceSource::new(program.clone(), t))
+    let programs = (0..threads)
+        .map(|_| (path.to_owned(), program.clone()))
         .collect();
-    let mut core = shelfsim::Core::new(cfg, traces);
-    core.warm_caches();
-    core.warm_functional(20_000);
-    core.tick_bounded(warmup);
-    let c0: Vec<u64> = (0..threads).map(|t| core.committed(t)).collect();
-    core.tick_bounded(measure);
-    let total: u64 = (0..threads).map(|t| core.committed(t) - c0[t]).sum();
+    // An assembled kernel does not depend on the workload seed, which
+    // then only stamps the run's metadata: use the CLI default.
+    let run = Simulation::from_programs(cfg, programs, 7).run(warmup, measure);
     let mut out = String::new();
     writeln!(
         out,
         "kernel {path} x{threads} threads: IPC {:.3} over {measure} cycles",
-        total as f64 / measure as f64,
+        run.ipc(),
     )
     .expect("write");
-    for (t, &before) in c0.iter().enumerate() {
-        let committed = core.committed(t) - before;
+    for (t, r) in run.threads.iter().enumerate() {
         writeln!(
             out,
             "  t{t}: {} committed, CPI {:.2}, in-seq {:.1}%",
-            committed,
-            measure as f64 / committed.max(1) as f64,
-            core.classifier(t).in_sequence_fraction() * 100.0
+            r.committed,
+            measure as f64 / r.committed.max(1) as f64,
+            r.in_sequence_fraction * 100.0
         )
         .expect("write");
     }
@@ -1766,6 +1761,22 @@ mod tests {
         .expect("ok");
         assert!(out.contains("IPC"));
         assert!(out.contains("committed"));
+    }
+
+    #[test]
+    fn asm_reports_the_simulation_run_measurement() {
+        // `asm` measures through `Simulation::run`: its IPC is the measured
+        // window's, after the same warm-up every simulating verb uses.
+        let out = run_cli(&args("asm builtin:daxpy --warmup 500 --measure 2000")).expect("ok");
+        let program = shelfsim::workload::kernels::by_name("daxpy")
+            .expect("builtin")
+            .assemble()
+            .expect("assembles");
+        let cfg = design_config("shelf-opt", 1).expect("config");
+        let run =
+            Simulation::from_programs(cfg, vec![("daxpy".to_owned(), program)], 7).run(500, 2000);
+        let expected = format!("IPC {:.3} over 2000 cycles", run.ipc());
+        assert!(out.contains(&expected), "{out}\nexpected: {expected}");
     }
 
     #[test]

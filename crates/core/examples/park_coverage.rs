@@ -1,6 +1,5 @@
-//! Skip-engine coverage on three SMT mixes: cycles skipped, parks,
-//! thread-cycles and ticks with a park bit set, jumps, and the share of
-//! skipped cycles that came from jumps taken with a held thread.
+//! Skip-engine coverage on three SMT mixes: cycles skipped, jumps taken,
+//! and windows abandoned because a window tick made progress.
 //!
 //! ```bash
 //! cargo run --release -p shelfsim-core --example park_coverage
@@ -27,9 +26,12 @@ fn main() {
         let cycles = 200_000u64;
         core.tick_bounded(cycles);
         let s = core.skip_stats();
-        println!("{label}: skipped={} ({:.1}%) held_jump_cycles={} ({:.1}% of skipped) parks={} parked_cycles={} reduced_ticks={} park_jumps={} park_aborts={} spans={}",
-            s.skipped_cycles, 100.0 * s.skipped_cycles as f64 / cycles as f64,
-            s.held_jump_cycles, 100.0 * s.held_jump_cycles as f64 / s.skipped_cycles.max(1) as f64,
-            s.parks, s.parked_thread_cycles, s.reduced_ticks, s.park_jumps, s.park_aborts, s.spans);
+        println!(
+            "{label}: skipped={} ({:.1}%) park_jumps={} park_aborts={}",
+            s.skipped_cycles,
+            100.0 * s.skipped_cycles as f64 / cycles as f64,
+            s.park_jumps,
+            s.park_aborts
+        );
     }
 }

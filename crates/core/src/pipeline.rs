@@ -24,8 +24,7 @@ use crate::config::{CoreConfig, FetchPolicy, MemoryModel, SteerPolicy};
 use crate::counters::{acc, Counters};
 use crate::inst::{InstId, Slab, Slot, Stage, Steer};
 use crate::skip::{
-    consider, SkipCause, SkipEngine, SkipStats, TickDelta, Verdict, MAX_SKIP_THREADS,
-    MIN_PARK_JUMP_SPAN,
+    consider, SkipCause, SkipEngine, SkipStats, TickDelta, MAX_SKIP_THREADS, MIN_PARK_JUMP_SPAN,
 };
 use crate::steer::{OracleSteer, PracticalSteer};
 use crate::warm::{self, WarmState};
@@ -474,7 +473,7 @@ pub struct Core {
     scratch_mshr_losers: Vec<InstId>,
     scratch_counts: Vec<usize>,
     scratch_eligible: Vec<bool>,
-    /// Event-driven cycle skipping (park bits + accounting); see
+    /// Event-driven cycle skipping (progress tracking + accounting); see
     /// [`crate::skip`]. Runtime-toggleable, on by default, used only via
     /// [`Core::tick_bounded`] — plain [`Core::tick`] never skips.
     skip: SkipEngine,
@@ -1080,7 +1079,7 @@ impl Core {
     }
 
     /// Advances the core by exactly `limit` cycles, fast-forwarding whole
-    /// spans once every thread is parked or held (see [`crate::skip`]).
+    /// spans once every thread is still (see [`crate::skip`]).
     /// Bit-identical to `limit` calls of [`Core::tick`] — counters, commit
     /// stream, and trace tallies included. Returns the cycles advanced
     /// (always `limit`).
@@ -1091,136 +1090,75 @@ impl Core {
             }
             return limit;
         }
-        let nthreads = self.threads.len();
-        let full_mask: u64 = (1 << nthreads) - 1;
         let mut advanced = 0u64;
-        // Threads found held after the last walked tick or when the window
-        // opened. Held verdicts live for exactly one loop iteration and
-        // never outlive this call.
-        let mut held = 0u64;
-        // Horizon cache for the current all-parked window. The window only
-        // walks ticks strictly before the cached horizon, where by
-        // definition nothing fires and no parked thread progresses, so
-        // every `skip_horizon` term is static for the whole window and one
-        // computation serves the entry gate, the jump-worthiness gate, and
-        // the jump itself.
+        // The open window's horizon, cached when every thread is judged
+        // still. The window only walks ticks strictly before it, where by
+        // definition nothing fires and no thread progresses, so every
+        // `skip_horizon` term is static for the whole window and one
+        // computation serves the jump-worthiness gate and the jump itself.
         let mut window: Option<(u64, SkipCause)> = None;
         while advanced < limit {
-            if window.is_none() && (self.skip.parked | held) == full_mask {
-                // A window is about to open, and park bits are only hints:
-                // re-derive every parked thread's verdict on the current
-                // state. A held thread trades its park bit for a held bit;
-                // a rejected one loses its bit, which abandons the window.
-                for t in 0..nthreads {
-                    if self.skip.parked & (1 << t) != 0 {
-                        match self.try_park(t) {
-                            Verdict::Park => {}
-                            Verdict::Held => {
-                                self.skip.parked &= !(1 << t);
-                                held |= 1 << t;
-                            }
-                            Verdict::Reject => self.skip.parked &= !(1 << t),
-                        }
-                    }
-                }
-            }
-            let parked = self.skip.parked;
-            let still = parked | std::mem::take(&mut held);
-            if still == full_mask {
-                // Every thread is parked or held, so the coming tick repeats
-                // until the event horizon: one captured tick supplies the
-                // per-cycle delta. A jump only repays its fixed costs
-                // (counter clones, scaled replay) over a long enough span —
-                // staggered per-thread fills in SMT mixes open many short
-                // all-parked windows — so the capture is gated on the window
-                // horizon unless a thread is held.
-                let (horizon, cause) = *window.get_or_insert_with(|| self.skip_horizon());
-                let span = horizon.saturating_sub(self.now + 1);
-                let all_parked = parked == full_mask;
-                // A horizon term due this very cycle means the coming tick
-                // is not a fixed point; a held thread with no span to jump
-                // walks a normal tick to be re-examined.
-                if horizon > self.now && (all_parked || span > 0) {
-                    let will_jump = !all_parked || span >= MIN_PARK_JUMP_SPAN;
-                    let pre = will_jump.then(|| (self.counters.clone(), self.hierarchy.counters()));
-                    self.walk_tick();
-                    advanced += 1;
-                    if self.skip.progress {
-                        // A verdict lied. The per-tick soundness net: clear
-                        // every park and fall back to walked ticks, which
-                        // re-examine every thread from scratch.
-                        self.skip.stats.park_aborts += 1;
-                        self.skip.parked = 0;
-                        window = None;
-                        continue;
-                    }
-                    let Some((pre_c, pre_m)) = pre else {
-                        // Short all-parked window: walk it cycle by cycle;
-                        // the cached horizon stays valid until it arrives.
-                        continue;
-                    };
-                    let rec = TickDelta {
-                        delta: self.counters.diff(&pre_c),
-                        mem_delta: self.hierarchy.counters().diff(&pre_m),
-                        streak_bumped: self.skip.streak_bumped,
-                    };
-                    let budget = limit - advanced;
-                    let mut k = horizon.saturating_sub(self.now);
-                    let mut cause = cause;
-                    if k > budget {
-                        k = budget;
-                        cause = SkipCause::LimitCap;
-                    }
-                    if k > 0 {
-                        self.fast_forward(k, &rec, cause);
-                        advanced += k;
-                        self.skip.stats.park_jumps += 1;
-                        if !all_parked {
-                            self.skip.stats.held_jump_cycles += k;
-                        }
-                    }
-                    // The jump lands on the horizon (or the budget cap): the
-                    // window is over either way.
+            // A horizon term due this very cycle means the coming tick is
+            // not a fixed point.
+            if let Some((horizon, cause)) = window.filter(|&(h, _)| h > self.now) {
+                // The coming tick repeats until the horizon: one captured
+                // tick supplies the per-cycle delta. A jump only repays its
+                // fixed costs (counter clones, scaled replay) over a long
+                // enough span — staggered per-thread fills in SMT mixes
+                // open many short windows — so a shorter window is walked
+                // tick by tick without re-judging.
+                let will_jump = horizon - (self.now + 1) >= MIN_PARK_JUMP_SPAN;
+                let pre = will_jump.then(|| (self.counters.clone(), self.hierarchy.counters()));
+                self.walk_tick();
+                advanced += 1;
+                if self.skip.progress {
+                    // A stillness judgement lied. The per-tick soundness
+                    // net: fall back to walked ticks.
+                    self.skip.stats.park_aborts += 1;
                     window = None;
                     continue;
                 }
-            }
-            window = None;
-            let parked = self.walk_tick();
-            advanced += 1;
-            // Examine threads that sat completely still this tick and
-            // aren't already parked.
-            let idle = !(self.skip.progress_mask | parked) & full_mask;
-            for t in 0..nthreads {
-                if idle & (1 << t) != 0 {
-                    match self.try_park(t) {
-                        Verdict::Park => {
-                            self.skip.parked |= 1 << t;
-                            self.skip.stats.parks += 1;
-                        }
-                        Verdict::Held => held |= 1 << t,
-                        Verdict::Reject => {}
-                    }
+                let Some((pre_c, pre_m)) = pre else {
+                    // Short window: the cached horizon stays valid until
+                    // it arrives.
+                    continue;
+                };
+                let rec = TickDelta {
+                    delta: self.counters.diff(&pre_c),
+                    mem_delta: self.hierarchy.counters().diff(&pre_m),
+                    streak_bumped: self.skip.streak_bumped,
+                };
+                let budget = limit - advanced;
+                let mut k = horizon - self.now;
+                let mut cause = cause;
+                if k > budget {
+                    k = budget;
+                    cause = SkipCause::LimitCap;
                 }
+                if k > 0 {
+                    self.fast_forward(k, &rec, cause);
+                    advanced += k;
+                    self.skip.stats.park_jumps += 1;
+                }
+                // The jump lands on the horizon (or the budget cap): the
+                // window is over either way.
+                window = None;
+                continue;
             }
+            self.walk_tick();
+            advanced += 1;
+            // Only a tick in which no thread progressed can open a window.
+            let still = !self.skip.progress && (0..self.threads.len()).all(|t| self.is_still(t));
+            window = still.then(|| self.skip_horizon());
         }
         advanced
     }
 
-    /// One tick under fresh per-tick progress tracking, booking the park
-    /// coverage it ran with. Returns the threads still parked after it
-    /// (progress inside the tick clears bits).
-    fn walk_tick(&mut self) -> u64 {
+    /// One tick under fresh per-tick progress tracking.
+    fn walk_tick(&mut self) {
         self.skip.progress = false;
-        self.skip.progress_mask = 0;
         self.skip.streak_bumped = 0;
         self.tick();
-        let parked = self.skip.parked;
-        if parked != 0 {
-            self.skip.stats.reduced_ticks += 1;
-            self.skip.stats.parked_thread_cycles += u64::from(parked.count_ones());
-        }
-        parked
     }
 
     /// Whether thread `t`'s commit stage is provably a no-op until the
@@ -1277,27 +1215,27 @@ impl Core {
         }
     }
 
-    /// Decides whether thread `t`, which made no progress in the tick just
-    /// walked, is still (see the [`crate::skip`] module docs). Every
-    /// `Reject` is a condition that could let the thread progress, or flip
-    /// its per-cycle effects, with no event or horizon term ahead of it.
-    /// Every hold is a shared input — MSHR, FU, IQ or free-list space —
-    /// that changes only at a `skip_horizon` term or through another
-    /// thread's progress. Passive wake-ups (fetch-stall expiry, frontend
-    /// maturation, store-buffer readiness, fills) need no check here: each
-    /// is a `skip_horizon` term, so no window jumps past one.
-    fn try_park(&self, t: usize) -> Verdict {
+    /// Whether thread `t` is still after a walked tick in which no thread
+    /// progressed (see the [`crate::skip`] module docs). Each check below
+    /// is a condition that could let the thread progress, or flip its
+    /// per-cycle effects, with no event or horizon term ahead of it. Every
+    /// other obstacle — a busy FU, a lost MSHR arbitration, a full IQ,
+    /// free list or local partition, an unresolved source — changes only
+    /// at a `skip_horizon` term or through some thread's progress, and
+    /// the window's walked or captured tick aborts on progress. Passive
+    /// wake-ups (fetch-stall expiry, frontend maturation, store-buffer
+    /// readiness, fills) need no check either: each is a `skip_horizon`
+    /// term, so no window jumps past one.
+    fn is_still(&self, t: usize) -> bool {
         let now = self.now;
+        let th = &self.threads[t];
 
         // SSR decay must be a provable no-op; quiescence also pins the
         // classification chain's SSR branch false and `shelf_allows` true
         // until the thread progresses.
-        if !self.threads[t].ssr.is_quiescent() {
-            return Verdict::Reject;
+        if !th.ssr.is_quiescent() {
+            return false;
         }
-
-        let mut held = false;
-        let th = &self.threads[t];
 
         // ---- fetch: must stay ineligible ----
         // (`!room` and `waiting_branch` change only through `t`'s own
@@ -1307,129 +1245,57 @@ impl Core {
             && room
             && (th.waiting_branch.is_none() || self.cfg.wrong_path_fetch)
         {
-            return Verdict::Reject; // eligible: the fetch selector could pick it
-        }
-
-        // ---- store buffer: drain attempts must be provable no-ops ----
-        // A front due last tick and still queued lost its drain for want of
-        // an MSHR, and loses every retry identically until the next fill
-        // frees one.
-        if th
-            .store_buffer
-            .front()
-            .is_some_and(|&(_, ready)| ready < now)
-        {
-            held = true;
-        }
-
-        // ---- issue: none of `t`'s IQ work may be selectable ----
-        // A load blocked by `t`'s own store set may stay: the block clears
-        // only at the elder store's writeback (or squash), `t`'s own event.
-        // Any other resident is ready but unissued after a still tick: it
-        // lost to a busy FU or to MSHR arbitration.
-        for &(age, id) in &self.ready_pool {
-            if self.slab.live_with_age(id, age) && self.slab.thread_of(id) == t {
-                let slot = self.slab.get(id);
-                if !slot.inst.is_load() || self.store_set_clear(id, slot) {
-                    held = true;
-                }
-            }
+            return false; // eligible: the fetch selector could pick it
         }
 
         // ---- commit: the window head must be provably uncommittable ----
         if !self.commit_frozen(t) {
-            return Verdict::Reject;
+            return false;
         }
 
         // ---- dispatch head: a mature head must be blocked ----
         if let Some(&head) = th.frontend.front() {
             let slot = self.slab.get(head);
-            let inst = slot.inst;
             if slot.fetch_cycle + self.cfg.fetch_to_dispatch as u64 > now {
                 // Still maturing: nothing to dispatch yet.
-            } else if inst.op == OpClass::MemBarrier {
+            } else if slot.inst.op == OpClass::MemBarrier {
                 // The window shrinks only at commit (frozen above) and the
                 // store buffer drains only through the hierarchy, so a
                 // serialized barrier stays put.
                 if th.window.is_empty() && th.store_buffer.is_empty() {
-                    return Verdict::Reject; // would dispatch
+                    return false; // would dispatch
                 }
-            } else {
+            } else if slot.steer_memo.is_none() {
                 // A first dispatch attempt would mutate predictor state;
                 // only already-memoized heads can be still.
-                let Some((steer, _)) = slot.steer_memo else {
-                    return Verdict::Reject;
-                };
-                // A head blocked by a full *thread-local* partition stays
-                // blocked until `t` progresses. One held back only by
-                // shared IQ or free-list space is held.
-                let local_full = match steer {
-                    Steer::Iq => {
-                        th.rob.is_full()
-                            || (inst.is_load() && th.lq.is_full())
-                            || (inst.is_store() && th.sq.is_full())
-                    }
-                    Steer::Shelf => {
-                        th.shelf.len() >= th.shelf_capacity
-                            || (self.cfg.memory_model == MemoryModel::Tso
-                                && inst.is_store()
-                                && th.sq.is_full())
-                            || th.shelf_next_idx - th.shelf_retire_ptr
-                                >= th.shelf_index_space(self.cfg.narrow_shelf_index)
-                    }
-                };
-                held |= !local_full;
+                return false;
             }
         }
 
-        // ---- shelf head: must be blocked on a stable local cause ----
+        // ---- shelf head: no source may be mid-forwarding ----
         if let Some(&sid) = th.shelf.front() {
             // The last tick's issue stage ran its head-change stanza on
             // this (unchanged) head.
             debug_assert_eq!(th.head_blocked_id, Some(sid));
-            let slot = self.slab.get(sid);
             // Cross-cluster limbo: a source whose scoreboard base cycle
             // has passed but whose shelf-side arrival is still forwarding-
             // penalty cycles out flips readiness passively, with no event
-            // or horizon term. Refuse to park until it settles.
+            // or horizon term.
             if self.cfg.cluster_forward_penalty > 0 {
-                for tag in slot.src_tags.iter().flatten() {
+                for tag in self.slab.get(sid).src_tags.iter().flatten() {
                     let base = self.scoreboard.ready_at(*tag);
                     if base != Scoreboard::PENDING
                         && self.tag_cluster[tag.index()] != Steer::Shelf
                         && base <= now
                         && now < base + self.cfg.cluster_forward_penalty as u64
                     {
-                        return Verdict::Reject;
+                        return false;
                     }
                 }
             }
-            // Each local cause clears only through `t`'s own progress or
-            // events: the order barrier when `t`'s IQ work issues, RAW and
-            // WAW at the producers' writebacks (renaming is per-thread), a
-            // store-set block at the elder store's writeback, and a full
-            // store buffer at a drain.
-            let blocked_locally = self.tracker_head_view(t) < slot.iq_barrier
-                || slot
-                    .src_tags
-                    .iter()
-                    .flatten()
-                    .any(|tag| !self.scoreboard.is_ready(*tag, now))
-                || slot
-                    .prev_mapping
-                    .is_some_and(|p| !self.scoreboard.is_ready(p.tag, now))
-                || (slot.inst.is_load() && !self.store_set_clear(sid, slot))
-                || (slot.inst.is_store() && th.store_buffer.len() >= self.cfg.store_buffer_entries);
-            // Every other chain outcome (FU busy, a TSO-held head, a lost
-            // MSHR arbitration) depends on shared state: held.
-            held |= !blocked_locally;
         }
 
-        if held {
-            Verdict::Held
-        } else {
-            Verdict::Park
-        }
+        true
     }
 
     /// The event horizon: the earliest future cycle at which any stage's
@@ -1510,8 +1376,8 @@ impl Core {
         self.hierarchy.add_scaled_counters(&rec.mem_delta, k);
 
         // Exact replay of decaying state. SSRs are zero at any jump
-        // (`try_park` parks or holds only threads with a quiescent SSR
-        // pair), so `tick_many` is belt-and-braces.
+        // (`is_still` passes only threads with a quiescent SSR pair), so
+        // `tick_many` is belt-and-braces.
         for th in &mut self.threads {
             th.ssr.tick_many(k);
         }
@@ -1681,7 +1547,7 @@ impl Core {
             }
             let mispred = slot.mispredicted;
             let id = self.slab.insert(slot);
-            self.skip.note_progress(t);
+            self.skip.note_progress();
             self.threads[t].frontend.push_back(id);
             self.threads[t].pre_issue_count += 1;
             acc(&mut self.counters.fetched, 1);
@@ -1701,7 +1567,7 @@ impl Core {
             let mut slot = Slot::new(t, u64::MAX, inst, self.now);
             slot.wrong_path = true;
             let id = self.slab.insert(slot);
-            self.skip.note_progress(t);
+            self.skip.note_progress();
             self.threads[t].frontend.push_back(id);
             self.threads[t].pre_issue_count += 1;
             acc(&mut self.counters.fetched, 1);
@@ -1761,7 +1627,7 @@ impl Core {
                 match self.try_dispatch(t, head) {
                     DispatchOutcome::Dispatched => {
                         self.threads[t].frontend.pop_front();
-                        self.skip.note_progress(t);
+                        self.skip.note_progress();
                         budget -= 1;
                         progressed = true;
                         progress_mask |= 1 << t;
@@ -2227,7 +2093,7 @@ impl Core {
             let Some((_, id, steer)) = best else { break };
             let issued_thread = self.slab.get(id).thread;
             if self.do_issue(id, steer) {
-                self.skip.note_progress(issued_thread);
+                self.skip.note_progress();
                 budget -= 1;
                 issued_mask |= 1 << issued_thread;
                 // Issuing advances only the issuing thread's state (tracker
@@ -2804,7 +2670,7 @@ impl Core {
             let s = self.slab.get(id);
             (s.thread, s.inst, s.steer, s.wrong_path)
         };
-        self.skip.note_progress(t);
+        self.skip.note_progress();
         let squashed = self.slab.is_squashed(id);
         if self.slab.stage(id) == Stage::Issued {
             self.slab.set_stage(id, Stage::Completed);
@@ -3223,7 +3089,7 @@ impl Core {
                         && !self.slab.is_squashed(sq_head)
                     {
                         self.threads[t].sq.pop_front();
-                        self.skip.note_progress(t);
+                        self.skip.note_progress();
                     } else {
                         break;
                     }
@@ -3255,7 +3121,7 @@ impl Core {
                         }
                         self.trace_end(head, EndKind::Commit);
                         self.threads[t].window.pop_front();
-                        self.skip.note_progress(t);
+                        self.skip.note_progress();
                         self.slab.remove(head);
                         if !wrong_path {
                             self.retire_real(t, seq, in_seq);
@@ -3316,7 +3182,7 @@ impl Core {
                         }
                         self.trace_end(head, EndKind::Commit);
                         self.threads[t].window.pop_front();
-                        self.skip.note_progress(t);
+                        self.skip.note_progress();
                         self.slab.remove(head);
                         if !wrong_path {
                             self.retire_real(t, seq, in_seq);
@@ -3344,7 +3210,7 @@ impl Core {
             if let Some(&(addr, ready)) = self.threads[t].store_buffer.front() {
                 if ready <= self.now && self.hierarchy.access_data(addr, true, self.now).is_ok() {
                     self.threads[t].store_buffer.pop_front();
-                    self.skip.note_progress(t);
+                    self.skip.note_progress();
                 }
             }
         }

@@ -361,11 +361,6 @@ impl Simulation {
         &self.meta
     }
 
-    /// Advances the simulation one cycle (debugging and fine-grained tests).
-    pub fn step(&mut self) {
-        self.advance();
-    }
-
     /// Injects an artificial stall: for `duration` driver cycles starting at
     /// driver cycle `at` (counted from construction, across warm-up and
     /// measurement), the driver burns cycles without ticking the core, so no

@@ -1,4 +1,4 @@
-//! Event-driven cycle skipping: parks are hints, jumps are verified.
+//! Event-driven cycle skipping: one stillness check, verified jumps.
 //!
 //! A memory-bound core spends most of its cycles doing *nothing*: every
 //! stage blocked, waiting for a DRAM fill hundreds of cycles away. Under
@@ -6,59 +6,42 @@
 //! store set or MSHR fill while its siblings run. This module holds the
 //! bookkeeping for skipping that dead work once every thread is still.
 //!
-//! # Verdicts
+//! # The stillness check
 //!
-//! After each walked tick, every thread that made no architectural
-//! progress (no fetch, dispatch, issue, writeback, commit or store-buffer
-//! drain) and is not already parked is examined analytically by
-//! `Core::try_park`, the only stillness predicate. It returns a
-//! [`Verdict`]:
-//!
-//! * **Park** — the thread is still by its own state alone: fetch
-//!   ineligible, frontend head absent, immature or blocked on a persistent
-//!   *local* (partitioned) resource, shelf head blocked on a stable local
-//!   cause, ready-pool residents (if any) all loads blocked by the thread's
-//!   own store set, store buffer quiet, SSR pair quiescent, commit frozen.
-//!   The thread's bit in [`SkipEngine::parked`] is set.
-//! * **Held** — the thread passes every local check, but at least one
-//!   obstacle is a *shared* input that changes solely at a
-//!   `skip_horizon` term: a ready load losing MSHR arbitration, a due
-//!   store-buffer drain the hierarchy rejects, a ready entry or shelf head
-//!   waiting on a busy functional unit, an IQ- or shelf-steered dispatch
-//!   head held only by shared IQ or free-list space. Held lasts one loop
-//!   iteration of `Core::tick_bounded`.
-//! * **Reject** — anything else.
-//!
-//! # Parks are hints
-//!
-//! A park bit changes no stage: parked threads run the real fetch,
-//! dispatch, issue and commit logic every walked tick. Its only effect is
-//! that `tick_bounded` does not re-examine the thread after each walked
-//! tick. The first architectural progress by the thread clears its bit
-//! (`SkipEngine::note_progress`). A bit can therefore be stale — its
-//! thread may have been woken by a fill or an event without progressing
-//! yet — and is never trusted on its own.
+//! `Core::tick_bounded` walks ticks one at a time. Stage code reports
+//! architectural progress (fetch, dispatch, issue, writeback, commit or
+//! store-buffer drain) through [`SkipEngine::note_progress`]. Only after
+//! a walked tick in which *no* thread progressed does it judge the
+//! threads, with `Core::is_still`, a `bool` predicate on the current
+//! state. A thread is not still when its SSR pair is not quiescent, it is
+//! fetch-eligible, its commit stage is not frozen, its mature dispatch
+//! head is an unmemoized non-barrier or a barrier facing an empty window
+//! and store buffer, or a source of its shelf head is still inside the
+//! cluster-forwarding penalty. Every other obstacle — a busy functional
+//! unit, a lost MSHR arbitration, a full IQ, free list or thread-local
+//! partition, an unresolved source — changes only at a `skip_horizon`
+//! term or through some thread's progress. No thread progresses inside
+//! a window, and a window never reaches past its horizon, so those
+//! obstacles hold for the whole window.
 //!
 //! # Whole-core jumps
 //!
-//! When every thread is parked or held, nothing can change before the
-//! event horizon — the earliest pending pipeline event, ready-wheel entry,
+//! When every thread is still, nothing can change before the event
+//! horizon — the earliest pending pipeline event, ready-wheel entry,
 //! MSHR fill, functional-unit release, fetch-stall expiry, frontend
 //! maturation or store-buffer readiness — so every cycle up to it repeats
-//! the next one. Each such window opens by re-deriving the verdict of
-//! every parked thread on the current state: a thread now held loses its
-//! bit and counts as held, and a single reject unparks that thread and
-//! abandons the window. The engine then runs one tick as a capture,
-//! recording the [`Counters`] delta, the [`HierarchyCounters`] delta and
-//! the streak-bump mask in a [`TickDelta`]. If the capture made progress,
-//! a verdict was wrong: the jump is abandoned (`park_aborts`) and every
-//! bit is cleared. Otherwise `fast_forward` replays the delta scaled to
-//! the horizon (`delta * k`), replays decaying state (SSRs, steering
-//! tables) exactly, and jumps the cycle counter.
+//! the next one. A window shorter than [`MIN_PARK_JUMP_SPAN`] is walked
+//! tick by tick without re-judging. A longer one runs one tick as a
+//! capture, recording the [`Counters`] delta, the [`HierarchyCounters`]
+//! delta and the streak-bump mask in a [`TickDelta`]. Any walked or
+//! captured tick of a window that makes progress means a judgement was
+//! wrong: the window is abandoned (`park_aborts`). Otherwise
+//! `fast_forward` replays the delta scaled to the horizon (`delta * k`),
+//! replays decaying state (SSRs, steering tables) exactly, and jumps the
+//! cycle counter.
 //!
 //! Skipped cycles are accounted per horizon cause in [`SkipStats`] so runs
-//! can report where their idle time went; park coverage (thread-cycles
-//! with a park bit set) is reported alongside.
+//! can report where their idle time went.
 
 use crate::config::CoreConfig;
 use crate::counters::Counters;
@@ -69,8 +52,9 @@ use shelfsim_mem::HierarchyCounters;
 /// carry more threads than the skip engine's bitmasks cover.
 pub(crate) const MAX_SKIP_THREADS: usize = CoreConfig::MAX_THREADS;
 
-// The pipeline tracks threads in u64 bitmasks (progress, parked, streak
-// masks); a cap past 64 would shift bits off the end.
+// The pipeline tracks threads in u64 bitmasks (the streak mask, the
+// commit and issue stages' masks); a cap past 64 would shift bits off the
+// end.
 const _: () = assert!(
     MAX_SKIP_THREADS <= 64,
     "thread bitmasks are u64; MAX_SKIP_THREADS must fit"
@@ -143,14 +127,13 @@ pub(crate) fn consider(best: &mut (u64, SkipCause), cycle: u64, cause: SkipCause
     }
 }
 
-/// Minimum estimated all-parked span (cycles) worth converting into a
+/// Minimum estimated window span (cycles) worth converting into a
 /// capture-and-jump. A jump's fixed costs — two counter-block clones and
 /// the scaled fast-forward replay — amortize to roughly a dozen walked
 /// ticks, and SMT mixes with staggered per-thread fills open a stream of
-/// shorter all-parked windows than that. Those windows are walked tick by
-/// tick instead; correctness is unaffected either way (the gate consults
-/// a pre-tick horizon estimate only). The gate never applies while a
-/// thread is held, so a window with a held thread always jumps.
+/// shorter windows than that. Those windows are walked tick by tick
+/// instead; correctness is unaffected either way (the gate consults a
+/// pre-tick horizon estimate only). The gate applies to every window.
 pub const MIN_PARK_JUMP_SPAN: u64 = 16;
 
 /// Cycle-skip accounting: every skipped cycle is attributed to the horizon
@@ -165,43 +148,23 @@ pub struct SkipStats {
     pub by_cause: [u64; SKIP_CAUSES],
     /// Always 0. Counted failed fixed-point comparisons of the retired
     /// probe-pair protocol; kept so existing readers of the field still
-    /// build. Every jump now comes from verdicts (`park_jumps`).
+    /// build, and retired with them.
     pub probe_mismatches: u64,
-    /// Thread-cycles with a park bit set: each walked tick adds the number
-    /// of threads still parked after it. Parked threads run every stage,
-    /// so this measures how long verdicts stay settled, not work saved.
+    /// Always 0. Counted thread-cycles with a park bit set, before per-thread
+    /// park bits were deleted; kept so existing readers still build, and
+    /// retired with them.
     pub parked_thread_cycles: u64,
-    /// Walked ticks after which at least one park bit was set.
+    /// Always 0. Counted walked ticks after which a park bit was set; kept
+    /// so existing readers still build, and retired with them.
     pub reduced_ticks: u64,
-    /// `Park` verdicts from the examination after a walked tick (the
-    /// re-derivations that open a jump window are not counted).
-    pub parks: u64,
-    /// Whole-core fast-forwards taken with every thread parked or held.
-    /// The only way to jump, so always equal to `spans`.
+    /// Whole-core fast-forwards taken with every thread still. The only
+    /// way to jump, so always equal to `spans`.
     pub park_jumps: u64,
-    /// Skipped cycles of jumps taken with at least one thread held rather
-    /// than parked (a subset of `skipped_cycles`): the coverage that
-    /// shared-input holds add on top of parks alone.
-    pub held_jump_cycles: u64,
-    /// Capture ticks that unexpectedly made progress, forcing the jump to
-    /// be abandoned and every park bit cleared. Nonzero values indicate
-    /// a verdict soundness bug — the release-mode safety net caught it,
-    /// but coverage is being lost.
+    /// Walked or captured ticks of a window that unexpectedly made
+    /// progress, forcing the window to be abandoned. Nonzero values
+    /// indicate a stillness soundness bug — the release-mode safety net
+    /// caught it, but coverage is being lost.
     pub park_aborts: u64,
-}
-
-/// `Core::try_park`'s verdict on a thread that made no progress in a tick
-/// (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Verdict {
-    /// Still by its own state alone: the thread's park bit is set.
-    Park,
-    /// Still, but only because of shared inputs that change solely at a
-    /// `skip_horizon` term: counts toward the whole-core jump for one
-    /// loop iteration.
-    Held,
-    /// Not provably still.
-    Reject,
 }
 
 /// One captured tick: the per-cycle counter deltas and the streak-bump
@@ -214,7 +177,8 @@ pub(crate) struct TickDelta {
     pub streak_bumped: u64,
 }
 
-/// The per-core skip engine: runtime toggle, park bits, and accounting.
+/// The per-core skip engine: runtime toggle, per-tick progress tracking,
+/// and accounting.
 ///
 /// Deliberately *not* part of [`crate::CoreConfig`]: skipping is an engine
 /// execution strategy with no architectural effect, and config hashes feed
@@ -224,15 +188,8 @@ pub(crate) struct SkipEngine {
     pub enabled: bool,
     /// Set by stage code whenever architectural progress happens this tick.
     pub progress: bool,
-    /// Per-thread bitmask of this tick's progress (feeds the park
-    /// predicate: only a thread whose bit stayed clear may be examined).
-    pub progress_mask: u64,
     /// Per-thread bitmask: `head_blocked_streak` incremented this tick.
     pub streak_bumped: u64,
-    /// Per-thread bitmask of parked threads: a hint that spares the thread
-    /// re-examination after walked ticks (see the module docs). No stage
-    /// reads it.
-    pub parked: u64,
     pub stats: SkipStats,
 }
 
@@ -241,21 +198,15 @@ impl SkipEngine {
         SkipEngine {
             enabled: true,
             progress: false,
-            progress_mask: 0,
             streak_bumped: 0,
-            parked: 0,
             stats: SkipStats::default(),
         }
     }
 
-    /// Records architectural progress by thread `t` this tick. Progress
-    /// ends a park: the thread is examined afresh after its next still
-    /// tick.
+    /// Records architectural progress this tick: no window opens after it.
     #[inline]
-    pub(crate) fn note_progress(&mut self, t: usize) {
+    pub(crate) fn note_progress(&mut self) {
         self.progress = true;
-        self.progress_mask |= 1 << t;
-        self.parked &= !(1 << t);
     }
 }
 
@@ -279,9 +230,7 @@ mod tests {
         assert_eq!(s.probe_mismatches, 0);
         assert_eq!(s.parked_thread_cycles, 0);
         assert_eq!(s.reduced_ticks, 0);
-        assert_eq!(s.parks, 0);
         assert_eq!(s.park_jumps, 0);
-        assert_eq!(s.held_jump_cycles, 0);
         assert_eq!(s.park_aborts, 0);
     }
 
@@ -315,16 +264,5 @@ mod tests {
         // A later term never displaces an earlier one.
         consider(&mut best, 300, SkipCause::PipeEvent);
         assert_eq!(best, (200, SkipCause::StoreBuffer));
-    }
-
-    #[test]
-    fn park_and_unpark_track_the_mask() {
-        // Parking sets a bit; a thread's own progress clears only its bit.
-        let mut e = SkipEngine::new();
-        e.parked = (1 << 2) | (1 << 5);
-        e.note_progress(2);
-        assert_eq!(e.parked, 1 << 5);
-        assert_eq!(e.progress_mask, 1 << 2);
-        assert!(e.progress);
     }
 }

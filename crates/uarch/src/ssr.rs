@@ -95,9 +95,10 @@ impl SsrPair {
 
     /// Whether both registers have fully decayed to zero. A quiescent pair
     /// is a fixed point of [`SsrPair::tick`]: further decay changes nothing,
-    /// and `shelf_allows` is `true` for every latency. The skip engine may
-    /// only park a thread once its pair is quiescent — otherwise per-cycle
-    /// decay would change the shelf head's issue eligibility mid-jump.
+    /// and `shelf_allows` is `true` for every latency. The skip engine
+    /// judges a thread still only once its pair is quiescent — otherwise
+    /// per-cycle decay would change the shelf head's issue eligibility
+    /// mid-jump.
     pub fn is_quiescent(&self) -> bool {
         self.iq == 0 && self.shelf == 0
     }

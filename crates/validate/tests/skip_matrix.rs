@@ -8,6 +8,7 @@
 //! harness's threads.
 
 use shelfsim_analyze::design_by_name;
+use shelfsim_core::CoreConfig;
 use shelfsim_validate::{run_lockstep, LockstepConfig, Verdict};
 use shelfsim_workload::kernels;
 use shelfsim_workload::program::Program;
@@ -81,25 +82,30 @@ fn run_design(design: &str) {
     }
 }
 
+/// Runs `mix` on `cfg` with skipping on and off: both runs must validate
+/// clean and leave identical fingerprints.
+fn assert_skip_invisible(cfg: &CoreConfig, mix: &[&str], what: &str) {
+    let on = clean_fingerprints(
+        run_lockstep(cfg, &mixed_programs(mix), &quick(true)),
+        &format!("{what} skip-on"),
+    );
+    let off = clean_fingerprints(
+        run_lockstep(cfg, &mixed_programs(mix), &quick(false)),
+        &format!("{what} skip-off"),
+    );
+    assert_eq!(
+        on, off,
+        "{what}: commit-stream fingerprints differ between skip-on and skip-off"
+    );
+}
+
 /// The asymmetric leg of the matrix: whole-core fixed points are rare in
-/// these mixes, so the bit-identical bar is carried almost entirely by the
-/// per-thread park/reduced-tick path.
+/// these mixes, so windows open only in the short gaps where the compute
+/// threads stall too.
 fn run_design_asymmetric(design: &str) {
     for mix in ASYMMETRIC_MIXES {
         let cfg = design_by_name(design, mix.len()).expect("design in registry");
-        let what = format!("{design}/{}", mix.join("+"));
-        let on = clean_fingerprints(
-            run_lockstep(&cfg, &mixed_programs(mix), &quick(true)),
-            &format!("{what} skip-on"),
-        );
-        let off = clean_fingerprints(
-            run_lockstep(&cfg, &mixed_programs(mix), &quick(false)),
-            &format!("{what} skip-off"),
-        );
-        assert_eq!(
-            on, off,
-            "{what}: commit-stream fingerprints differ between skip-on and skip-off"
-        );
+        assert_skip_invisible(&cfg, mix, &format!("{design}/{}", mix.join("+")));
     }
 }
 
@@ -146,4 +152,21 @@ fn skip_matrix_asymmetric_shelf_opt() {
 #[test]
 fn skip_matrix_asymmetric_shelf_cons() {
     run_design_asymmetric("shelf-cons");
+}
+
+#[test]
+fn skip_matrix_asymmetric_shared_pressure() {
+    // Two data MSHRs: ready loads lose MSHR arbitration and due store
+    // drains are refused, shared inputs that change only at a fill. Such
+    // threads count as still, and the windows they open must stay
+    // invisible.
+    let chase_pair: &[&str] = &["chase2", "chase2"];
+    for design in ["base64", "shelf-opt"] {
+        for mix in ASYMMETRIC_MIXES.into_iter().chain([chase_pair]) {
+            let mut cfg = design_by_name(design, mix.len()).expect("design in registry");
+            cfg.hierarchy.data_mshrs = 2;
+            let what = format!("{design}/{}/2 data MSHRs", mix.join("+"));
+            assert_skip_invisible(&cfg, mix, &what);
+        }
+    }
 }

@@ -95,17 +95,27 @@ echo "$out" | head -1
 echo "$out" | grep -q " 0 diverged, 0 invariant-violations" \
   || { echo "FAIL: validate --no-skip smoke must be clean"; echo "$out"; exit 1; }
 
-echo "== partial-skip smoke: per-thread parking bit-identical on asymmetric mixes"
-# The asymmetric leg of the skip matrix: memory-parked threads next to
-# compute threads. Parked threads run every pipeline stage for real, and
-# each jump re-derives every park verdict first, so the leg runs again
-# under the per-cycle pipeline audits.
+echo "== partial-skip smoke: skipping bit-identical on asymmetric mixes"
+# The asymmetric leg of the skip matrix: memory-blocked threads next to
+# compute threads, also with two data MSHRs (shared-input pressure). A
+# window opens only after a tick in which no thread progressed and every
+# thread passed the stillness check, and any window tick that progresses
+# abandons the window, so the leg runs again under the per-cycle pipeline
+# audits.
 cargo test -q -p shelfsim-validate --test skip_matrix skip_matrix_asymmetric
 cargo test -q -p shelfsim-validate --features shelfsim-core/sanitize --test skip_matrix skip_matrix_asymmetric
 cargo test -q -p shelfsim-core --test cycle_skipping partial_skip
 
 echo "== skip sanitizer smoke: cycle_skipping under per-cycle pipeline audits"
 cargo test -q -p shelfsim-core --features sanitize --test cycle_skipping
+
+echo "== skip coverage smoke: no window tick contradicts a stillness judgement"
+# Each of the three mixes prints park_aborts=N: a nonzero N means a window
+# was abandoned because a thread judged still made progress.
+out="$(cargo run --release -q -p shelfsim-core --example park_coverage)"
+echo "$out"
+[ "$(echo "$out" | grep -c ' park_aborts=0$')" -eq 3 ] \
+  || { echo "FAIL: park_coverage must report park_aborts=0 on all three mixes"; exit 1; }
 
 echo "== perfbench smoke: the benchmark builds, passes its tests and checks every workload's goldens"
 # perfbench is its own workspace, so neither tier-1 nor clippy above
