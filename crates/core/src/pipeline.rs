@@ -23,9 +23,7 @@ use crate::classify::Classifier;
 use crate::config::{CoreConfig, FetchPolicy, MemoryModel, SteerPolicy};
 use crate::counters::{acc, Counters};
 use crate::inst::{InstId, Slab, Slot, Stage, Steer};
-use crate::skip::{
-    consider, SkipCause, SkipEngine, SkipStats, TickDelta, MAX_SKIP_THREADS, MIN_PARK_JUMP_SPAN,
-};
+use crate::skip::{consider, SkipCause, SkipEngine, SkipStats, TickDelta, MIN_PARK_JUMP_SPAN};
 use crate::steer::{OracleSteer, PracticalSteer};
 use crate::warm::{self, WarmState};
 use rand::rngs::SmallRng;
@@ -115,10 +113,6 @@ impl EventWheel {
         } else {
             self.overflow.push(ev);
         }
-    }
-
-    fn len(&self) -> usize {
-        self.len
     }
 
     /// Drains every event due at exactly `now` into `out` as `(age, id)`
@@ -719,13 +713,6 @@ impl Core {
         });
     }
 
-    /// Whether the armed mutation has actually been injected (a detection
-    /// test is only meaningful when this is `true`).
-    #[cfg(feature = "chaos")]
-    pub fn chaos_fired(&self) -> bool {
-        self.chaos.as_ref().is_some_and(|c| c.fired)
-    }
-
     /// Queues a [`CommitEvent`] for a committing correct-path instruction.
     /// One branch when the observer is off.
     #[inline]
@@ -882,50 +869,6 @@ impl Core {
             .collect()
     }
 
-    /// One-line debug snapshot of thread `t`'s pipeline occupancy.
-    pub fn debug_state(&self, t: usize) -> String {
-        let th = &self.threads[t];
-        format!(
-            "t{} now={} fe={} win={} iq={} shelf={} rob={} stall_until={} wb={:?} preissue={} events={} shelf_idx={}..{} retired_window={:?}",
-            t,
-            self.now,
-            th.frontend.len(),
-            th.window.len(),
-            self.iq.len(),
-            th.shelf.len(),
-            th.rob.len(),
-            th.fetch_stalled_until,
-            th.waiting_branch,
-            th.pre_issue_count,
-            self.events.len(),
-            th.shelf_retire_ptr,
-            th.shelf_next_idx,
-            th.shelf_retired,
-        )
-    }
-
-    /// Ages of the instructions currently blocking issue in thread `t`'s
-    /// window head region (debugging aid).
-    pub fn debug_window_head(&self, t: usize) -> String {
-        let th = &self.threads[t];
-        th.window
-            .iter()
-            .take(4)
-            .map(|&id| {
-                let s = self.slab.get(id);
-                format!(
-                    "[{:?} {:?} {:?} sq={} seq={}]",
-                    s.inst.op,
-                    s.steer,
-                    self.slab.stage(id),
-                    self.slab.is_squashed(id),
-                    s.seq
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
     /// The per-thread classifier (in-sequence statistics).
     pub fn classifier(&self, t: usize) -> &Classifier {
         &self.threads[t].classifier
@@ -1025,37 +968,39 @@ impl Core {
         }
         // Occupancy integrals (the paper's premise made measurable: the
         // shelf shifts in-flight occupancy out of the OOO structures).
-        let mut occ = [0u64; 6];
-        for th in &self.threads {
-            occ[0] += th.rob.len() as u64;
-            occ[2] += th.lq.len() as u64;
-            occ[3] += th.sq.len() as u64;
-            occ[4] += th.shelf.len() as u64;
-        }
-        occ[1] = self.iq.len() as u64;
-        occ[5] = (self.phys_fl.capacity() - self.phys_fl.available()) as u64;
-        for (total, v) in self.counters.occupancy.iter_mut().zip(occ) {
-            acc(total, v);
+        let occ = self.occupancy_sample();
+        let integrals = [occ.rob, occ.iq, occ.lq, occ.sq, occ.shelf, occ.prf];
+        for (total, v) in self.counters.occupancy.iter_mut().zip(integrals) {
+            acc(total, u64::from(v));
         }
         if let Some(tracer) = self.tracer.as_deref_mut() {
             if tracer.wants_sample(self.now) {
-                let frontend: usize = self.threads.iter().map(|th| th.frontend.len()).sum();
-                tracer.sample(OccupancySample {
-                    cycle: self.now,
-                    rob: occ[0] as u32,
-                    iq: occ[1] as u32,
-                    lq: occ[2] as u32,
-                    sq: occ[3] as u32,
-                    shelf: occ[4] as u32,
-                    prf: occ[5] as u32,
-                    frontend: frontend as u32,
-                });
+                tracer.sample(occ);
             }
         }
         #[cfg(feature = "sanitize")]
         self.audit_invariants();
         self.now += 1;
         acc(&mut self.counters.cycles, 1);
+    }
+
+    /// This cycle's occupancy of every structure, summed over threads, in
+    /// the order of `Counters::occupancy` (plus the front-end depth).
+    fn occupancy_sample(&self) -> OccupancySample {
+        let mut occ = OccupancySample {
+            cycle: self.now,
+            iq: self.iq.len() as u32,
+            prf: (self.phys_fl.capacity() - self.phys_fl.available()) as u32,
+            ..OccupancySample::default()
+        };
+        for th in &self.threads {
+            occ.rob += th.rob.len() as u32;
+            occ.lq += th.lq.len() as u32;
+            occ.sq += th.sq.len() as u32;
+            occ.shelf += th.shelf.len() as u32;
+            occ.frontend += th.frontend.len() as u32;
+        }
+        occ
     }
 
     // ------------------------------------------------------- cycle skipping
@@ -1084,7 +1029,7 @@ impl Core {
     /// stream, and trace tallies included. Returns the cycles advanced
     /// (always `limit`).
     pub fn tick_bounded(&mut self, limit: u64) -> u64 {
-        if !self.skip.enabled || self.threads.len() > MAX_SKIP_THREADS {
+        if !self.skip.enabled {
             for _ in 0..limit {
                 self.tick();
             }
@@ -1161,83 +1106,25 @@ impl Core {
         self.tick();
     }
 
-    /// Whether thread `t`'s commit stage is provably a no-op until the
-    /// thread progresses: nothing poppable at the TSO SQ head and the
-    /// window head not committable. Blocked heads are fine — their
-    /// `commit_stalls` bumps repeat identically every cycle.
-    fn commit_frozen(&self, t: usize) -> bool {
-        let th = &self.threads[t];
-        if self.cfg.memory_model == MemoryModel::Tso {
-            if let Some(&sq_head) = th.sq.front() {
-                if self.slab.get(sq_head).steer == Steer::Shelf
-                    && self.slab.stage(sq_head) == Stage::Completed
-                    && !self.slab.is_squashed(sq_head)
-                {
-                    return false; // the SQ release loop would pop it
-                }
-            }
-        }
-        let Some(&head) = th.window.front() else {
-            return true;
-        };
-        let slot = self.slab.get(head);
-        match slot.steer {
-            Steer::Shelf => {
-                if self.slab.stage(head) != Stage::Completed || self.slab.is_squashed(head) {
-                    // Completion and squash both arrive via `t`'s own
-                    // events, which are `skip_horizon` terms.
-                    return true;
-                }
-                if let Some(sq_idx) = slot.sq_idx {
-                    if th.sq.get(sq_idx).is_some() {
-                        // A completed shelf store still holding its SQ
-                        // entry is poppable at the SQ front (the window
-                        // head is the eldest, so its entry *is* the
-                        // front); the check above already caught this.
-                        return false;
-                    }
-                }
-                false // committable: one budget slot away from progress
-            }
-            Steer::Iq => {
-                if self.slab.stage(head) != Stage::Completed {
-                    return true;
-                }
-                if th.shelf_retire_ptr < slot.shelf_squash_idx {
-                    // Advances only at `t`'s own shelf writebacks.
-                    return true;
-                }
-                if slot.inst.is_store() && th.store_buffer.len() >= self.cfg.store_buffer_entries {
-                    return true; // the store buffer is frozen while `t` is still
-                }
-                false
-            }
-        }
-    }
-
     /// Whether thread `t` is still after a walked tick in which no thread
-    /// progressed (see the [`crate::skip`] module docs). Each check below
-    /// is a condition that could let the thread progress, or flip its
-    /// per-cycle effects, with no event or horizon term ahead of it. Every
-    /// other obstacle — a busy FU, a lost MSHR arbitration, a full IQ,
-    /// free list or local partition, an unresolved source — changes only
-    /// at a `skip_horizon` term or through some thread's progress, and
-    /// the window's walked or captured tick aborts on progress. Passive
-    /// wake-ups (fetch-stall expiry, frontend maturation, store-buffer
-    /// readiness, fills) need no check either: each is a `skip_horizon`
-    /// term, so no window jumps past one.
+    /// progressed (see the [`crate::skip`] module docs). That tick already
+    /// ran every stage on the current state and none of them moved, so
+    /// only an input that can change with no progress and no `skip_horizon`
+    /// term ahead of it is checked here. Commit, dispatch and issue inputs
+    /// (completions, squashes, a full IQ, free list or store buffer, a busy
+    /// FU, a lost MSHR arbitration, an unresolved source, a barrier's
+    /// window) change only through progress or at a horizon term. The one
+    /// dispatch head whose steering decision can still be unmemoized is
+    /// one that matures at `now`, itself a horizon term due now, which
+    /// opens no window. And every SSR is zero: an issuing tick arms it
+    /// with at most 2, and it decays in that tick and the next.
     fn is_still(&self, t: usize) -> bool {
         let now = self.now;
         let th = &self.threads[t];
 
-        // SSR decay must be a provable no-op; quiescence also pins the
-        // classification chain's SSR branch false and `shelf_allows` true
-        // until the thread progresses.
-        if !th.ssr.is_quiescent() {
-            return false;
-        }
-
-        // ---- fetch: must stay ineligible ----
+        // Fetch must stay ineligible: the fetch selector could pick this
+        // thread, and a fetch attempt changes state (selector pointer,
+        // I-cache, MSHRs) even when it fetches nothing.
         // (`!room` and `waiting_branch` change only through `t`'s own
         // progress: a dispatch pop, the branch's writeback.)
         let room = th.frontend.len() + self.cfg.fetch_width <= self.cfg.frontend_per_thread();
@@ -1245,52 +1132,20 @@ impl Core {
             && room
             && (th.waiting_branch.is_none() || self.cfg.wrong_path_fetch)
         {
-            return false; // eligible: the fetch selector could pick it
-        }
-
-        // ---- commit: the window head must be provably uncommittable ----
-        if !self.commit_frozen(t) {
             return false;
         }
 
-        // ---- dispatch head: a mature head must be blocked ----
-        if let Some(&head) = th.frontend.front() {
-            let slot = self.slab.get(head);
-            if slot.fetch_cycle + self.cfg.fetch_to_dispatch as u64 > now {
-                // Still maturing: nothing to dispatch yet.
-            } else if slot.inst.op == OpClass::MemBarrier {
-                // The window shrinks only at commit (frozen above) and the
-                // store buffer drains only through the hierarchy, so a
-                // serialized barrier stays put.
-                if th.window.is_empty() && th.store_buffer.is_empty() {
-                    return false; // would dispatch
-                }
-            } else if slot.steer_memo.is_none() {
-                // A first dispatch attempt would mutate predictor state;
-                // only already-memoized heads can be still.
-                return false;
-            }
-        }
-
-        // ---- shelf head: no source may be mid-forwarding ----
+        // No shelf-head source may be mid-forwarding: a source whose
+        // scoreboard cycle has passed but whose shelf-side arrival lands at
+        // `now` or later flips readiness with no event or horizon term.
         if let Some(&sid) = th.shelf.front() {
-            // The last tick's issue stage ran its head-change stanza on
-            // this (unchanged) head.
+            // The last tick's issue stage judged this (unchanged) head.
             debug_assert_eq!(th.head_blocked_id, Some(sid));
-            // Cross-cluster limbo: a source whose scoreboard base cycle
-            // has passed but whose shelf-side arrival is still forwarding-
-            // penalty cycles out flips readiness passively, with no event
-            // or horizon term.
-            if self.cfg.cluster_forward_penalty > 0 {
-                for tag in self.slab.get(sid).src_tags.iter().flatten() {
-                    let base = self.scoreboard.ready_at(*tag);
-                    if base != Scoreboard::PENDING
-                        && self.tag_cluster[tag.index()] != Steer::Shelf
-                        && base <= now
-                        && now < base + self.cfg.cluster_forward_penalty as u64
-                    {
-                        return false;
-                    }
+            for &tag in self.slab.get(sid).src_tags.iter().flatten() {
+                let penalty = self.forward_penalty(tag, Steer::Shelf);
+                let base = self.scoreboard.ready_at(tag);
+                if penalty > 0 && base <= now && now <= base + penalty {
+                    return false;
                 }
             }
         }
@@ -1375,12 +1230,13 @@ impl Core {
         self.counters.add_scaled(&rec.delta, k);
         self.hierarchy.add_scaled_counters(&rec.mem_delta, k);
 
-        // Exact replay of decaying state. SSRs are zero at any jump
-        // (`is_still` passes only threads with a quiescent SSR pair), so
-        // `tick_many` is belt-and-braces.
-        for th in &mut self.threads {
-            th.ssr.tick_many(k);
-        }
+        // Exact replay of decaying state. SSRs need none: a window opens
+        // only after a tick without issue, and every SSR is zero by then
+        // (`OpClass::resolution_delay` is at most 2).
+        debug_assert!(
+            self.threads.iter().all(|th| th.ssr.is_quiescent()),
+            "a window opened with a live SSR"
+        );
         // Practical-steer tables decay per cycle and feed the next
         // dispatch's steering decision; replay them exactly. Scoreboard
         // readiness cannot flip inside the span: every `set_ready_at`
@@ -1415,32 +1271,13 @@ impl Core {
         // attribution, and sampling-grid cycles inside the span record the
         // (constant) pre-skip occupancy, exactly as tick-by-tick would.
         if self.tracer.is_some() {
-            let mut occ = [0u64; 6];
-            let mut frontend = 0usize;
-            for th in &self.threads {
-                occ[0] += th.rob.len() as u64;
-                occ[2] += th.lq.len() as u64;
-                occ[3] += th.sq.len() as u64;
-                occ[4] += th.shelf.len() as u64;
-                frontend += th.frontend.len();
-            }
-            occ[1] = self.iq.len() as u64;
-            occ[5] = (self.phys_fl.capacity() - self.phys_fl.available()) as u64;
+            let occ = self.occupancy_sample();
             let tracer = self.tracer.as_deref_mut().expect("tracer checked above");
             tracer.attribute_span(k);
             let every = tracer.sample_period();
             let mut c = start.next_multiple_of(every);
             while c < end {
-                tracer.sample(OccupancySample {
-                    cycle: c,
-                    rob: occ[0] as u32,
-                    iq: occ[1] as u32,
-                    lq: occ[2] as u32,
-                    sq: occ[3] as u32,
-                    shelf: occ[4] as u32,
-                    prf: occ[5] as u32,
-                    frontend: frontend as u32,
-                });
+                tracer.sample(OccupancySample { cycle: c, ..occ });
                 let Some(next) = c.checked_add(every) else {
                     break;
                 };
@@ -1831,7 +1668,7 @@ impl Core {
                         self.tag_consumers[tag.index()].push((id, age));
                         pending += 1;
                     } else {
-                        ready_cycle = ready_cycle.max(at + self.iq_forward_penalty(*tag));
+                        ready_cycle = ready_cycle.max(at + self.forward_penalty(*tag, Steer::Iq));
                     }
                 }
                 let slot = self.slab.get_mut(id);
@@ -1959,57 +1796,49 @@ impl Core {
         // SSR (§III-B). Uses the same head view as eligibility below.
         self.refresh_ssr_copies();
 
-        // Diagnostic: classify why each blocked shelf head is waiting; also
-        // maintain the head-blocked streak that drives the adaptive shelf
-        // throttle (the paper's "disable by steering to the IQ" escape).
-        // The classification doubles as the tracer's issue-side stall
-        // attribution for threads whose shelf head is the oldest blocker.
+        // Judge every shelf head once. The first failing check feeds the
+        // diagnostic stall buckets, the tracer's issue-side cause and the
+        // head-blocked streak that drives the adaptive shelf throttle (the
+        // paper's "disable by steering to the IQ" escape); a clear head is
+        // the thread's shelf candidate. Every input of `shelf_hazard` is
+        // per-cycle-stable or owned by the issuing thread (tracker head,
+        // SSR copy, shelf front, in-flight loads), so only the thread that
+        // issued is re-judged below; FU availability, the one global
+        // input, is checked at pick time.
+        let nthreads = self.threads.len();
         let mut head_cause: [Option<StallCause>; 8] = [None; 8];
-        for (t, cause_slot) in head_cause.iter_mut().enumerate().take(self.threads.len()) {
-            if self.threads[t].shelf.front().copied() != self.threads[t].head_blocked_id {
-                self.threads[t].head_blocked_id = self.threads[t].shelf.front().copied();
+        let mut shelf_cand: [Option<(u64, InstId)>; 8] = [None; 8];
+        for t in 0..nthreads {
+            let head = self.threads[t].shelf.front().copied();
+            if head != self.threads[t].head_blocked_id {
+                self.threads[t].head_blocked_id = head;
                 self.threads[t].head_blocked_streak = 0;
             }
-            if let Some(&id) = self.threads[t].shelf.front() {
-                let slot = self.slab.get(id);
-                if self.tracker_head_view(t) < slot.iq_barrier {
-                    self.counters.shelf_head_stalls[0] += 1;
-                    *cause_slot = Some(StallCause::ShelfHeadBlocked);
-                } else if !self.threads[t]
-                    .ssr
-                    .shelf_allows(min_writeback_latency(slot.inst.op))
-                {
-                    self.counters.shelf_head_stalls[1] += 1;
-                    *cause_slot = Some(StallCause::ShelfHeadBlocked);
-                } else if slot
-                    .src_tags
-                    .iter()
-                    .flatten()
-                    .any(|tag| !self.scoreboard.is_ready(*tag, self.now))
-                {
-                    self.counters.shelf_head_stalls[2] += 1;
+            let Some(id) = head else { continue };
+            let hazard = self.shelf_hazard(t, id);
+            let stall = match hazard {
+                Some(ShelfHazard::Order) => Some((0, StallCause::ShelfHeadBlocked)),
+                Some(ShelfHazard::Ssr) => Some((1, StallCause::ShelfHeadBlocked)),
+                Some(ShelfHazard::Raw) => {
                     self.threads[t].head_blocked_streak += 1;
                     self.skip.streak_bumped |= 1 << t;
-                    *cause_slot = Some(StallCause::ShelfHeadBlocked);
-                } else if slot
-                    .prev_mapping
-                    .is_some_and(|p| !self.scoreboard.is_ready(p.tag, self.now))
-                {
-                    // WAW on the shared destination register.
-                    self.counters.shelf_head_stalls[3] += 1;
-                    *cause_slot = Some(StallCause::ShelfHeadBlocked);
-                } else if slot.inst.is_load() && !self.store_set_clear(id, slot) {
-                    self.counters.shelf_head_stalls[4] += 1;
-                    *cause_slot = Some(StallCause::ShelfHeadBlocked);
-                } else if !self.fu_available(slot.inst.op.fu_kind())
-                    || (slot.inst.is_store()
-                        && self.threads[t].store_buffer.len() >= self.cfg.store_buffer_entries)
-                {
-                    // Structural (shares the WAW bucket's neighbour slot).
-                    self.counters.shelf_head_stalls[4] += 1;
-                    *cause_slot = Some(StallCause::FuBusy);
+                    Some((2, StallCause::ShelfHeadBlocked))
                 }
+                Some(ShelfHazard::Waw) => Some((3, StallCause::ShelfHeadBlocked)),
+                Some(ShelfHazard::StoreSet) => Some((4, StallCause::ShelfHeadBlocked)),
+                Some(ShelfHazard::StoreBuffer) => Some((4, StallCause::FuBusy)),
+                // The readiness-only checks are not stall buckets: like a
+                // clear head, they fall through to the structural FU check.
+                Some(ShelfHazard::ElderLoad | ShelfHazard::ForwardPenalty) | None => {
+                    let kind = self.slab.get(id).inst.op.fu_kind();
+                    (!self.fu_available(kind)).then_some((4, StallCause::FuBusy))
+                }
+            };
+            if let Some((bucket, cause)) = stall {
+                self.counters.shelf_head_stalls[bucket] += 1;
+                head_cause[t] = Some(cause);
             }
+            shelf_cand[t] = hazard.is_none().then(|| (self.slab.age(id), id));
         }
 
         let mut budget = self.cfg.issue_width;
@@ -2036,16 +1865,6 @@ impl Core {
         // until next cycle but must not block independent instructions.
         let mut mshr_losers = std::mem::take(&mut self.scratch_mshr_losers);
         mshr_losers.clear();
-        // Per-thread shelf-head candidates, evaluated once and then
-        // re-evaluated only for the thread that issued: every input of
-        // `shelf_head_ready` except FU availability (checked per pick) is
-        // per-cycle-stable or owned by the issuing thread (tracker head,
-        // SSR copy, shelf front, in-flight loads).
-        let mut shelf_cand: [Option<(u64, InstId)>; 8] = [None; 8];
-        let nthreads = self.threads.len();
-        for (t, cand) in shelf_cand.iter_mut().enumerate().take(nthreads) {
-            *cand = self.shelf_candidate(t);
-        }
         // Cursor into the age-sorted pool: every condition that skips an
         // entry is sticky for the rest of the cycle (issued entries leave
         // `Stage::Dispatched`, FU counts only fall until the next
@@ -2104,7 +1923,12 @@ impl Core {
                 if self.cfg.same_cycle_shelf_issue {
                     self.refresh_ssr_copy(issued_thread);
                 }
-                shelf_cand[issued_thread] = self.shelf_candidate(issued_thread);
+                shelf_cand[issued_thread] = self.threads[issued_thread]
+                    .shelf
+                    .front()
+                    .copied()
+                    .filter(|&id| self.shelf_hazard(issued_thread, id).is_none())
+                    .map(|id| (self.slab.age(id), id));
             } else {
                 // The candidate lost MSHR arbitration: sideline it for the
                 // rest of the cycle and keep selecting. Load ordering is
@@ -2155,15 +1979,6 @@ impl Core {
         self.scratch_mshr_losers = mshr_losers;
     }
 
-    /// Thread `t`'s shelf head as an issue candidate, if it passes every
-    /// check except global FU availability (deferred to pick time).
-    fn shelf_candidate(&self, t: usize) -> Option<(u64, InstId)> {
-        let &id = self.threads[t].shelf.front()?;
-        let slot = self.slab.get(id);
-        self.shelf_head_ready(t, id, slot)
-            .then_some((self.slab.age(id), id))
-    }
-
     /// Snapshots IQ SSR -> shelf SSR for every shelf head whose run just
     /// became order-eligible (paper §III-B run-copy).
     fn refresh_ssr_copies(&mut self) {
@@ -2197,27 +2012,12 @@ impl Core {
         }
     }
 
-    /// Source readiness including the optional cross-cluster forwarding
-    /// penalty (§VI): a value produced in the other queue's cluster arrives
-    /// `cluster_forward_penalty` cycles later.
-    fn src_ready(&self, tag: Tag, consumer: Steer, now: u64) -> bool {
-        let base = self.scoreboard.ready_at(tag);
-        if base == Scoreboard::PENDING {
-            return false;
-        }
-        let penalty =
-            if self.cfg.cluster_forward_penalty > 0 && self.tag_cluster[tag.index()] != consumer {
-                self.cfg.cluster_forward_penalty as u64
-            } else {
-                0
-            };
-        base + penalty <= now
-    }
-
-    /// The cross-cluster forwarding penalty an IQ consumer pays for `tag`
-    /// as of now (the producing cluster is latched at broadcast).
-    fn iq_forward_penalty(&self, tag: Tag) -> u64 {
-        if self.cfg.cluster_forward_penalty > 0 && self.tag_cluster[tag.index()] != Steer::Iq {
+    /// The cross-cluster forwarding penalty (§VI) a `consumer` in one
+    /// queue's cluster pays for `tag`: a value produced in the other
+    /// cluster (latched at its producer's issue) arrives
+    /// `cluster_forward_penalty` cycles after its scoreboard ready cycle.
+    fn forward_penalty(&self, tag: Tag, consumer: Steer) -> u64 {
+        if self.cfg.cluster_forward_penalty > 0 && self.tag_cluster[tag.index()] != consumer {
             self.cfg.cluster_forward_penalty as u64
         } else {
             0
@@ -2241,55 +2041,70 @@ impl Core {
     /// cross-check for the incrementally maintained `data_ready_cycle`).
     #[cfg(feature = "sanitize")]
     fn iq_srcs_ready(&self, slot: &Slot) -> bool {
-        slot.src_tags
-            .iter()
-            .flatten()
-            .all(|tag| self.src_ready(*tag, Steer::Iq, self.now))
+        slot.src_tags.iter().flatten().all(|&tag| {
+            let base = self.scoreboard.ready_at(tag);
+            base != Scoreboard::PENDING && base + self.forward_penalty(tag, Steer::Iq) <= self.now
+        })
     }
 
-    fn shelf_head_ready(&self, t: usize, id: InstId, slot: &Slot) -> bool {
+    /// The first check that keeps thread `t`'s shelf head `id` from
+    /// issuing, in a fixed order whose first six checks are the order the
+    /// stall buckets count; `None` when it passes every check except FU
+    /// availability, the one global input (tested at pick time).
+    fn shelf_hazard(&self, t: usize, id: InstId) -> Option<ShelfHazard> {
         let th = &self.threads[t];
-        // (1) In-order issue across queues: all elder IQ instructions of the
+        let slot = self.slab.get(id);
+        let now = self.now;
+        // In-order issue across queues: all elder IQ instructions of the
         // run must have issued (§III-A).
         if self.tracker_head_view(t) < slot.iq_barrier {
-            return false;
+            return Some(ShelfHazard::Order);
         }
-        // (2) Speculation: writeback must land past the shelf SSR (§III-B).
+        // Speculation: writeback must land past the shelf SSR (§III-B).
         if !th.ssr.shelf_allows(min_writeback_latency(slot.inst.op)) {
-            return false;
+            return Some(ShelfHazard::Ssr);
+        }
+        // Data hazards via the scoreboard: RAW on sources, WAW on the
+        // previous writer of the shared destination register (§III-C).
+        let mut srcs = slot.src_tags.iter().flatten().copied();
+        if srcs.any(|tag| !self.scoreboard.is_ready(tag, now)) {
+            return Some(ShelfHazard::Raw);
+        }
+        if slot
+            .prev_mapping
+            .is_some_and(|p| !self.scoreboard.is_ready(p.tag, now))
+        {
+            return Some(ShelfHazard::Waw);
+        }
+        // Structural: a load's elder same-set stores must have executed,
+        // and a shelf store writes straight into the store buffer at
+        // writeback.
+        if slot.inst.is_load() && !self.store_set_clear(id, slot) {
+            return Some(ShelfHazard::StoreSet);
+        }
+        if slot.inst.is_store() && th.store_buffer.len() >= self.cfg.store_buffer_entries {
+            return Some(ShelfHazard::StoreBuffer);
         }
         // TSO (§III-D): loads are speculative until all elder loads have
         // completed, and so is every shelf instruction behind them — hold
         // the head while any elder load is in flight.
-        if self.cfg.memory_model == MemoryModel::Tso {
-            if let Some(&oldest) = th.inflight_loads.first() {
-                if oldest < self.slab.age(id) {
-                    return false;
-                }
-            }
+        if self.cfg.memory_model == MemoryModel::Tso
+            && th
+                .inflight_loads
+                .first()
+                .is_some_and(|&oldest| oldest < self.slab.age(id))
+        {
+            return Some(ShelfHazard::ElderLoad);
         }
-        // (3) Data hazards via the scoreboard: RAW on sources, WAW on the
-        // previous writer of the shared destination register (§III-C).
-        for tag in slot.src_tags.iter().flatten() {
-            if !self.src_ready(*tag, Steer::Shelf, self.now) {
-                return false;
-            }
+        // Every source's ready cycle has passed; one produced in the IQ
+        // cluster may still be in flight to the shelf.
+        let mut srcs = slot.src_tags.iter().flatten().copied();
+        if srcs.any(|tag| {
+            self.scoreboard.ready_at(tag) + self.forward_penalty(tag, Steer::Shelf) > now
+        }) {
+            return Some(ShelfHazard::ForwardPenalty);
         }
-        if let Some(prev) = slot.prev_mapping {
-            if !self.scoreboard.is_ready(prev.tag, self.now) {
-                return false;
-            }
-        }
-        // (4) Structural. FU availability is the one global (cross-thread)
-        // input and is checked by the caller at pick time, not here.
-        if slot.inst.is_load() && !self.store_set_clear(id, slot) {
-            return false;
-        }
-        // Shelf stores write straight into the store buffer at writeback.
-        if slot.inst.is_store() && th.store_buffer.len() >= self.cfg.store_buffer_entries {
-            return false;
-        }
-        true
+        None
     }
 
     fn store_set_clear(&self, id: InstId, slot: &Slot) -> bool {
@@ -2325,7 +2140,7 @@ impl Core {
     /// consumers, possibly with a recycled id) fail the age/stage checks
     /// and are dropped.
     fn drain_tag_consumers(&mut self, tag: Tag, ready_at: u64) {
-        let effective = ready_at + self.iq_forward_penalty(tag);
+        let effective = ready_at + self.forward_penalty(tag, Steer::Iq);
         let mut consumers = std::mem::take(&mut self.tag_consumers[tag.index()]);
         for (cid, cage) in consumers.drain(..) {
             if !self.slab.live_with_age(cid, cage) || self.slab.stage(cid) != Stage::Dispatched {
@@ -2800,7 +2615,7 @@ impl Core {
             let load_pc = self.slab.get(lid).inst.pc;
             self.threads[t].store_sets.train_violation(pc, load_pc);
             self.counters.memory_violations += 1;
-            self.squash_thread(t, lid, true);
+            self.squash_thread(t, lid);
         }
     }
 
@@ -2840,32 +2655,34 @@ impl Core {
     // --------------------------------------------------------------- squash
 
     /// Squashes `first_squashed` and everything younger in thread `t`.
-    /// `rewind_trace` re-plays the stream from the squash point (memory
-    /// violations re-execute the load; branch wrong-path squashes do not
-    /// rewind because correct-path instructions were never over-fetched).
-    fn squash_thread(&mut self, t: usize, first_squashed: InstId, rewind_trace: bool) {
+    fn squash_thread(&mut self, t: usize, first_squashed: InstId) {
         let pos = self.threads[t]
             .window
             .iter()
             .position(|&x| x == first_squashed)
             .expect("squash point must be in the window");
-        self.squash_window_from(t, pos, rewind_trace);
+        self.squash_window_from(t, pos);
     }
 
     /// Squashes everything strictly younger than `elder` in thread `t`.
     fn squash_younger_than(&mut self, t: usize, elder: InstId) {
         let pos = self.threads[t].window.iter().position(|&x| x == elder);
         match pos {
-            Some(p) => self.squash_window_from(t, p + 1, false),
+            Some(p) => self.squash_window_from(t, p + 1),
             None => {
                 // The elder already left the window (committed): squash the
                 // whole remaining window.
-                self.squash_window_from(t, 0, false)
+                self.squash_window_from(t, 0)
             }
         }
     }
 
-    fn squash_window_from(&mut self, t: usize, pos: usize, rewind_trace: bool) {
+    /// Squashes thread `t`'s window from `pos` on, plus its whole front
+    /// end, and rewinds the trace to the eldest squashed correct-path
+    /// instruction so it is fetched again. Memory violations re-execute the
+    /// violating load this way; after a branch squash the rewind re-fetches
+    /// any correct-path instructions that were flushed with the wrong path.
+    fn squash_window_from(&mut self, t: usize, pos: usize) {
         // Collect ids for the youngest-first RAT walk-back into a reused
         // scratch buffer (squashes are frequent enough that a fresh Vec per
         // squash shows up in the allocator profile).
@@ -3056,13 +2873,7 @@ impl Core {
             self.slab.remove(id);
         }
 
-        if rewind_trace {
-            if let Some(seq) = rewind_seq {
-                self.threads[t].trace.rewind_to(seq);
-            }
-        } else if let Some(seq) = rewind_seq {
-            // Branch squash: any real front-end instructions flushed above
-            // must be re-fetched.
+        if let Some(seq) = rewind_seq {
             self.threads[t].trace.rewind_to(seq);
         }
         self.threads[t].fetch_stalled_until = self.threads[t].fetch_stalled_until.max(self.now + 2);
@@ -3450,6 +3261,28 @@ impl Core {
 enum DispatchOutcome {
     Dispatched,
     Stalled(StallCause),
+}
+
+/// Why a shelf head cannot issue this cycle: the first failing check of
+/// `Core::shelf_hazard`, in check order.
+#[derive(Clone, Copy)]
+enum ShelfHazard {
+    /// An elder IQ instruction of the run has not issued (§III-A).
+    Order,
+    /// The writeback would land inside the shelf SSR (§III-B).
+    Ssr,
+    /// A source's producer has not reached its ready cycle (§III-C).
+    Raw,
+    /// The destination's previous writer has not reached its ready cycle.
+    Waw,
+    /// A load waits for an elder store of its store set.
+    StoreSet,
+    /// A store finds its thread's store buffer full.
+    StoreBuffer,
+    /// TSO: an elder load is still in flight (§III-D).
+    ElderLoad,
+    /// A source produced in the IQ cluster is still being forwarded (§VI).
+    ForwardPenalty,
 }
 
 #[cfg(test)]

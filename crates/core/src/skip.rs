@@ -13,16 +13,20 @@
 //! store-buffer drain) through [`SkipEngine::note_progress`]. Only after
 //! a walked tick in which *no* thread progressed does it judge the
 //! threads, with `Core::is_still`, a `bool` predicate on the current
-//! state. A thread is not still when its SSR pair is not quiescent, it is
-//! fetch-eligible, its commit stage is not frozen, its mature dispatch
-//! head is an unmemoized non-barrier or a barrier facing an empty window
-//! and store buffer, or a source of its shelf head is still inside the
-//! cluster-forwarding penalty. Every other obstacle — a busy functional
-//! unit, a lost MSHR arbitration, a full IQ, free list or thread-local
-//! partition, an unresolved source — changes only at a `skip_horizon`
-//! term or through some thread's progress. No thread progresses inside
-//! a window, and a window never reaches past its horizon, so those
-//! obstacles hold for the whole window.
+//! state. That tick already ran every stage, and each stage's verdict was
+//! "blocked": commit and dispatch inputs change only through progress or
+//! at a `skip_horizon` term, a dispatch head that is not yet memoized
+//! matures exactly at the coming tick (a horizon term due now, which opens
+//! no window), and every SSR has decayed to zero. So `is_still` checks
+//! only what can change with neither: a thread is not still when it is
+//! fetch-eligible, or when a source of its shelf head has passed its
+//! ready cycle but its cluster-forwarding penalty ends at the coming tick
+//! or later. Every other obstacle — a busy functional unit, a lost MSHR
+//! arbitration, a full IQ, free list or thread-local partition, an
+//! unresolved source — changes only at a `skip_horizon` term or through
+//! some thread's progress. No thread progresses inside a window, and a
+//! window never reaches past its horizon, so those obstacles hold for the
+//! whole window.
 //!
 //! # Whole-core jumps
 //!
@@ -37,8 +41,8 @@
 //! captured tick of a window that makes progress means a judgement was
 //! wrong: the window is abandoned (`park_aborts`). Otherwise
 //! `fast_forward` replays the delta scaled to the horizon (`delta * k`),
-//! replays decaying state (SSRs, steering tables) exactly, and jumps the
-//! cycle counter.
+//! replays the steering tables' decay exactly, and jumps the cycle
+//! counter.
 //!
 //! Skipped cycles are accounted per horizon cause in [`SkipStats`] so runs
 //! can report where their idle time went.

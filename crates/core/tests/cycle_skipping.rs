@@ -3,7 +3,7 @@
 //! commit stream, trace tallies, occupancy samples, everything. These tests
 //! drive the same workload through both engines and diff the results.
 
-use shelfsim_core::{Core, CoreConfig, SkipStats, SteerPolicy};
+use shelfsim_core::{Core, CoreConfig, MemoryModel, SkipStats, SteerPolicy};
 use shelfsim_workload::asm::assemble;
 use shelfsim_workload::kernels;
 use shelfsim_workload::TraceSource;
@@ -21,20 +21,35 @@ top:
     loop  top, trips=300
 ";
 
+/// A pointer chase whose result is stored, then a barrier. The barrier
+/// waits at dispatch until the window and the store buffer drain, and
+/// the store reads the chase load's result, so under a cluster-forwarding
+/// penalty a shelf-steered store's source arrives from the IQ cluster a
+/// few cycles after its ready cycle.
+const BARRIER_CHASE: &str = "\
+top:
+    load  r24, [r24], chase, region=mem
+    store [r0], r24, stride=0, region=l1
+    barrier
+    add   r8, r8
+    loop  top, trips=300
+";
+
 /// Builds a core running the named kernels, one per thread: library
-/// kernels, plus `store_set_chase` ([`STORE_SET_CHASE`]).
+/// kernels, plus `store_set_chase` ([`STORE_SET_CHASE`]) and
+/// `barrier_chase` ([`BARRIER_CHASE`]).
 fn core_for(cfg: CoreConfig, kernel_names: &[&str]) -> Core {
     let sources = kernel_names
         .iter()
         .enumerate()
         .map(|(t, name)| {
-            let program = if *name == "store_set_chase" {
-                assemble(STORE_SET_CHASE).expect("store_set_chase assembles")
-            } else {
-                kernels::by_name(name)
+            let program = match *name {
+                "store_set_chase" => assemble(STORE_SET_CHASE).expect("store_set_chase assembles"),
+                "barrier_chase" => assemble(BARRIER_CHASE).expect("barrier_chase assembles"),
+                _ => kernels::by_name(name)
                     .unwrap_or_else(|| panic!("kernel `{name}` in library"))
                     .assemble()
-                    .expect("library kernels assemble")
+                    .expect("library kernels assemble"),
             };
             TraceSource::new(program, t)
         })
@@ -273,6 +288,53 @@ fn partial_skip_parks_blocked_threads_in_asymmetric_four_thread_mix() {
         stats.skipped_cycles > 0,
         "blocked chases must skip: {stats:?}"
     );
+}
+
+#[test]
+fn partial_skip_matches_tick_on_barrier_after_chase_store() {
+    // A barrier behind a chase and a store holds dispatch until the DRAM
+    // fill, the store's commit and the store-buffer drain; windows open
+    // and close around each step. TSO also holds shelf heads behind
+    // in-flight elder loads and keeps shelf stores in the SQ until they
+    // complete.
+    for model in [MemoryModel::Relaxed, MemoryModel::Tso] {
+        for steer in [SteerPolicy::Practical, SteerPolicy::Oracle] {
+            let mut cfg = CoreConfig::base64_shelf64(2, steer, true);
+            cfg.memory_model = model;
+            let stats = assert_equivalent(cfg, &["barrier_chase", "chase2"], 30_000);
+            assert!(stats.skipped_cycles > 0, "{model:?} {steer:?}: {stats:?}");
+        }
+    }
+}
+
+#[test]
+fn partial_skip_matches_tick_with_cluster_forwarding_penalty() {
+    // A shelf head whose source comes from the IQ cluster becomes ready
+    // `cluster_forward_penalty` cycles after the source's ready cycle,
+    // with no event at that cycle: a window must not open across it,
+    // including when the penalty ends exactly at the coming tick.
+    let mut practical = CoreConfig::base64_shelf64(2, SteerPolicy::Practical, true);
+    practical.cluster_forward_penalty = 2;
+    let stats = assert_equivalent(practical, &["barrier_chase", "chase2"], 30_000);
+    assert!(stats.skipped_cycles > 0, "{stats:?}");
+
+    // With TSO on top. Next to two compute kernels the only windows are
+    // the ones the penalty check rejects, so the first mix skips nothing;
+    // the second mix still jumps over the chases' fills.
+    let mut oracle = CoreConfig::base64_shelf64(4, SteerPolicy::Oracle, true);
+    oracle.memory_model = MemoryModel::Tso;
+    oracle.cluster_forward_penalty = 3;
+    assert_equivalent(
+        oracle.clone(),
+        &["barrier_chase", "reduce", "forward", "chase"],
+        30_000,
+    );
+    let stats = assert_equivalent(
+        oracle,
+        &["barrier_chase", "reduce", "chase2", "chase"],
+        30_000,
+    );
+    assert!(stats.skipped_cycles > 0, "{stats:?}");
 }
 
 #[test]

@@ -191,6 +191,18 @@ mod tests {
     }
 
     #[test]
+    fn resolution_delays_fit_the_skip_engine() {
+        // Cycle skipping opens a window only after a tick without issue and
+        // replays no SSR decay: a speculation shift register armed with at
+        // most 2 decays once in the issuing tick and once in the next, so
+        // every register is zero by then. A longer delay would need the
+        // decay replayed across skipped spans.
+        for op in OpClass::ALL {
+            assert!(op.resolution_delay() <= 2, "{op}");
+        }
+    }
+
+    #[test]
     fn divide_latency_dominates() {
         assert!(OpClass::IntDiv.latency() > OpClass::IntMul.latency());
         assert!(OpClass::FpDiv.latency() > OpClass::FpMul.latency());

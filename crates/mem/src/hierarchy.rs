@@ -311,11 +311,6 @@ impl Hierarchy {
         self.l2.stats()
     }
 
-    /// Number of data-MSHR rejections (issue-stage replays).
-    pub fn data_mshr_rejections(&self) -> u64 {
-        self.data_mshrs.rejections
-    }
-
     /// Earliest pending MSHR fill (data or instruction side) strictly after
     /// `now`. This is the memory hierarchy's contribution to the engine's
     /// event horizon: a core with every stage blocked cannot change state

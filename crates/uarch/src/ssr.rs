@@ -58,15 +58,6 @@ impl SsrPair {
         self.shelf = self.shelf.saturating_sub(1);
     }
 
-    /// `k` cycles of decay at once — exactly equivalent to `k` calls to
-    /// [`SsrPair::tick`] with no intervening issues. Used by the engine's
-    /// cycle-skip fast-forward.
-    pub fn tick_many(&mut self, k: u64) {
-        let k = u32::try_from(k).unwrap_or(u32::MAX);
-        self.iq = self.iq.saturating_sub(k);
-        self.shelf = self.shelf.saturating_sub(k);
-    }
-
     /// An IQ instruction issued with the given speculation resolution delay;
     /// merge it into the IQ SSR.
     pub fn record_iq_issue(&mut self, resolution_delay: u32) {
@@ -95,10 +86,9 @@ impl SsrPair {
 
     /// Whether both registers have fully decayed to zero. A quiescent pair
     /// is a fixed point of [`SsrPair::tick`]: further decay changes nothing,
-    /// and `shelf_allows` is `true` for every latency. The skip engine
-    /// judges a thread still only once its pair is quiescent — otherwise
-    /// per-cycle decay would change the shelf head's issue eligibility
-    /// mid-jump.
+    /// and `shelf_allows` is `true` for every latency. The engine's cycle
+    /// skipping relies on it: every pair is quiescent one tick after the
+    /// last issue, so a skipped span needs no decay replay.
     pub fn is_quiescent(&self) -> bool {
         self.iq == 0 && self.shelf == 0
     }
@@ -165,26 +155,6 @@ mod tests {
         }
         // The shared register is continuously re-armed: a short op stalls.
         assert!(!s.shelf_allows(1));
-    }
-
-    #[test]
-    fn tick_many_matches_repeated_ticks() {
-        let mut a = SsrPair::new(false);
-        let mut b = SsrPair::new(false);
-        a.record_iq_issue(200);
-        b.record_iq_issue(200);
-        a.copy_to_shelf();
-        b.copy_to_shelf();
-        for _ in 0..37 {
-            a.tick();
-        }
-        b.tick_many(37);
-        assert_eq!(a.iq_value(), b.iq_value());
-        assert_eq!(a.shelf_value(), b.shelf_value());
-        // Past-saturation jumps stay at zero, like repeated ticks would.
-        b.tick_many(u64::MAX);
-        assert_eq!(b.iq_value(), 0);
-        assert_eq!(b.shelf_value(), 0);
     }
 
     #[test]

@@ -116,6 +116,12 @@ out="$(cargo run --release -q -p shelfsim-core --example park_coverage)"
 echo "$out"
 [ "$(echo "$out" | grep -c ' park_aborts=0$')" -eq 3 ] \
   || { echo "FAIL: park_coverage must report park_aborts=0 on all three mixes"; exit 1; }
+# The skipped-cycle counts are deterministic: a stillness check that grows
+# stricter loses coverage without failing any equivalence test.
+for skipped in 16 42506 190158; do
+  echo "$out" | grep -q ": skipped=$skipped " \
+    || { echo "FAIL: park_coverage must skip exactly $skipped cycles on one mix"; exit 1; }
+done
 
 echo "== perfbench smoke: the benchmark builds, passes its tests and checks every workload's goldens"
 # perfbench is its own workspace, so neither tier-1 nor clippy above
