@@ -53,16 +53,16 @@
 
 //!
 //! At sweep scale, [`SweepSpec`] expands the benchmark × mix × design ×
-//! thread-count matrix, [`pool::StealQueues`] distributes it over
-//! work-stealing per-worker deques, [`ResultCache`] dedupes requested runs
-//! against the merged journal by config-hash key, and [`pareto_report`]
-//! reproduces the paper's Fig 13 STP / energy-delay / area trade-off.
+//! thread-count matrix, [`ResultCache`] dedupes requested runs against
+//! the merged journal by config-hash key, a [`Schedule`] orders the
+//! pending runs into warm groups that workers claim from one shared
+//! cursor, and [`pareto_report`] reproduces the paper's Fig 13 STP /
+//! energy-delay / area trade-off.
 
 pub mod cache;
 pub mod fault;
 pub mod journal;
 pub mod pareto;
-pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod spec;
@@ -72,10 +72,9 @@ pub use cache::{Admission, ResultCache};
 pub use fault::{Fault, FaultKind, FaultMix, FaultPlan};
 pub use journal::{JournalEntry, ShardWriter, ShardedJournal};
 pub use pareto::{pareto_report, ParetoPoint, ParetoReport, StpReferences, STP_REFERENCE};
-pub use pool::{shard_plan, StealQueues};
 pub use report::CampaignReport;
 pub use runner::{
-    run_campaign, warmups_needed, FailureKind, RunFailure, RunOutcome, RunRecord, RunStatus,
+    run_campaign, FailureKind, RunFailure, RunOutcome, RunRecord, RunStatus, Schedule,
     WorkerScratch,
 };
 pub use spec::{CampaignSpec, RunSpec};

@@ -6,7 +6,6 @@
 use crate::cache::ResultCache;
 use crate::fault::FaultKind;
 use crate::journal::{JournalEntry, ShardWriter, ShardedJournal};
-use crate::pool::StealQueues;
 use crate::report::CampaignReport;
 use crate::spec::{CampaignSpec, RunSpec};
 use shelfsim_analyze::ProgramFacts;
@@ -15,6 +14,7 @@ use shelfsim_workload::Program;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Per-worker scratch reused across runs (arena-style): memoizes
@@ -30,17 +30,18 @@ use std::sync::{Arc, Mutex};
 /// clone the kept state instead of warming again; [`run_campaign`] orders
 /// its runs to make such runs consecutive.
 ///
-/// Inside [`run_campaign`] the scratch knows how many queued runs still
-/// need each program and each warm-up: it forgets a program (with its
-/// facts) and the kept state once no run needs them, and hands the kept
-/// state to the last run of its group instead of cloning it. A scratch
-/// from [`WorkerScratch::new`] has no such knowledge and keeps everything.
+/// Inside [`run_campaign`] the worker tells the scratch which [`Schedule`]
+/// unit it claims, and the scratch forgets every program (with its facts)
+/// that no unit from there on needs, and the kept state; the last run of
+/// each unit takes the kept state instead of a clone. A scratch from
+/// [`WorkerScratch::new`] is never told and keeps everything.
 #[derive(Default)]
 pub struct WorkerScratch {
     programs: HashMap<(String, u64), MemoEntry>,
     warm: Option<(WarmKey, WarmState)>,
-    /// The campaign's remaining-use counts (`None` outside a campaign).
-    uses: Option<Arc<RemainingUses>>,
+    /// The run being executed is the last of its unit: it takes the kept
+    /// state, and a fresh state is not kept.
+    hand_off: bool,
     /// Programs generated from scratch (memo misses).
     pub builds: usize,
     /// Programs served from the memo.
@@ -48,7 +49,7 @@ pub struct WorkerScratch {
     /// Warm-ups run from scratch.
     pub warm_builds: usize,
     /// Runs started from the kept warmed state (a clone, or the state
-    /// itself for the last run of its group).
+    /// itself for the last run of its unit).
     pub warm_hits: usize,
     /// The most programs the memo has held at once.
     pub programs_held_peak: usize,
@@ -73,77 +74,19 @@ fn program_keys(spec: &RunSpec) -> impl Iterator<Item = (String, u64)> + '_ {
     })
 }
 
-/// How many of a campaign's unfinished runs need each thread program and
-/// each warm-up, shared by its workers. A key leaves its map when its
-/// count reaches zero.
-struct RemainingUses {
-    programs: Mutex<HashMap<(String, u64), usize>>,
-    warm: Mutex<HashMap<WarmKey, usize>>,
-}
-
-impl RemainingUses {
-    /// The counts over the runs `pending` indexes.
-    fn new(runs: &[RunSpec], pending: &[usize]) -> Self {
-        let mut programs = HashMap::new();
-        let mut warm = HashMap::new();
-        for &i in pending {
-            for key in program_keys(&runs[i]) {
-                *programs.entry(key).or_insert(0) += 1;
-            }
-            if let Some(key) = warm_key(&runs[i]) {
-                *warm.entry(key).or_insert(0) += 1;
-            }
-        }
-        RemainingUses {
-            programs: Mutex::new(programs),
-            warm: Mutex::new(warm),
-        }
-    }
-
-    /// Counts `spec` out: it no longer needs its programs or warm-up.
-    fn finish(&self, spec: &RunSpec) {
-        fn count_out<K: std::hash::Hash + Eq>(map: &mut HashMap<K, usize>, key: K) {
-            if let Entry::Occupied(mut e) = map.entry(key) {
-                *e.get_mut() -= 1;
-                if *e.get() == 0 {
-                    e.remove();
-                }
-            }
-        }
-        let mut programs = self.programs.lock().expect("use counts");
-        for key in program_keys(spec) {
-            count_out(&mut programs, key);
-        }
-        drop(programs);
-        if let Some(key) = warm_key(spec) {
-            count_out(&mut self.warm.lock().expect("use counts"), key);
-        }
-    }
-
-    /// Unfinished runs that start from warm-up `key`.
-    fn warm_uses(&self, key: &WarmKey) -> usize {
-        self.warm
-            .lock()
-            .expect("use counts")
-            .get(key)
-            .copied()
-            .unwrap_or(0)
-    }
-}
-
 impl WorkerScratch {
     /// A fresh scratch arena.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A fresh arena for one of a campaign's workers, forgetting what no
-    /// run counted in `uses` needs any more.
-    fn for_campaign(uses: Arc<RemainingUses>) -> Self {
-        WorkerScratch {
-            uses: Some(uses),
-            ..Self::default()
-        }
+    /// Prepares for `schedule`'s unit `unit` (past the last unit once the
+    /// schedule is drained): forgets every memoized program that no unit
+    /// from `unit` on needs, and the kept state, which no two units share.
+    fn claim(&mut self, schedule: &Schedule, unit: usize) {
+        self.programs
+            .retain(|key, _| schedule.last_use.get(key).is_some_and(|&last| last >= unit));
+        self.warm = None;
     }
 
     /// The memo entry of thread program `key`, built on a miss. Errors as
@@ -213,15 +156,14 @@ impl WorkerScratch {
     /// the kept state when the [`WarmKey`] matches, otherwise a fresh
     /// [`WarmState::new`] over the memoized programs, which then replaces
     /// the kept one. The kept state is cloned, unless `spec` is the last
-    /// run of a campaign that needs it: that run takes the state itself,
-    /// and a fresh state for such a run is not kept. Errors as
+    /// run of its campaign unit: that run takes the state itself, and a
+    /// fresh state for such a run is not kept. Errors as
     /// [`WorkerScratch::programs_for`] does.
     pub fn warm_for(&mut self, spec: &RunSpec, cfg: &CoreConfig) -> Result<WarmState, String> {
         let key = WarmKey::new(cfg, &spec.mix, spec.seed);
-        let last_use = self.uses.as_ref().is_some_and(|u| u.warm_uses(&key) <= 1);
         if self.warm.as_ref().is_some_and(|(kept, _)| *kept == key) {
             self.warm_hits += 1;
-            return Ok(if last_use {
+            return Ok(if self.hand_off {
                 self.warm.take().expect("checked above").1
             } else {
                 self.warm.as_ref().expect("checked above").1.clone()
@@ -232,28 +174,10 @@ impl WorkerScratch {
         let programs = self.shared_programs(spec)?;
         let warm = WarmState::new(cfg, programs);
         self.warm_builds += 1;
-        if !last_use {
+        if !self.hand_off {
             self.warm = Some((key, warm.clone()));
         }
         Ok(warm)
-    }
-
-    /// Counts `spec` out of the campaign's remaining uses, then forgets
-    /// every memoized program and the kept state that no unfinished run
-    /// needs. Without remaining-use counts, keeps everything.
-    fn finish(&mut self, spec: &RunSpec) {
-        let Some(uses) = &self.uses else {
-            return;
-        };
-        uses.finish(spec);
-        let programs = uses.programs.lock().expect("use counts");
-        self.programs.retain(|key, _| programs.contains_key(key));
-        drop(programs);
-        if let Some((key, _)) = &self.warm {
-            if uses.warm_uses(key) == 0 {
-                self.warm = None;
-            }
-        }
     }
 }
 
@@ -264,82 +188,121 @@ fn warm_key(spec: &RunSpec) -> Option<WarmKey> {
     Some(WarmKey::new(&cfg, &spec.mix, spec.seed))
 }
 
-/// Reorders `pending` run indices so that runs sharing a [`WarmKey`] are
-/// adjacent (a worker walking the result warms once per group; runs inside
-/// a group keep their `pending` order) and so that few thread programs are
-/// live at once. A program is live from the first run that needs it to the
-/// last; the worker's memo holds exactly the live ones. Groups are placed
-/// greedily: next is the unplaced group with the smallest (programs it must
-/// newly build) − (programs whose last remaining use it is), ties going to
-/// the group whose first run comes first in `pending`.
-fn warm_order(runs: &[RunSpec], pending: &[usize]) -> Vec<usize> {
-    // Groups in the order of their first run; a run without a key (its
-    // design does not resolve) is a group of its own.
-    let mut group_of: HashMap<WarmKey, usize> = HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &i in pending {
-        let g = warm_key(&runs[i]).map_or(groups.len(), |key| {
-            *group_of.entry(key).or_insert(groups.len())
-        });
-        if g == groups.len() {
-            groups.push(Vec::new());
-        }
-        groups[g].push(i);
-    }
-    // How many unplaced runs need each program, overall and per group.
-    let mut remaining: HashMap<(String, u64), usize> = HashMap::new();
-    let needs: Vec<HashMap<(String, u64), usize>> = groups
-        .iter()
-        .map(|members| {
-            let mut need = HashMap::new();
-            for &i in members {
-                for key in program_keys(&runs[i]) {
-                    *remaining.entry(key.clone()).or_insert(0) += 1;
-                    *need.entry(key).or_insert(0) += 1;
-                }
-            }
-            need
-        })
-        .collect();
-    let mut live: HashSet<(String, u64)> = HashSet::new();
-    let mut unplaced: Vec<usize> = (0..groups.len()).collect();
-    let mut order = Vec::with_capacity(pending.len());
-    while !unplaced.is_empty() {
-        let growth = |g: usize| -> isize {
-            needs[g]
-                .iter()
-                .map(|(key, &n)| {
-                    isize::from(!live.contains(key)) - isize::from(remaining[key] == n)
-                })
-                .sum()
-        };
-        // `unplaced` stays in first-run order, so `min_by_key` keeps the
-        // earliest of equal scores.
-        let (pos, &g) = unplaced
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &g)| growth(g))
-            .expect("not empty");
-        unplaced.remove(pos);
-        for (key, &n) in &needs[g] {
-            let left = remaining.get_mut(key).expect("counted above");
-            *left -= n;
-            if *left == 0 {
-                live.remove(key);
-            } else {
-                live.insert(key.clone());
-            }
-        }
-        order.extend_from_slice(&groups[g]);
-    }
-    order
+/// The one schedule of a campaign's pending runs: the units its workers
+/// claim in order, and how long each thread program is needed.
+///
+/// A unit is one warm group — the runs that share a [`WarmKey`], which
+/// share one mix and so need the same programs — or, when there are fewer
+/// groups than workers, a contiguous piece of one, so that every worker
+/// has a unit. A unit warms once: its first run warms, the later ones
+/// start from the kept state. Workers claim units from a shared cursor,
+/// and claims only move forward, so a worker that claims unit `u` may
+/// forget every program whose last unit is below `u`.
+pub struct Schedule {
+    /// The units in claim order, as indices into the campaign's runs.
+    units: Vec<Vec<usize>>,
+    /// For each thread program `(benchmark, program seed)`, the index of
+    /// the last unit that needs it.
+    last_use: HashMap<(String, u64), usize>,
+    /// Units whose runs resolve a design and so warm up.
+    warmups: usize,
 }
 
-/// Warm-ups the `pending` runs need on one worker, which runs them
-/// grouped by key: the number of distinct [`WarmKey`]s among them.
-pub fn warmups_needed(runs: &[RunSpec], pending: &[usize]) -> usize {
-    let keys: HashSet<WarmKey> = pending.iter().filter_map(|&i| warm_key(&runs[i])).collect();
-    keys.len()
+impl Schedule {
+    /// The schedule of the `pending` runs (indices into `runs`) on
+    /// `workers` workers. Groups are ordered so that few thread programs
+    /// are live at once: a program is live from the first unit that needs
+    /// it to the last, and a worker's memo holds at most the live ones.
+    /// Each next group is the unplaced one with the smallest (programs it
+    /// must newly build) − (programs whose last remaining use it is), ties
+    /// going to the group whose first run comes first in `pending`; runs
+    /// inside a group keep their `pending` order.
+    pub fn new(runs: &[RunSpec], pending: &[usize], workers: usize) -> Self {
+        // Groups in the order of their first run; a run without a key (its
+        // design does not resolve) is a group of its own and never warms.
+        let mut group_of: HashMap<WarmKey, usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for &i in pending {
+            let g = warm_key(&runs[i]).map_or(groups.len(), |key| {
+                *group_of.entry(key).or_insert(groups.len())
+            });
+            if g == groups.len() {
+                groups.push(Vec::new());
+            }
+            groups[g].push(i);
+        }
+        // How many unplaced runs need each program, overall and per group.
+        let mut remaining: HashMap<(String, u64), usize> = HashMap::new();
+        let needs: Vec<HashMap<(String, u64), usize>> = groups
+            .iter()
+            .map(|members| {
+                let mut need = HashMap::new();
+                for &i in members {
+                    for key in program_keys(&runs[i]) {
+                        *remaining.entry(key.clone()).or_insert(0) += 1;
+                        *need.entry(key).or_insert(0) += 1;
+                    }
+                }
+                need
+            })
+            .collect();
+        // A group is cut into this many contiguous pieces (at most one per
+        // run), so that every worker has a unit.
+        let pieces = workers.div_ceil(groups.len().max(1)).max(1);
+        let mut schedule = Schedule {
+            units: Vec::new(),
+            last_use: HashMap::new(),
+            warmups: 0,
+        };
+        let mut live: HashSet<(String, u64)> = HashSet::new();
+        let mut unplaced: Vec<usize> = (0..groups.len()).collect();
+        while !unplaced.is_empty() {
+            let growth = |g: usize| -> isize {
+                needs[g]
+                    .iter()
+                    .map(|(key, &n)| {
+                        isize::from(!live.contains(key)) - isize::from(remaining[key] == n)
+                    })
+                    .sum()
+            };
+            // `unplaced` stays in first-run order, so `min_by_key` keeps the
+            // earliest of equal scores.
+            let (pos, &g) = unplaced
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &g)| growth(g))
+                .expect("not empty");
+            unplaced.remove(pos);
+            for (key, &n) in &needs[g] {
+                let left = remaining.get_mut(key).expect("counted above");
+                *left -= n;
+                if *left == 0 {
+                    live.remove(key);
+                } else {
+                    live.insert(key.clone());
+                }
+            }
+            let members = &groups[g];
+            let (n, k) = (members.len(), pieces.min(members.len()));
+            let cut = (0..k).map(|p| members[p * n / k..(p + 1) * n / k].to_vec());
+            schedule.units.extend(cut);
+            let last = schedule.units.len() - 1;
+            for key in needs[g].keys() {
+                schedule.last_use.insert(key.clone(), last);
+            }
+        }
+        schedule.warmups = schedule
+            .units
+            .iter()
+            .filter(|unit| warm_key(&runs[unit[0]]).is_some())
+            .count();
+        schedule
+    }
+
+    /// Warm-ups the schedule runs: one per unit whose design resolves.
+    pub fn warmups(&self) -> usize {
+        self.warmups
+    }
 }
 
 /// Final status of one campaign run.
@@ -622,7 +585,7 @@ const VALIDATE_MAX_CYCLES: u64 = 200_000;
 /// an invariant violation (both deterministic — the caller skips retries).
 fn validate_run(
     cfg: &shelfsim_core::CoreConfig,
-    programs: &[Program],
+    programs: Vec<Arc<Program>>,
     fail: &impl Fn(FailureKind, Option<u64>, String) -> RunFailure,
 ) -> Result<(), RunFailure> {
     let lcfg = shelfsim_validate::LockstepConfig {
@@ -676,13 +639,10 @@ fn run_attempt(
         if validate {
             // Differential tier: the run's exact config and programs must
             // track the functional reference before the timing run counts.
-            let bare: Vec<Program> = scratch
-                .programs_for(spec)
-                .map_err(|msg| fail(FailureKind::Config, None, msg))?
-                .into_iter()
-                .map(|(_, p)| p)
-                .collect();
-            validate_run(&cfg, &bare, &fail)?;
+            let programs = scratch
+                .shared_programs(spec)
+                .map_err(|msg| fail(FailureKind::Config, None, msg))?;
+            validate_run(&cfg, programs, &fail)?;
         }
         let warm = scratch
             .warm_for(spec, &cfg)
@@ -840,52 +800,61 @@ fn execute(spec: &RunSpec, campaign: &CampaignSpec, scratch: &mut WorkerScratch)
     }
 }
 
-/// One worker's share of a campaign: runs queued indices until every
-/// queue drains, journaling each record to the worker's own `shard` (no
-/// shared lock) and collecting it in `finished`. Returns the scratch,
-/// whose memo by then holds only what runs still unfinished elsewhere
-/// need.
+/// One worker's share of a campaign: claims `schedule`'s units from the
+/// shared cursor `next` until none is left, runs each unit's runs in order,
+/// journals each record to the worker's own `shard` (no shared lock) and
+/// collects it in `finished`. Returns the scratch, which by then holds no
+/// program and no warmed state.
 fn work(
-    w: usize,
-    queues: &StealQueues,
+    schedule: &Schedule,
+    next: &AtomicUsize,
     spec: &CampaignSpec,
     mut scratch: WorkerScratch,
     mut shard: Option<ShardWriter>,
     finished: &Mutex<Vec<(usize, RunRecord)>>,
     io_error: &Mutex<Option<std::io::Error>>,
 ) -> WorkerScratch {
-    while let Some(i) = queues.next(w) {
-        let record = execute(&spec.runs[i], spec, &mut scratch);
-        scratch.finish(&spec.runs[i]);
-        if let Some(sw) = &mut shard {
-            // The entry is buffered and flushed with one write per run
-            // completion.
-            sw.buffer(&record.to_journal_entry());
-            if let Err(e) = sw.flush() {
-                io_error.lock().expect("io error slot").get_or_insert(e);
+    loop {
+        // The cursor publishes no data: the schedule is read-only and was
+        // built before the workers started.
+        let u = next.fetch_add(1, Ordering::Relaxed);
+        scratch.claim(schedule, u);
+        let Some(unit) = schedule.units.get(u) else {
+            return scratch;
+        };
+        for (n, &i) in unit.iter().enumerate() {
+            scratch.hand_off = n + 1 == unit.len();
+            let record = execute(&spec.runs[i], spec, &mut scratch);
+            if let Some(sw) = &mut shard {
+                // The entry is buffered and flushed with one write per run
+                // completion.
+                sw.buffer(&record.to_journal_entry());
+                if let Err(e) = sw.flush() {
+                    io_error.lock().expect("io error slot").get_or_insert(e);
+                }
             }
+            finished.lock().expect("results").push((i, record));
         }
-        finished.lock().expect("results").push((i, record));
     }
-    scratch
 }
 
 /// Runs a campaign to completion: dedupes the matrix against the merged
-/// journal history in `spec.journal_dir`, executes the cache
-/// misses on `spec.workers` threads via work-stealing deques with per-run
-/// isolation, and returns the aggregate report. Individual-run failure
-/// never aborts the campaign — failed runs are retried, then quarantined,
-/// and the report carries partial results plus the error taxonomy.
+/// journal history in `spec.journal_dir`, executes the cache misses on
+/// `spec.workers` threads with per-run isolation, and returns the
+/// aggregate report. Individual-run failure never aborts the campaign —
+/// failed runs are retried, then quarantined, and the report carries
+/// partial results plus the error taxonomy.
 ///
-/// Each worker keeps a scratch arena (memoized program builds with their
-/// pre-flight facts, and the last warmed state) that forgets whatever no
-/// unfinished run needs, and, when `spec.journal_dir` is set, appends
-/// outcomes to its own journal shard with no shared lock.
-/// Misses run in `warm_order`: runs that share a warm-up are adjacent,
-/// so a worker warms once per group, and groups are ordered so that each
-/// thread program is needed over a short stretch of the queue, which is
-/// how long a worker's memo holds it. Records still land at their matrix
-/// index, and merged shard bytes do not depend on execution order.
+/// The misses run by their [`Schedule`]: each worker claims the next unit
+/// (a warm group, or a piece of one) from a shared cursor, so it warms
+/// once per unit, and units are ordered so that each thread program is
+/// needed over a short stretch of the schedule. Each worker keeps a
+/// scratch arena (memoized program builds with their pre-flight facts,
+/// and the last warmed state) that forgets, on each claim, whatever no
+/// later unit needs, and, when `spec.journal_dir` is set, appends
+/// outcomes to its own journal shard with no shared lock. Records still
+/// land at their matrix index, and merged shard bytes do not depend on
+/// which worker ran what.
 ///
 /// # Errors
 ///
@@ -908,19 +877,27 @@ pub fn run_campaign(spec: &CampaignSpec) -> std::io::Result<CampaignReport> {
         .collect::<std::io::Result<Vec<Option<ShardWriter>>>>()?;
 
     let _quiet = QuietPanics::new(spec.quiet_panics);
-    let queues = StealQueues::new(warm_order(&spec.runs, &admission.misses), workers);
-    let uses = Arc::new(RemainingUses::new(&spec.runs, &admission.misses));
+    let schedule = Schedule::new(&spec.runs, &admission.misses, workers);
+    let next = AtomicUsize::new(0);
     let finished: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
     let scratches: Vec<WorkerScratch> = std::thread::scope(|scope| {
         let handles: Vec<_> = shard_writers
             .into_iter()
-            .enumerate()
-            .map(|(w, shard)| {
-                let (queues, finished, io_error) = (&queues, &finished, &io_error);
-                let scratch = WorkerScratch::for_campaign(Arc::clone(&uses));
-                scope.spawn(move || work(w, queues, spec, scratch, shard, finished, io_error))
+            .map(|shard| {
+                let (schedule, next, finished, io_error) = (&schedule, &next, &finished, &io_error);
+                scope.spawn(move || {
+                    work(
+                        schedule,
+                        next,
+                        spec,
+                        WorkerScratch::new(),
+                        shard,
+                        finished,
+                        io_error,
+                    )
+                })
             })
             .collect();
         handles
@@ -1008,39 +985,68 @@ mod tests {
         )
     }
 
+    /// The runs of `schedule` in claim order.
+    fn order(schedule: &Schedule) -> Vec<usize> {
+        schedule.units.concat()
+    }
+
     #[test]
     fn memo_forgets_what_no_unfinished_run_needs() {
         let runs = recurring_matrix();
         let campaign = CampaignSpec::new(runs.clone());
         let all: Vec<usize> = (0..runs.len()).collect();
-        // The groups in first-run order (designs outer: run `i` and run
-        // `i + 3` share a mix), so `gcc` outlives the second group.
-        let order = [0, 3, 1, 4, 2, 5];
-        let mut scratch = WorkerScratch::for_campaign(Arc::new(RemainingUses::new(&runs, &all)));
+        let schedule = Schedule::new(&runs, &all, 1);
+        // One unit per mix, each holding both design points (designs
+        // outer: run `i` and run `i + 3` share a mix). `gcc+mcf` and
+        // `hmmer+lbm` tie, so the first run wins; then `gcc+lbm`, the last
+        // use of `gcc`.
+        assert_eq!(schedule.units, [vec![0, 3], vec![2, 5], vec![1, 4]]);
+        let last = |name: &str, seed| schedule.last_use[&(name.to_owned(), seed)];
+        let (t0, t1) = (
+            shelfsim_core::thread_program_seed(3, 0),
+            shelfsim_core::thread_program_seed(3, 1),
+        );
+        assert_eq!(
+            [
+                last("mcf", t1),
+                last("gcc", t0),
+                last("lbm", t1),
+                last("hmmer", t0)
+            ],
+            [0, 1, 2, 2]
+        );
         let memo = |scratch: &WorkerScratch| -> Vec<String> {
             let mut keys: Vec<String> = scratch.programs.keys().map(|(n, _)| n.clone()).collect();
             keys.sort();
             keys
         };
-        for (n, &i) in order.iter().enumerate() {
-            assert_eq!(
-                execute(&runs[i], &campaign, &mut scratch).status,
-                RunStatus::Ok
-            );
-            scratch.finish(&runs[i]);
-            // Groups are two runs long; the kept state outlives a group
-            // only while one of its runs is unfinished.
-            let group_done = n % 2 == 1;
-            assert_eq!(scratch.warm.is_none(), group_done, "after run {n}");
-            if n == 1 {
-                assert_eq!(memo(&scratch), ["gcc"], "mcf is needed by no later run");
+        let mut scratch = WorkerScratch::new();
+        for (u, unit) in schedule.units.iter().enumerate() {
+            scratch.claim(&schedule, u);
+            // A claim keeps exactly the programs a later unit needs.
+            match u {
+                0 => assert!(scratch.programs.is_empty()),
+                1 => assert_eq!(memo(&scratch), ["gcc"], "mcf is needed by no later unit"),
+                _ => assert_eq!(memo(&scratch), ["lbm"]),
             }
-            if n == 3 {
-                assert_eq!(memo(&scratch), ["gcc", "lbm"]);
+            for (n, &i) in unit.iter().enumerate() {
+                scratch.hand_off = n + 1 == unit.len();
+                assert_eq!(
+                    execute(&runs[i], &campaign, &mut scratch).status,
+                    RunStatus::Ok
+                );
+                // The first run keeps the state for the second, which
+                // takes it.
+                assert_eq!(
+                    scratch.warm.is_some(),
+                    !scratch.hand_off,
+                    "unit {u} run {n}"
+                );
             }
         }
+        scratch.claim(&schedule, schedule.units.len());
         assert!(scratch.programs.is_empty());
-        // Nothing is built twice, and the kept state served its group's
+        // Nothing is built twice, and the kept state served its unit's
         // second run (handed off, not cloned).
         assert_eq!(
             (scratch.builds, scratch.warm_builds, scratch.warm_hits),
@@ -1050,20 +1056,44 @@ mod tests {
 
     #[test]
     fn a_drained_worker_holds_no_programs_and_no_warm_state() {
-        let runs = recurring_matrix();
+        // The second design point of each mix is a starved shelf that the
+        // pre-flight rejects, so the last run of every unit never takes
+        // the state its first run kept.
+        let mut runs = recurring_matrix();
+        for r in &mut runs[3..] {
+            r.design = "shelf-inorder".to_owned();
+            r.overrides = vec![("shelf".to_owned(), "2".to_owned())];
+        }
         let campaign = CampaignSpec::new(runs.clone());
         let all: Vec<usize> = (0..runs.len()).collect();
-        let queues = StealQueues::new(warm_order(&runs, &all), 1);
-        let uses = Arc::new(RemainingUses::new(&runs, &all));
+        let schedule = Schedule::new(&runs, &all, 1);
+        assert_eq!(schedule.units, [vec![0, 3], vec![2, 5], vec![1, 4]]);
+        let next = AtomicUsize::new(0);
         let finished = Mutex::new(Vec::new());
         let io_error = Mutex::new(None);
-        let scratch = WorkerScratch::for_campaign(Arc::clone(&uses));
-        let scratch = work(0, &queues, &campaign, scratch, None, &finished, &io_error);
-        assert_eq!(finished.into_inner().unwrap().len(), runs.len());
+        let scratch = work(
+            &schedule,
+            &next,
+            &campaign,
+            WorkerScratch::new(),
+            None,
+            &finished,
+            &io_error,
+        );
+        let finished = finished.into_inner().unwrap();
+        assert_eq!(finished.len(), runs.len());
+        let rejected = finished
+            .iter()
+            .filter(|(_, r)| r.status == RunStatus::Rejected)
+            .count();
+        assert_eq!(rejected, 3);
         assert!(scratch.programs.is_empty() && scratch.warm.is_none());
         assert_eq!(scratch.builds, 4, "each distinct program built once");
-        assert!(uses.programs.lock().unwrap().is_empty());
-        assert!(uses.warm.lock().unwrap().is_empty());
+        assert_eq!(
+            next.into_inner(),
+            schedule.units.len() + 1,
+            "one claim past the end"
+        );
     }
 
     /// The order the runner used before it ordered by program lifetime:
@@ -1142,9 +1172,10 @@ mod tests {
         // are `mcf+tonto` and `namd+soplex`, runs 2-5 the single-thread
         // references `mcf`, `namd`, `soplex` and `tonto`.
         let all: Vec<usize> = (0..runs.len()).collect();
-        let order = warm_order(&runs, &all);
+        let schedule = Schedule::new(&runs, &all, 1);
+        let order = order(&schedule);
         assert_grouped(&runs, &all, &order);
-        assert_eq!(warmups_needed(&runs, &all), runs.len() / 2);
+        assert_eq!(schedule.warmups(), runs.len() / 2);
         // `soplex` and `tonto` run in thread 1 of their mixes, so their
         // references share no program and go first (build one, free one).
         // Then `mcf+tonto` (ties with `namd+soplex`, first run wins), and
@@ -1154,8 +1185,9 @@ mod tests {
         // `mcf` reference and `mcf+tonto` tie (1 each); `mcf`'s two
         // design points stay adjacent.
         let pending = [1, 2, 6, 8];
-        assert_eq!(warm_order(&runs, &pending), [1, 2, 8, 6]);
-        assert_eq!(warmups_needed(&runs, &pending), 3);
+        let schedule = Schedule::new(&runs, &pending, 1);
+        assert_eq!(schedule.units, [vec![1], vec![2, 8], vec![6]]);
+        assert_eq!(schedule.warmups(), 3);
     }
 
     /// `sweep-short`'s matrix: the bench crate's `campaign_matrix(3_000, 7)`.
@@ -1177,12 +1209,65 @@ mod tests {
     fn warm_order_holds_fewer_programs_than_first_run_order() {
         let runs = sweep_short_matrix();
         let all: Vec<usize> = (0..runs.len()).collect();
-        let order = warm_order(&runs, &all);
+        let order = order(&Schedule::new(&runs, &all, 1));
         assert_grouped(&runs, &all, &order);
         let live = planned_programs_peak(&runs, &order);
         let first = planned_programs_peak(&runs, &first_run_order(&runs, &all));
         eprintln!("planned programs peak: {live} live-set order, {first} first-run order");
         assert!(live < first, "{live} programs held vs {first}");
+    }
+
+    #[test]
+    fn fewer_groups_than_workers_are_cut_into_contiguous_pieces() {
+        let runs = recurring_matrix();
+        let all: Vec<usize> = (0..runs.len()).collect();
+        let whole = Schedule::new(&runs, &all, 1);
+        assert_eq!(whole.warmups(), 3);
+        // Three groups of two on up to three workers: no cut.
+        assert_eq!(Schedule::new(&runs, &all, 3).units, whole.units);
+        // On four or more, every group is cut in two, in the same order,
+        // and each program's last unit moves with its group's last piece.
+        let cut = Schedule::new(&runs, &all, 4);
+        assert_eq!(
+            cut.units,
+            [vec![0], vec![3], vec![2], vec![5], vec![1], vec![4]]
+        );
+        assert_eq!(order(&cut), order(&whole));
+        assert_eq!(cut.warmups(), 6);
+        for (key, &last) in &whole.last_use {
+            assert_eq!(cut.last_use[key], 2 * last + 1, "{key:?}");
+        }
+        // A lone group of two on two workers: one run each; of three:
+        // pieces of one and two.
+        assert_eq!(Schedule::new(&runs, &[1, 4], 2).units, [vec![1], vec![4]]);
+        let mut three = runs.clone();
+        three.push(RunSpec {
+            index: 6,
+            design: "base128".to_owned(),
+            ..runs[1].clone()
+        });
+        assert_eq!(
+            Schedule::new(&three, &[1, 4, 6], 2).units,
+            [vec![1], vec![4, 6]]
+        );
+    }
+
+    #[test]
+    fn the_schedule_counts_the_warm_ups_a_campaign_builds() {
+        let runs = sweep_short_matrix();
+        let all: Vec<usize> = (0..runs.len()).collect();
+        for workers in [1, 2, 3] {
+            let report = run_campaign(&CampaignSpec::new(runs.clone()).with_workers(workers))
+                .expect("no journal");
+            assert_eq!(report.completed(), runs.len());
+            // One warm-up per mix, whichever worker runs which unit.
+            assert_eq!(
+                (report.warm_builds, report.warm_hits),
+                (55, 165),
+                "{workers} workers"
+            );
+            assert_eq!(Schedule::new(&runs, &all, workers).warmups(), 55);
+        }
     }
 
     #[test]
@@ -1204,7 +1289,7 @@ mod tests {
         assert_eq!(report.program_builds, distinct.len());
         assert_eq!(
             report.programs_held_peak,
-            planned_programs_peak(&runs, &warm_order(&runs, &all))
+            planned_programs_peak(&runs, &order(&Schedule::new(&runs, &all, 1)))
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Sweep-scale matrix expansion: the paper's full evaluation surface
 //! (benchmark × mix × design × thread count) expanded into a deterministic
-//! run list for the work-stealing pool.
+//! run list for the campaign's worker pool.
 //!
 //! The thread-count axis is what distinguishes a sweep from a plain
 //! campaign matrix: each SMT width gets its own balanced-random mix set,

@@ -122,7 +122,11 @@ fn shared_warmup_matches_fresh_simulation_on_every_run() {
     )
     .expect("two-worker campaign");
     assert_eq!(duo.completed(), runs.len());
-    assert_eq!(duo.warm_builds + duo.warm_hits, runs.len());
+    assert_eq!(
+        (duo.warm_builds, duo.warm_hits),
+        (keys, runs.len() - keys),
+        "warm-ups do not depend on the worker count"
+    );
     assert_eq!(
         ShardedJournal::new(&solo_dir)
             .merged_bytes()
@@ -221,4 +225,38 @@ fn recurring_programs_are_built_once_and_journal_bytes_hold() {
         ShardedJournal::new(&duo_dir).merged_bytes().expect("bytes"),
         "worker count must not change the merged journal"
     );
+}
+
+/// One mix on four designs is one warm group. On two workers the schedule
+/// cuts it into two units of two runs, so the campaign warms twice, and
+/// both workers run (each journal shard holds one unit): a unit simulates
+/// far longer than the second worker takes to start and claim the other.
+#[test]
+fn a_lone_warm_group_is_cut_so_every_worker_runs() {
+    let dir = tmp("lone_group");
+    let designs = ["base64", "shelf-cons", "shelf-opt", "base128"].map(str::to_owned);
+    let runs = CampaignSpec::matrix(
+        &designs,
+        &[vec!["gcc".to_owned(), "mcf".to_owned()]],
+        7,
+        2_000,
+        30_000,
+    );
+    let report = run_campaign(
+        &CampaignSpec::new(runs.clone())
+            .with_workers(2)
+            .with_journal_dir(&dir),
+    )
+    .expect("two-worker campaign");
+    assert_eq!(report.completed(), runs.len());
+    assert_eq!((report.warm_builds, report.warm_hits), (2, 2));
+    for w in 0..2 {
+        let path = ShardedJournal::new(&dir).shard_path(w);
+        let shard = std::fs::read_to_string(path).expect("shard");
+        assert_eq!(
+            shard.lines().count(),
+            2,
+            "worker {w} ran one unit of two runs"
+        );
+    }
 }

@@ -792,11 +792,11 @@ fn override_sets(p: &Args) -> Result<Vec<Vec<(String, String)>>, CliError> {
 /// `shelfsim sweep`: the design × override set × workload matrix, every
 /// run through [`shelfsim::run_campaign`] (pre-flight, watchdog, retries,
 /// quarantine, optional fault injection and validation tier) on the
-/// work-stealing pool with one journal shard per worker. Requested runs
-/// dedupe against merged journal history by config hash. `--dry-run`
-/// prints the matrix size, initial shard plan, cache-hit preview and
-/// warm-up count without simulating; `--pareto` appends the STP/EDP/area
-/// Pareto report over the merged history.
+/// worker pool with one journal shard per worker. Requested runs dedupe
+/// against merged journal history by config hash. `--dry-run` prints the
+/// matrix size, cache-hit preview and the warm-ups of the campaign's
+/// [`shelfsim::Schedule`] without simulating; `--pareto` appends the
+/// STP/EDP/area Pareto report over the merged history.
 fn cmd_sweep(p: &Args) -> Result<String, CliError> {
     let designs = p.list("--designs", &["base64", "shelf-opt"]);
     for d in &designs {
@@ -912,38 +912,26 @@ fn cmd_sweep(p: &Args) -> Result<String, CliError> {
     .expect("write");
 
     if p.has("--dry-run") {
-        let plan = shelfsim::shard_plan(admission.misses.len(), workers);
-        // Design points of one mix share a warm-up (see `WarmKey`).
-        let warmups = shelfsim::warmups_needed(runs, &admission.misses);
+        // The schedule `run_campaign` would follow: one warm-up per unit
+        // (design points of one mix share a warm-up, see `WarmKey`).
+        let warmups = shelfsim::Schedule::new(runs, &admission.misses, workers).warmups();
         if p.has("--json") {
-            let shards: Vec<String> = plan
-                .iter()
-                .map(|&(start, len)| format!("{{\"start\":{start},\"len\":{len}}}"))
-                .collect();
             return Ok(format!(
-                "{{\"runs\":{},\"hits\":{},\"misses\":{},\"warmups\":{warmups},\"workers\":{},\"shards\":[{}]}}\n",
+                "{{\"runs\":{},\"hits\":{},\"misses\":{},\"warmups\":{warmups},\"workers\":{}}}\n",
                 runs.len(),
                 admission.hits.len(),
                 admission.misses.len(),
                 workers,
-                shards.join(",")
             ));
         }
         let mut out = header;
         writeln!(
             out,
-            "{warmups} warm-ups for {} pending runs",
-            admission.misses.len()
+            "{warmups} warm-ups for {} pending runs on {workers} worker{}",
+            admission.misses.len(),
+            if workers == 1 { "" } else { "s" }
         )
         .expect("write");
-        for (w, &(start, len)) in plan.iter().enumerate() {
-            writeln!(
-                out,
-                "  worker {w}: {len} pending runs (slots {start}..{})",
-                start + len
-            )
-            .expect("write");
-        }
         out.push_str("dry run: 0 cycles simulated\n");
         return Ok(out);
     }
@@ -1268,7 +1256,7 @@ fn cmd_validate(p: &Args) -> Result<String, CliError> {
     for design in &designs {
         let cfg = design_config(design, threads)?;
         for (label, programs, spec) in &workloads {
-            let verdict = run_lockstep(&cfg, programs, &lcfg);
+            let verdict = run_lockstep(&cfg, programs.iter().cloned(), &lcfg);
             let sweep =
                 (p.has("--sweep") && verdict.is_clean()).then(|| run_sweep(&cfg, programs, &lcfg));
             // Divergent generated programs shrink to a minimal failing case
@@ -1278,7 +1266,7 @@ fn cmd_validate(p: &Args) -> Result<String, CliError> {
                 (&verdict, spec, p.value("--shrink-dir"))
             {
                 let min = shelfsim::validate::shrink_to_minimal(spec, |s| {
-                    !run_lockstep(&cfg, &vec![s.build_program(); threads], &lcfg).is_clean()
+                    !run_lockstep(&cfg, vec![s.build_program(); threads], &lcfg).is_clean()
                 });
                 let path = shelfsim::validate::persist_regression(
                     std::path::Path::new(dir),
@@ -1350,9 +1338,9 @@ USAGE:
                    --journal-dir: a re-run re-simulates nothing, and any
                    *.jsonl there is read as a shard. --validate lockstep-checks
                    each run; --trace-dir dumps traces of watchdog-diagnosed
-                   failures; --dry-run previews matrix, shard plan, cache hits
-                   and warm-ups; --pareto appends the STP vs energy-delay vs
-                   area frontier over the merged history)
+                   failures; --dry-run previews matrix, cache hits and the
+                   schedule's warm-ups; --pareto appends the STP vs
+                   energy-delay vs area frontier over the merged history)
   shelfsim trace   --mix b1,b2,... [--design D] [--warmup N] [--measure N]
                    [--seed N] [--tso] [--window N] [--sample N]
                    [--jsonl FILE] [--chrome FILE]
@@ -2018,7 +2006,7 @@ mod tests {
         let out = run_cli(&args(&format!("{cmd} --dry-run --json"))).expect("json dry run");
         assert!(out.contains("\"misses\":0"), "{out}");
         assert!(out.contains("\"warmups\":0"), "{out}");
-        assert!(out.contains("\"shards\":["), "{out}");
+        assert!(out.contains("\"workers\":2}"), "{out}");
     }
 
     #[test]
@@ -2111,8 +2099,12 @@ mod tests {
             out.contains("sweep matrix: 2 designs x 4 override sets x (1 @ 2t) workloads = 8 runs"),
             "{out}"
         );
-        // Design points of one mix still share a warm-up.
-        assert!(out.contains("1 warm-ups for 8 pending runs"), "{out}");
+        // Design points of one mix share a warm-up; the one warm group
+        // is cut in two so that both workers have a unit.
+        assert!(
+            out.contains("2 warm-ups for 8 pending runs on 2 workers"),
+            "{out}"
+        );
     }
 
     #[test]

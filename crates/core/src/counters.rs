@@ -179,8 +179,10 @@ pub struct Counters {
     pub stalls: StallCounters,
 
     /// Shelf-head stall cycles by first failing condition (diagnostic):
-    /// [order barrier, SSR, RAW sources, WAW previous writer,
-    /// structural/store-set].
+    /// [order barrier, SSR, RAW sources (a source not yet ready, or still
+    /// being forwarded from the IQ cluster), WAW previous writer, memory
+    /// ordering/structural (store set, TSO elder load, full store buffer,
+    /// busy FU)].
     pub shelf_head_stalls: [u64; 5],
 
     /// ROB-head commit stalls by cause (diagnostic): [execution incomplete,

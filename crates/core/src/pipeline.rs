@@ -1824,12 +1824,15 @@ impl Core {
                     self.skip.streak_bumped |= 1 << t;
                     Some((2, StallCause::ShelfHeadBlocked))
                 }
+                // A source still in flight from the IQ cluster has not
+                // arrived yet either, but it does not feed the throttle.
+                Some(ShelfHazard::ForwardPenalty) => Some((2, StallCause::ShelfHeadBlocked)),
                 Some(ShelfHazard::Waw) => Some((3, StallCause::ShelfHeadBlocked)),
-                Some(ShelfHazard::StoreSet) => Some((4, StallCause::ShelfHeadBlocked)),
+                Some(ShelfHazard::StoreSet | ShelfHazard::ElderLoad) => {
+                    Some((4, StallCause::ShelfHeadBlocked))
+                }
                 Some(ShelfHazard::StoreBuffer) => Some((4, StallCause::FuBusy)),
-                // The readiness-only checks are not stall buckets: like a
-                // clear head, they fall through to the structural FU check.
-                Some(ShelfHazard::ElderLoad | ShelfHazard::ForwardPenalty) | None => {
+                None => {
                     let kind = self.slab.get(id).inst.op.fu_kind();
                     (!self.fu_available(kind)).then_some((4, StallCause::FuBusy))
                 }
@@ -2048,9 +2051,8 @@ impl Core {
     }
 
     /// The first check that keeps thread `t`'s shelf head `id` from
-    /// issuing, in a fixed order whose first six checks are the order the
-    /// stall buckets count; `None` when it passes every check except FU
-    /// availability, the one global input (tested at pick time).
+    /// issuing, in a fixed order; `None` when it passes every check except
+    /// FU availability, the one global input (tested at pick time).
     fn shelf_hazard(&self, t: usize, id: InstId) -> Option<ShelfHazard> {
         let th = &self.threads[t];
         let slot = self.slab.get(id);

@@ -2,7 +2,8 @@
 //! the extension tag space and virtual index space, shelf sizing, the
 //! conservative/optimistic issue assumption, and the commit log.
 
-use shelfsim_core::{CoreConfig, EndKind, QueueKind, Simulation, SteerPolicy};
+use shelfsim_core::{Core, CoreConfig, EndKind, MemoryModel, QueueKind, Simulation, SteerPolicy};
+use shelfsim_trace::StallCause;
 
 fn run(cfg: CoreConfig, mix: &[&str], seed: u64) -> shelfsim_core::RunResult {
     let mut sim = Simulation::from_names(cfg, mix, seed).expect("suite benchmarks");
@@ -181,4 +182,65 @@ fn equal_work_comparison_matches_fixed_window_direction() {
         tput(&s),
         tput(&b)
     );
+}
+
+/// A pointer chase followed by two independent adds.
+const CHASE_THEN_ADDS: &str = "\
+top:
+    load  r24, [r24], chase, region=mem
+    add   r8, r8
+    add   r9, r9
+    loop  top, trips=300
+";
+
+/// Runs [`CHASE_THEN_ADDS`] on one thread for 20,000 cycles (tracer on,
+/// skipping on) and returns the shelf-head stall buckets and the tracer's
+/// issue-side `shelf_head_blocked` cycles.
+fn chase_head_stalls(cfg: CoreConfig) -> ([u64; 5], u64) {
+    let program = shelfsim_workload::asm::assemble(CHASE_THEN_ADDS).expect("kernel assembles");
+    let mut core = Core::new(cfg, vec![shelfsim_workload::TraceSource::new(program, 0)]);
+    core.enable_tracer(64, 1_000);
+    core.warm_caches();
+    core.tick_bounded(20_000);
+    let tracer = core.tracer().expect("tracer enabled");
+    let blocked = StallCause::ALL
+        .iter()
+        .position(|&c| c == StallCause::ShelfHeadBlocked)
+        .expect("a cause");
+    (
+        core.counters.shelf_head_stalls,
+        tracer.issue_stalls(0)[blocked],
+    )
+}
+
+#[test]
+fn heads_held_by_tso_or_forwarding_are_counted() {
+    // Everything on the shelf: under the relaxed model the head is the
+    // next chase load, waiting on the previous one (RAW); under TSO it is
+    // an add behind the in-flight chase load, a memory-ordering hold with
+    // its FU free. Either way the head waits for the DRAM fill, and every
+    // such cycle lands in a bucket and in the tracer's issue attribution.
+    let mut cfg = CoreConfig::base64_shelf64(1, SteerPolicy::AlwaysShelf, true);
+    let (relaxed, relaxed_blocked) = chase_head_stalls(cfg.clone());
+    cfg.memory_model = MemoryModel::Tso;
+    let (tso, tso_blocked) = chase_head_stalls(cfg);
+    let total = |b: [u64; 5]| b.iter().sum::<u64>();
+    assert!(relaxed[2] > 10_000, "{relaxed:?}");
+    assert!(tso[4] > 10_000 && tso[2] == 0, "{tso:?}");
+    assert!(
+        total(tso).abs_diff(total(relaxed)) < 100,
+        "{tso:?} vs {relaxed:?}"
+    );
+    assert!(
+        tso_blocked.abs_diff(relaxed_blocked) < 100,
+        "{tso_blocked} vs {relaxed_blocked}"
+    );
+
+    // A source forwarded from the IQ cluster arrives `penalty` cycles
+    // late: those cycles are RAW-bucket cycles.
+    let mut cfg = CoreConfig::base64_shelf64(1, SteerPolicy::Practical, true);
+    let (plain, _) = chase_head_stalls(cfg.clone());
+    cfg.cluster_forward_penalty = 3;
+    let (penalized, _) = chase_head_stalls(cfg);
+    assert!(penalized[2] > plain[2], "{penalized:?} vs {plain:?}");
 }

@@ -33,8 +33,9 @@
 //!   dynamic invariant sanitizer rides in `--features sanitize`);
 //! * [`campaign`] — the fault-tolerant sweep runner (per-run isolation,
 //!   forward-progress watchdog, retry escalation, resumable journals,
-//!   deterministic fault injection) scaled out with work-stealing worker
-//!   deques, per-worker journal shards merged on read, a config-hash
+//!   deterministic fault injection) scaled out with one schedule of warm
+//!   groups that workers claim from a shared cursor, per-worker journal
+//!   shards merged on read, a config-hash
 //!   result cache, and a Pareto-frontier report (STP vs energy-delay vs
 //!   area);
 //! * [`trace`] — the bounded observability layer (instruction lifecycle
@@ -76,8 +77,8 @@ pub use shelfsim_analyze::{
     IpcBoundReport, Report, Severity,
 };
 pub use shelfsim_campaign::{
-    pareto_report, run_campaign, shard_plan, warmups_needed, CampaignReport, CampaignSpec,
-    FaultKind, FaultMix, FaultPlan, ParetoReport, ResultCache, RunSpec, ShardedJournal, SweepSpec,
+    pareto_report, run_campaign, CampaignReport, CampaignSpec, FaultKind, FaultMix, FaultPlan,
+    ParetoReport, ResultCache, RunSpec, Schedule, ShardedJournal, SweepSpec,
 };
 pub use shelfsim_core::{
     Completion, Core, CoreConfig, Counters, MemoryModel, RunMeta, RunResult, SimError, Simulation,

@@ -135,8 +135,8 @@ fn campaign_resume_reproduces_journal_byte_for_byte() {
     // against the same directory. The resumed half appends exactly the
     // missing lines: the merged view is byte-identical to the uninterrupted
     // one, and no line is lost or duplicated. (Raw line order differs —
-    // runs execute in warm-group order, not matrix order, and resume
-    // appends after the prefix.)
+    // runs execute in the order of their schedule's units, one warm group
+    // each, not in matrix order, and resume appends after the prefix.)
     let resumed = temp_journal_dir("resumed");
     let prefix = spec(campaign_matrix()[..2].to_vec(), &resumed);
     assert_eq!(run_campaign(&prefix).expect("prefix").completed(), 2);

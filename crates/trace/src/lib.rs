@@ -142,8 +142,9 @@ pub enum StallCause {
     NoRename,
     /// Memory barrier serializing dispatch.
     Barrier,
-    /// Shelf head blocked: in-order barrier, SSR window, data, or WAW
-    /// (issue).
+    /// Shelf head blocked: in-order barrier, SSR window, data (including
+    /// a source still being forwarded from the IQ cluster), WAW, store
+    /// set, or a TSO elder load in flight (issue).
     ShelfHeadBlocked,
     /// A ready memory operation lost MSHR arbitration (issue).
     NoMshr,

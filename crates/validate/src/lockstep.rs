@@ -214,21 +214,23 @@ fn render_effect(e: &InstEffect) -> String {
     }
 }
 
-/// Runs the core on `programs` (one per thread, cloned into both the core
-/// and the reference) and validates `lcfg.commits_per_thread` architectural
-/// commits per thread in lockstep against the in-order functional
-/// reference.
+/// Runs the core on `programs` (one per thread, shared by the core and the
+/// reference, never copied) and validates `lcfg.commits_per_thread`
+/// architectural commits per thread in lockstep against the in-order
+/// functional reference.
 ///
 /// # Panics
 ///
-/// Panics if `programs.len() != cfg.threads` or the configuration is
-/// invalid (same contract as [`Core::new`]).
-pub fn run_lockstep(cfg: &CoreConfig, programs: &[Program], lcfg: &LockstepConfig) -> Verdict {
+/// Panics if the program count is not `cfg.threads` or the configuration
+/// is invalid (same contract as [`Core::new`]).
+pub fn run_lockstep<P: Into<Arc<Program>>>(
+    cfg: &CoreConfig,
+    programs: impl IntoIterator<Item = P>,
+    lcfg: &LockstepConfig,
+) -> Verdict {
+    let programs: Vec<Arc<Program>> = programs.into_iter().map(Into::into).collect();
     assert_eq!(programs.len(), cfg.threads, "one program per thread");
     let threads = cfg.threads;
-
-    // One copy of each program, shared by the core and the reference.
-    let programs: Vec<Arc<Program>> = programs.iter().cloned().map(Arc::new).collect();
     let traces: Vec<TraceSource> = programs
         .iter()
         .enumerate()

@@ -14,6 +14,7 @@
 use crate::lockstep::{run_lockstep, LockstepConfig, Verdict};
 use shelfsim_core::CoreConfig;
 use shelfsim_workload::program::Program;
+use std::sync::Arc;
 
 /// Size delta applied to each queue structure.
 const QUEUE_DELTA: usize = 8;
@@ -83,9 +84,11 @@ pub fn run_sweep(base: &CoreConfig, programs: &[Program], lcfg: &LockstepConfig)
     let mut points = Vec::new();
     let mut base_stats: Option<(String, Vec<u64>, Vec<u64>)> = None;
     let mut violation = None;
+    // One copy of each program, shared by every point's lockstep run.
+    let programs: Vec<Arc<Program>> = programs.iter().cloned().map(Arc::new).collect();
 
     for (label, cfg) in perturbations(base) {
-        let verdict = run_lockstep(&cfg, programs, lcfg);
+        let verdict = run_lockstep(&cfg, programs.iter().cloned(), lcfg);
         if let Verdict::Clean(stats) = &verdict {
             match &base_stats {
                 None => {

@@ -41,7 +41,7 @@ fn run_mutated(kind: ChaosKind, trigger: u64) -> Verdict {
     let cfg = CoreConfig::base64_shelf64(2, SteerPolicy::Practical, true);
     run_lockstep(
         &cfg,
-        &kernel_programs(mutation_kernel(kind), 2),
+        kernel_programs(mutation_kernel(kind), 2),
         &chaos_cfg(ChaosPlan { kind, trigger }),
     )
 }

@@ -29,7 +29,7 @@ fn quick() -> LockstepConfig {
 fn daxpy_validates_clean_on_base64_for_one_and_two_threads() {
     for threads in [1usize, 2] {
         let cfg = CoreConfig::base64(threads);
-        let verdict = run_lockstep(&cfg, &kernel_programs("daxpy", threads), &quick());
+        let verdict = run_lockstep(&cfg, kernel_programs("daxpy", threads), &quick());
         match verdict {
             Verdict::Clean(stats) => {
                 assert_eq!(stats.committed, vec![1_000; threads]);
@@ -44,7 +44,7 @@ fn daxpy_validates_clean_on_base64_for_one_and_two_threads() {
 fn branchy_validates_clean_across_squashes_on_a_shelf_design() {
     use shelfsim_core::SteerPolicy;
     let cfg = CoreConfig::base64_shelf64(2, SteerPolicy::Practical, true);
-    let verdict = run_lockstep(&cfg, &kernel_programs("branchy", 2), &quick());
+    let verdict = run_lockstep(&cfg, kernel_programs("branchy", 2), &quick());
     assert!(verdict.is_clean(), "got: {verdict:?}");
 }
 
@@ -61,7 +61,7 @@ fn structure_size_sweep_is_clean_and_streams_are_identical() {
 fn reports_are_byte_deterministic() {
     let build = || {
         let cfg = CoreConfig::base64(1);
-        let verdict = run_lockstep(&cfg, &kernel_programs("daxpy", 1), &quick());
+        let verdict = run_lockstep(&cfg, kernel_programs("daxpy", 1), &quick());
         let runs = vec![RunReport {
             design: "base64".to_owned(),
             threads: 1,

@@ -67,11 +67,11 @@ fn run_design(design: &str) {
             let cfg = design_by_name(design, threads).expect("design in registry");
             let what = format!("{design}/{}/{threads}t", kernel.name);
             let on = clean_fingerprints(
-                run_lockstep(&cfg, &programs(kernel.name, threads), &quick(true)),
+                run_lockstep(&cfg, programs(kernel.name, threads), &quick(true)),
                 &format!("{what} skip-on"),
             );
             let off = clean_fingerprints(
-                run_lockstep(&cfg, &programs(kernel.name, threads), &quick(false)),
+                run_lockstep(&cfg, programs(kernel.name, threads), &quick(false)),
                 &format!("{what} skip-off"),
             );
             assert_eq!(
@@ -86,11 +86,11 @@ fn run_design(design: &str) {
 /// clean and leave identical fingerprints.
 fn assert_skip_invisible(cfg: &CoreConfig, mix: &[&str], what: &str) {
     let on = clean_fingerprints(
-        run_lockstep(cfg, &mixed_programs(mix), &quick(true)),
+        run_lockstep(cfg, mixed_programs(mix), &quick(true)),
         &format!("{what} skip-on"),
     );
     let off = clean_fingerprints(
-        run_lockstep(cfg, &mixed_programs(mix), &quick(false)),
+        run_lockstep(cfg, mixed_programs(mix), &quick(false)),
         &format!("{what} skip-off"),
     );
     assert_eq!(

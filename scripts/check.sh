@@ -208,7 +208,15 @@ out="$(sweep_dir="$cold_a" sweep 1)"
 # whatever order its warm groups run in.
 echo "$out" | grep -q "scratch: programs 3 built, 9 reused; warm-ups 3 built, 3 reused" \
   || { echo "FAIL: 1-worker cold sweep must build each program once"; echo "$out"; exit 1; }
-sweep_dir="$cold_b" sweep 2 >/dev/null
+# The schedule warms each unit once, whichever worker claims it: 2 workers
+# warm as often as 1, and exactly as often as the dry run said.
+planned="$(sweep_dir="$cold_b" sweep 2 --dry-run | sed -n 's/^\([0-9]*\) warm-ups for .*/\1/p')"
+out="$(sweep_dir="$cold_b" sweep 2)"
+echo "$out" | grep -q "warm-ups 3 built, 3 reused" \
+  || { echo "FAIL: 2-worker cold sweep must warm each mix once"; echo "$out"; exit 1; }
+built="$(echo "$out" | sed -n 's/.*warm-ups \([0-9]*\) built.*/\1/p')"
+[ -n "$planned" ] && [ "$planned" = "$built" ] \
+  || { echo "FAIL: dry run plans $planned warm-ups, the real run built $built"; exit 1; }
 [ "$(cat "$cold_a"/shard-*.jsonl | sort)" = "$(cat "$cold_b"/shard-*.jsonl | sort)" ] \
   || { echo "FAIL: 1- and 2-worker cold sweeps must journal identical entries"; exit 1; }
 rm -rf "$cold_a" "$cold_b"

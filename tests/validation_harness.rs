@@ -42,7 +42,7 @@ fn every_kernel_validates_clean_on_every_design_and_thread_count() {
         for threads in [1usize, 2, 4] {
             let cfg = design_by_name(design, threads).expect("named design resolves");
             for k in kernels::all() {
-                let verdict = run_lockstep(&cfg, &kernel_programs(k.name, threads), &quick(300));
+                let verdict = run_lockstep(&cfg, kernel_programs(k.name, threads), &quick(300));
                 match verdict {
                     Verdict::Clean(stats) => {
                         if stats.committed != vec![300u64; threads] {
@@ -84,7 +84,7 @@ fn suite_mixes_validate_clean_on_baseline_and_shelf_designs() {
             .collect();
         for design in ["base64", "shelf-opt"] {
             let cfg = design_by_name(design, programs.len()).expect("design resolves");
-            let verdict = run_lockstep(&cfg, &programs, &quick(500));
+            let verdict = run_lockstep(&cfg, programs.iter().cloned(), &quick(500));
             assert!(verdict.is_clean(), "{design} {}: {verdict:?}", mix.label());
         }
     }
@@ -153,7 +153,7 @@ fn counters_stay_exact_at_large_commit_counts() {
         ..LockstepConfig::default()
     };
     let cfg = design_by_name("base64", 2).expect("base64 resolves");
-    match run_lockstep(&cfg, &kernel_programs("daxpy", 2), &lcfg) {
+    match run_lockstep(&cfg, kernel_programs("daxpy", 2), &lcfg) {
         Verdict::Clean(stats) => {
             assert_eq!(
                 stats.committed,
