@@ -204,8 +204,6 @@ pub struct Schedule {
     /// For each thread program `(benchmark, program seed)`, the index of
     /// the last unit that needs it.
     last_use: HashMap<(String, u64), usize>,
-    /// Units whose runs resolve a design and so warm up.
-    warmups: usize,
 }
 
 impl Schedule {
@@ -252,7 +250,6 @@ impl Schedule {
         let mut schedule = Schedule {
             units: Vec::new(),
             last_use: HashMap::new(),
-            warmups: 0,
         };
         let mut live: HashSet<(String, u64)> = HashSet::new();
         let mut unplaced: Vec<usize> = (0..groups.len()).collect();
@@ -291,17 +288,29 @@ impl Schedule {
                 schedule.last_use.insert(key.clone(), last);
             }
         }
-        schedule.warmups = schedule
-            .units
-            .iter()
-            .filter(|unit| warm_key(&runs[unit[0]]).is_some())
-            .count();
         schedule
     }
 
-    /// Warm-ups the schedule runs: one per unit whose design resolves.
-    pub fn warmups(&self) -> usize {
-        self.warmups
+    /// Warm-ups a campaign over `runs` (the runs this schedule was built
+    /// from) builds by this schedule: one per unit whose design resolves
+    /// and, when `preflight` is set, one of whose runs the pre-flight
+    /// accepts, since a rejected run never warms. The pre-flight goes
+    /// through a scratch memo claimed unit by unit, as a worker's is, so
+    /// each program is built and analysed once and dropped after its
+    /// last unit.
+    pub fn warmups(&self, runs: &[RunSpec], preflight: bool) -> usize {
+        let mut scratch = WorkerScratch::new();
+        let mut warmups = 0;
+        for (u, unit) in self.units.iter().enumerate() {
+            scratch.claim(self, u);
+            let warms = warm_key(&runs[unit[0]]).is_some()
+                && (!preflight
+                    || unit
+                        .iter()
+                        .any(|&i| preflight_check(&runs[i], &mut scratch).is_none()));
+            warmups += usize::from(warms);
+        }
+        warmups
     }
 }
 
@@ -1175,7 +1184,7 @@ mod tests {
         let schedule = Schedule::new(&runs, &all, 1);
         let order = order(&schedule);
         assert_grouped(&runs, &all, &order);
-        assert_eq!(schedule.warmups(), runs.len() / 2);
+        assert_eq!(schedule.warmups(&runs, false), runs.len() / 2);
         // `soplex` and `tonto` run in thread 1 of their mixes, so their
         // references share no program and go first (build one, free one).
         // Then `mcf+tonto` (ties with `namd+soplex`, first run wins), and
@@ -1187,7 +1196,7 @@ mod tests {
         let pending = [1, 2, 6, 8];
         let schedule = Schedule::new(&runs, &pending, 1);
         assert_eq!(schedule.units, [vec![1], vec![2, 8], vec![6]]);
-        assert_eq!(schedule.warmups(), 3);
+        assert_eq!(schedule.warmups(&runs, false), 3);
     }
 
     /// `sweep-short`'s matrix: the bench crate's `campaign_matrix(3_000, 7)`.
@@ -1222,7 +1231,7 @@ mod tests {
         let runs = recurring_matrix();
         let all: Vec<usize> = (0..runs.len()).collect();
         let whole = Schedule::new(&runs, &all, 1);
-        assert_eq!(whole.warmups(), 3);
+        assert_eq!(whole.warmups(&runs, false), 3);
         // Three groups of two on up to three workers: no cut.
         assert_eq!(Schedule::new(&runs, &all, 3).units, whole.units);
         // On four or more, every group is cut in two, in the same order,
@@ -1233,7 +1242,7 @@ mod tests {
             [vec![0], vec![3], vec![2], vec![5], vec![1], vec![4]]
         );
         assert_eq!(order(&cut), order(&whole));
-        assert_eq!(cut.warmups(), 6);
+        assert_eq!(cut.warmups(&runs, false), 6);
         for (key, &last) in &whole.last_use {
             assert_eq!(cut.last_use[key], 2 * last + 1, "{key:?}");
         }
@@ -1266,7 +1275,27 @@ mod tests {
                 (55, 165),
                 "{workers} workers"
             );
-            assert_eq!(Schedule::new(&runs, &all, workers).warmups(), 55);
+            assert_eq!(Schedule::new(&runs, &all, workers).warmups(&runs, true), 55);
+        }
+    }
+
+    #[test]
+    fn units_the_preflight_rejects_are_not_counted_as_warm_ups() {
+        // Both design points of `gcc+mcf` and one of `gcc+lbm` are starved
+        // shelves the pre-flight rejects: only `gcc+mcf`'s unit never warms.
+        let mut runs = recurring_matrix();
+        for i in [0, 3, 5] {
+            runs[i].design = "shelf-inorder".to_owned();
+            runs[i].overrides = vec![("shelf".to_owned(), "2".to_owned())];
+        }
+        let all: Vec<usize> = (0..runs.len()).collect();
+        for workers in [1, 2] {
+            let schedule = Schedule::new(&runs, &all, workers);
+            assert_eq!(schedule.warmups(&runs, false), 3, "{workers} workers");
+            assert_eq!(schedule.warmups(&runs, true), 2, "{workers} workers");
+            let report = run_campaign(&CampaignSpec::new(runs.clone()).with_workers(workers))
+                .expect("no journal");
+            assert_eq!(report.warm_builds, 2, "{workers} workers");
         }
     }
 

@@ -91,6 +91,12 @@ impl RunSpec {
     /// identical results, so a journaled key means the run can be skipped
     /// on resume. Specs without overrides keep the pre-override key format,
     /// so existing journals stay resumable.
+    ///
+    /// The fingerprint is [`shelfsim_core::CoreConfig::stable_hash`], taken
+    /// over the configuration's `Debug` rendering: removing, renaming or
+    /// reordering a `CoreConfig` or `HierarchyConfig` field moves every
+    /// key, so old journals stop resuming and perfbench's recorded
+    /// `sweep-short` journal goldens must be re-recorded.
     pub fn key(&self) -> String {
         let cfg_hash = self.resolved_config().map(|c| c.stable_hash()).unwrap_or(0);
         let mut canonical = format!(

@@ -543,11 +543,7 @@ fn cmd_characterize(p: &Args) -> Result<String, CliError> {
         let (mut ld, mut st, mut br, mut fp) = (0u64, 0u64, 0u64, 0u64);
         let mut code: std::collections::HashSet<u64> = Default::default();
         let mut data: std::collections::HashSet<u64> = Default::default();
-        let mut bp =
-            shelfsim::uarch::BranchPredictor::new(shelfsim::uarch::BranchPredictorConfig {
-                kind: shelfsim::uarch::PredictorKind::Tournament,
-                ..Default::default()
-            });
+        let mut bp = shelfsim::uarch::BranchPredictor::new(Default::default());
         let mut wrong = 0u64;
         // The first half of the sample warms the predictor; only the
         // second half is measured.
@@ -913,8 +909,10 @@ fn cmd_sweep(p: &Args) -> Result<String, CliError> {
 
     if p.has("--dry-run") {
         // The schedule `run_campaign` would follow: one warm-up per unit
-        // (design points of one mix share a warm-up, see `WarmKey`).
-        let warmups = shelfsim::Schedule::new(runs, &admission.misses, workers).warmups();
+        // (design points of one mix share a warm-up, see `WarmKey`) that
+        // has a run the pre-flight accepts.
+        let warmups =
+            shelfsim::Schedule::new(runs, &admission.misses, workers).warmups(runs, spec.preflight);
         if p.has("--json") {
             return Ok(format!(
                 "{{\"runs\":{},\"hits\":{},\"misses\":{},\"warmups\":{warmups},\"workers\":{}}}\n",

@@ -25,14 +25,15 @@ pub enum MemoryModel {
 ///
 /// The paper notes that ICOUNT is *synergistic* with shelf steering: fetch
 /// bandwidth flows to fast-moving threads while stalled threads' work goes
-/// to the shelf. Round-robin is provided as the ablation baseline.
+/// to the shelf. The type has one variant and survives only as the type of
+/// [`CoreConfig::fetch_policy`], whose `Debug` rendering is part of
+/// [`CoreConfig::stable_hash`]: removing the field would move every
+/// campaign journal key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FetchPolicy {
     /// Fewest instructions in the pre-issue pipeline fetch first.
     #[default]
     Icount,
-    /// Strict rotation among eligible threads.
-    RoundRobin,
 }
 
 /// Instruction steering policy (paper §IV).
@@ -110,14 +111,17 @@ pub struct CoreConfig {
     pub plt_columns: u32,
     /// Memory consistency model (§III-D; the paper evaluates `Relaxed`).
     pub memory_model: MemoryModel,
-    /// Branch direction-predictor organization.
+    /// Branch direction-predictor organization (Table I: gem5's default
+    /// tournament predictor, the only one modelled; kept for
+    /// [`CoreConfig::stable_hash`]).
     pub predictor: shelfsim_uarch::PredictorKind,
     /// Clustered-backend forwarding penalty (paper §VI: the shelf and the
     /// IQ may live in different clusters). A value produced in one cluster
     /// costs this many extra cycles to consume from the other. 0 = the
     /// evaluated monolithic backend.
     pub cluster_forward_penalty: u32,
-    /// SMT fetch policy (Table I: ICOUNT).
+    /// SMT fetch policy (Table I: ICOUNT, the only one modelled; kept for
+    /// [`CoreConfig::stable_hash`]).
     pub fetch_policy: FetchPolicy,
 }
 
@@ -304,6 +308,14 @@ impl CoreConfig {
     /// hash equal; any field change changes the hash. Used to key campaign
     /// journal entries and to stamp [`crate::sim::RunMeta`] so a result can
     /// be matched back to the exact design point that produced it.
+    ///
+    /// The rendering names every field of `CoreConfig` and of its
+    /// `HierarchyConfig`, in declaration order. Removing, renaming or
+    /// reordering any of those fields (or a variant name they render)
+    /// therefore moves every journal key, so existing journals no longer
+    /// resume and recorded golden journals (perfbench's `sweep-short`)
+    /// must be re-recorded. That is why the one-variant `predictor`,
+    /// `fetch_policy` and `hierarchy.prefetch` fields remain.
     pub fn stable_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in format!("{self:?}").bytes() {

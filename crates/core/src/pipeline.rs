@@ -20,7 +20,7 @@
 //!   violating loads moderated by a store-sets predictor (§III-D).
 
 use crate::classify::Classifier;
-use crate::config::{CoreConfig, FetchPolicy, MemoryModel, SteerPolicy};
+use crate::config::{CoreConfig, MemoryModel, SteerPolicy};
 use crate::counters::{acc, Counters};
 use crate::inst::{InstId, Slab, Slot, Stage, Steer};
 use crate::skip::{consider, SkipCause, SkipEngine, SkipStats, TickDelta, MIN_PARK_JUMP_SPAN};
@@ -426,8 +426,6 @@ pub struct Core {
     /// clustered-backend forwarding penalty.
     tag_cluster: Vec<Steer>,
     icount: Icount,
-    /// Round-robin fetch rotation state.
-    fetch_rr: usize,
     /// Per functional-unit-kind busy-until cycles.
     fu_busy: [Vec<u64>; 4],
     events: EventWheel,
@@ -495,7 +493,7 @@ impl Core {
     /// # Panics
     ///
     /// Panics if the configuration is invalid, or if `warm` was built for
-    /// another thread count, hierarchy or predictor.
+    /// another thread count or hierarchy.
     pub fn from_warm(cfg: CoreConfig, warm: WarmState) -> Self {
         cfg.validate();
         let WarmState {
@@ -516,11 +514,6 @@ impl Core {
         // pool managed by the physical free list.
         let mut threads = Vec::with_capacity(cfg.threads);
         for (t, (trace, bpred)) in parts.into_iter().enumerate() {
-            assert_eq!(
-                bpred.config().kind,
-                cfg.predictor,
-                "warm state built for another predictor"
-            );
             let base = (t * num_arch) as u32;
             threads.push(Thread {
                 trace,
@@ -603,7 +596,6 @@ impl Core {
             scoreboard: Scoreboard::new(num_tags),
             tag_cluster: vec![Steer::Iq; num_tags],
             icount: Icount::new(),
-            fetch_rr: 0,
             events: EventWheel::new(),
             commit_events: VecDeque::new(),
             commit_observer: false,
@@ -1294,7 +1286,6 @@ impl Core {
     // ---------------------------------------------------------------- fetch
 
     fn fetch_stage(&mut self) {
-        let n = self.threads.len();
         let mut counts = std::mem::take(&mut self.scratch_counts);
         let mut eligible = std::mem::take(&mut self.scratch_eligible);
         counts.clear();
@@ -1306,18 +1297,7 @@ impl Core {
             let wrong_path_ok = t.waiting_branch.is_none() || self.cfg.wrong_path_fetch;
             eligible.push(room && !stalled && wrong_path_ok);
         }
-        let selected = match self.cfg.fetch_policy {
-            FetchPolicy::Icount => self.icount.select(&counts, &eligible),
-            FetchPolicy::RoundRobin => {
-                let pick = (1..=n)
-                    .map(|off| (self.fetch_rr + off) % n)
-                    .find(|&t| eligible[t]);
-                if let Some(t) = pick {
-                    self.fetch_rr = t;
-                }
-                pick
-            }
-        };
+        let selected = self.icount.select(&counts, &eligible);
         self.scratch_counts = counts;
         self.scratch_eligible = eligible;
         let Some(t) = selected else {
@@ -2396,10 +2376,7 @@ impl Core {
             // Store-to-load forwarding.
             return Some((self.now + 2, None, Some(sage)));
         }
-        match self
-            .hierarchy
-            .access_data_pc(inst.pc, mem.addr, false, self.now)
-        {
+        match self.hierarchy.access_data(mem.addr, false, self.now) {
             Ok(acc) => Some((acc.complete_cycle, Some(acc.level), None)),
             Err(_) => None,
         }

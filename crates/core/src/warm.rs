@@ -4,7 +4,7 @@
 //! Warm-up reads and writes only the memory hierarchy, each thread's
 //! branch predictor, and each thread's trace position — never a window,
 //! queue, shelf or steering field of the design. Every design point that
-//! shares a hierarchy, a predictor and the per-thread programs therefore
+//! shares a hierarchy and the per-thread programs therefore
 //! starts its timed run from the same warmed state, and a [`WarmState`]
 //! built once can seed any number of such cores ([`crate::Core::from_warm`]).
 //! [`crate::Core::warm_caches`] and [`crate::Core::warm_functional`] run
@@ -13,7 +13,7 @@
 use crate::config::CoreConfig;
 use crate::sim::{thread_program_seed, DEFAULT_FUNCTIONAL_WARMUP};
 use shelfsim_mem::{Hierarchy, HierarchyConfig};
-use shelfsim_uarch::{BranchPredictor, BranchPredictorConfig, PredictorKind};
+use shelfsim_uarch::BranchPredictor;
 use shelfsim_workload::{Program, TraceSource};
 use std::sync::Arc;
 
@@ -64,15 +64,11 @@ impl WarmState {
     /// The unwarmed state: a cold hierarchy and fresh predictors around
     /// `traces` (what [`crate::Core::new`] starts from).
     pub(crate) fn cold(cfg: &CoreConfig, traces: Vec<TraceSource>) -> Self {
-        let bpred = BranchPredictorConfig {
-            kind: cfg.predictor,
-            ..BranchPredictorConfig::default()
-        };
         WarmState {
             hierarchy: Hierarchy::new(cfg.hierarchy),
             threads: traces
                 .into_iter()
-                .map(|trace| (trace, BranchPredictor::new(bpred)))
+                .map(|trace| (trace, BranchPredictor::new(Default::default())))
                 .collect(),
         }
     }
@@ -80,13 +76,12 @@ impl WarmState {
 
 /// Everything [`WarmState::new`] reads, for runs whose programs come from
 /// the benchmark suite ([`crate::Simulation::new`]'s contract): the
-/// hierarchy and predictor configuration, each thread's benchmark and
+/// hierarchy configuration, each thread's benchmark and
 /// program seed, and the functional warm-up length. Two runs with equal
 /// keys start from bit-identical warmed states, whatever their design.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct WarmKey {
     hierarchy: HierarchyConfig,
-    predictor: PredictorKind,
     /// `(benchmark, program seed)` per hardware thread.
     threads: Vec<(String, u64)>,
     functional_insts: u64,
@@ -98,7 +93,6 @@ impl WarmKey {
     pub fn new(cfg: &CoreConfig, benchmarks: &[String], seed: u64) -> Self {
         WarmKey {
             hierarchy: cfg.hierarchy,
-            predictor: cfg.predictor,
             threads: benchmarks
                 .iter()
                 .enumerate()
@@ -299,21 +293,8 @@ mod tests {
         let swapped: Vec<String> = names.iter().rev().cloned().collect();
         assert_ne!(WarmKey::new(&base, &swapped, 7), key);
         let mut other = base.clone();
-        other.predictor = PredictorKind::Gshare;
-        assert_ne!(WarmKey::new(&other, &names, 7), key);
-        let mut other = base.clone();
         other.hierarchy.l2.size_bytes /= 2;
         assert_ne!(WarmKey::new(&other, &names, 7), key);
-    }
-
-    #[test]
-    #[should_panic(expected = "another predictor")]
-    fn from_warm_rejects_a_state_for_another_predictor() {
-        let cfg = CoreConfig::base64(2);
-        let warm = WarmState::new(&cfg, programs(7));
-        let mut other = cfg;
-        other.predictor = PredictorKind::Gshare;
-        Core::from_warm(other, warm);
     }
 
     #[test]

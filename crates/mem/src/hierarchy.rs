@@ -2,7 +2,6 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::mshr::{MshrFile, MshrFull};
-use crate::prefetch::{PrefetchKind, StridePrefetcher};
 
 /// Which level of the hierarchy served an access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,6 +23,20 @@ pub struct Access {
     pub level: Level,
 }
 
+/// Data-prefetcher organization: none, as in the paper's Table I.
+///
+/// The type has one variant and survives only as the type of
+/// [`HierarchyConfig::prefetch`]: the hierarchy's `Debug` rendering
+/// (`prefetch: None`) is part of the core configuration's fingerprint,
+/// which every campaign journal key is derived from. The optional
+/// next-line prefetcher is [`HierarchyConfig::next_line_prefetch`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
+pub enum PrefetchKind {
+    /// No prefetcher beyond [`HierarchyConfig::next_line_prefetch`].
+    #[default]
+    None,
+}
+
 /// Hierarchy geometry and latencies.
 ///
 /// The default matches paper Table I at a 2 GHz clock.
@@ -43,11 +56,9 @@ pub struct HierarchyConfig {
     pub inst_mshrs: usize,
     /// Next-line data prefetcher: on an L1D miss, the following block is
     /// fetched alongside it (sharing the same MSHR fill). Default off — the
-    /// paper's configuration does not mention one. (Equivalent to
-    /// `prefetch == PrefetchKind::NextLine`.)
+    /// paper's configuration does not mention one.
     pub next_line_prefetch: bool,
-    /// Data prefetcher organization (see [`crate::prefetch`]). Overrides
-    /// `next_line_prefetch` when not `None`.
+    /// Data-prefetcher organization (always [`PrefetchKind::None`]).
     pub prefetch: PrefetchKind,
 }
 
@@ -96,9 +107,8 @@ pub struct Hierarchy {
     data_mshrs: MshrFile,
     inst_mshrs: MshrFile,
     block_mask: u64,
-    /// Prefetches issued (next-line + stride).
+    /// Next-line prefetches issued.
     pub prefetches: u64,
-    stride_pf: StridePrefetcher,
 }
 
 impl Hierarchy {
@@ -116,47 +126,8 @@ impl Hierarchy {
             inst_mshrs: MshrFile::new(config.inst_mshrs),
             block_mask: !(config.l1d.block_bytes as u64 - 1),
             prefetches: 0,
-            stride_pf: StridePrefetcher::new(64),
             config,
         }
-    }
-
-    fn effective_prefetch(&self) -> PrefetchKind {
-        if self.config.prefetch != PrefetchKind::None {
-            self.config.prefetch
-        } else if self.config.next_line_prefetch {
-            PrefetchKind::NextLine
-        } else {
-            PrefetchKind::None
-        }
-    }
-
-    /// Timed data access with a load-PC hint so the stride prefetcher can
-    /// train. Behaves exactly like [`Hierarchy::access_data`] otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MshrFull`] when the access misses L1 and no MSHR is free.
-    pub fn access_data_pc(
-        &mut self,
-        pc: u64,
-        addr: u64,
-        is_store: bool,
-        now: u64,
-    ) -> Result<Access, MshrFull> {
-        let out = self.access_data(addr, is_store, now)?;
-        if !is_store && self.effective_prefetch() == PrefetchKind::Stride {
-            if let Some(target) = self.stride_pf.observe(pc, addr) {
-                // Prefetch fills tags ahead of the demand stream; timing is
-                // folded (the fill engine runs ahead of the consumer).
-                if !self.l1d.peek(target) {
-                    self.prefetches += 1;
-                    self.l1d.access(target, false);
-                    self.l2.access(target, false);
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// The configuration this hierarchy was built with.
@@ -201,7 +172,7 @@ impl Hierarchy {
         let fill = self.data_mshrs.request(block, now, now + latency as u64)?;
         self.l1d.access(addr, is_store);
         self.l2.access(addr, false);
-        if self.effective_prefetch() == PrefetchKind::NextLine {
+        if self.config.next_line_prefetch {
             // Piggyback the next block on this miss (no extra MSHR; the
             // fill engine streams two blocks). Tags install immediately;
             // timing error is negligible because demand hits to the

@@ -26,9 +26,7 @@
 pub mod cache;
 pub mod hierarchy;
 pub mod mshr;
-pub mod prefetch;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{Access, Hierarchy, HierarchyConfig, HierarchyCounters, Level};
+pub use hierarchy::{Access, Hierarchy, HierarchyConfig, HierarchyCounters, Level, PrefetchKind};
 pub use mshr::{MshrFile, MshrFull};
-pub use prefetch::{PrefetchKind, StridePrefetcher};

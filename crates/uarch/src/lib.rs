@@ -16,7 +16,8 @@
 //!   pointer that lets the shelf issue in program order (Figure 4).
 //! * [`SsrPair`] — the two speculation shift registers per thread
 //!   (Figure 5).
-//! * [`BranchPredictor`] — gshare + BTB + return address stack.
+//! * [`BranchPredictor`] — tournament (bimodal + gshare) + BTB + return
+//!   address stack.
 //! * [`StoreSets`] — the store-set memory dependence predictor (§III-D).
 //! * [`Icount`] — the ICOUNT SMT fetch policy.
 //! * [`ReadyCycleTable`] / [`ParentLoadsTable`] — the practical steering
@@ -33,7 +34,6 @@ pub mod rename;
 pub mod scoreboard;
 pub mod ssr;
 pub mod store_sets;
-pub mod tage;
 
 pub use bpred::{BranchPredictor, BranchPredictorConfig, Prediction, PredictorKind};
 pub use freelist::FreeList;
@@ -46,4 +46,3 @@ pub use rename::{Mapping, PhysReg, RenameTable, Tag};
 pub use scoreboard::Scoreboard;
 pub use ssr::SsrPair;
 pub use store_sets::StoreSets;
-pub use tage::{Tage, TageInfo};

@@ -62,8 +62,12 @@ preflight_dir="$(mktemp -d)/preflight"
 starved() {
   cargo run --release -q -p shelfsim-cli -- sweep \
     --designs shelf-inorder --mix gcc,mcf --mix hmmer,gcc --override shelf=2 \
-    --warmup 500 --measure 3000 --workers "$1" --journal-dir "$preflight_dir"
+    --warmup 500 --measure 3000 --workers "$1" --journal-dir "$preflight_dir" "${@:2}"
 }
+# The dry run pre-flights too: a rejected run never warms, so it plans none.
+out="$(starved 2 --dry-run)"
+echo "$out" | grep -q "^0 warm-ups for 2 pending runs" \
+  || { echo "FAIL: the dry run must plan no warm-up for rejected runs"; echo "$out"; exit 1; }
 out="$(starved 2)"
 echo "$out" | head -1
 echo "$out" | grep -q "2 rejected" \
@@ -278,5 +282,18 @@ for threads in 1 2; do
   echo "$out" | grep -q "^$threads  *[-+][0-9.]*%  *[-+][0-9.]*%$" \
     || { echo "FAIL: fig14 should print a $threads-thread row"; echo "$out"; exit 1; }
 done
+
+echo "== ablations smoke: every knob row prints the shelf gain and its capture"
+out="$(SHELFSIM_MIXES=1 SHELFSIM_WARMUP=500 SHELFSIM_MEASURE=2000 \
+  cargo bench -q -p shelfsim-bench --bench ablations)"
+# Rows follow the column header and end at the first blank line.
+rows="$(echo "$out" | sed -n '/^variant /,/^$/p' | sed '1d;/^$/d')"
+[ "$(echo "$rows" | wc -l)" -ge 10 ] \
+  || { echo "FAIL: ablations should print a row per knob"; echo "$out"; exit 1; }
+echo "$rows" | grep -q "^none (Table I) " \
+  || { echo "FAIL: ablations should print the Table I reference row"; echo "$out"; exit 1; }
+bad="$(echo "$rows" | grep -Ev ' [0-9]+\.[0-9]{3} +[-+][0-9.]+% +[-+][0-9.]+% +-?[0-9]+%$' || true)"
+[ -z "$bad" ] \
+  || { echo "FAIL: ablation rows without a shelf gain and capture:"; echo "$bad"; exit 1; }
 
 echo "All checks passed."

@@ -27,18 +27,13 @@ fn arb_config() -> impl Strategy<Value = CoreConfig> {
             any::<bool>(), // wrong path
         ),
         (
-            any::<bool>(), // TSO
-            0u32..=2,      // cluster penalty
-            prop_oneof![
-                Just(shelfsim::uarch::PredictorKind::Gshare),
-                Just(shelfsim::uarch::PredictorKind::Tournament),
-                Just(shelfsim::uarch::PredictorKind::Tage),
-            ],
+            any::<bool>(),                                 // TSO
+            0u32..=2,                                      // cluster penalty
             prop_oneof![Just(8usize), Just(16), Just(64)], // shelf entries
         ),
     )
         .prop_map(
-            |((threads, rob, policy, opt, ssr, narrow, wp), (tso, cluster, pred, shelf))| {
+            |((threads, rob, policy, opt, ssr, narrow, wp), (tso, cluster, shelf))| {
                 let mut cfg = if rob == 64 {
                     CoreConfig::base64_shelf64(threads, policy, opt)
                 } else {
@@ -59,7 +54,6 @@ fn arb_config() -> impl Strategy<Value = CoreConfig> {
                     MemoryModel::Relaxed
                 };
                 cfg.cluster_forward_penalty = cluster;
-                cfg.predictor = pred;
                 cfg
             },
         )

@@ -2,7 +2,7 @@
 //! cycle-exact lifecycle timestamps against a hand-derived pipeline
 //! schedule, and exporter sanity on a live core.
 
-use shelfsim::core::{Core, EndKind, FetchPolicy, QueueKind, Simulation, StallCause};
+use shelfsim::core::{Core, EndKind, QueueKind, Simulation, StallCause};
 use shelfsim::workload::asm::assemble;
 use shelfsim::workload::TraceSource;
 use shelfsim::CoreConfig;
@@ -62,11 +62,14 @@ fn icache_probes_second_block_of_straddling_group() {
 /// two-thread program, asserted cycle-exactly against the schedule the
 /// documented pipeline rules imply.
 ///
-/// Setup: Base-64 (all-IQ), 2 threads, round-robin fetch, warm caches,
+/// Setup: Base-64 (all-IQ), 2 threads, ICOUNT fetch, warm caches,
 /// straight-line independent ALU ops. The rules that fix the schedule:
 ///
-/// * round-robin fetch starts at thread 1 and alternates, one thread per
-///   cycle, so thread 1 fetches at cycle 0 and thread 0 at cycle 1;
+/// * ICOUNT fetches one thread per cycle, the one with the fewest
+///   instructions in flight, breaking ties round-robin after the thread it
+///   last selected (initially thread 0). At cycle 0 both threads have none
+///   in flight, so the tie goes to thread 1; at cycle 1 thread 0 has fewer
+///   in flight (none, against thread 1's fetched group), so it fetches;
 /// * a fetched instruction is dispatchable at `fetch + fetch_to_dispatch`
 ///   (6), and dispatch round-robins threads within the width-4 budget;
 /// * ready sources put a dispatched instruction in the issue pool no
@@ -91,10 +94,7 @@ fn icache_probes_second_block_of_straddling_group() {
 /// cohort's second-oldest.)
 #[test]
 fn two_thread_lifecycle_timestamps_are_cycle_exact() {
-    let cfg = CoreConfig {
-        fetch_policy: FetchPolicy::RoundRobin,
-        ..CoreConfig::base64(2)
-    };
+    let cfg = CoreConfig::base64(2);
     cfg.validate();
     let program = straightline_program(200);
     let mut core = Core::new(
@@ -191,10 +191,7 @@ fn two_thread_mix_is_memory_bound_not_scheduler_bound() {
 /// attribution accounts every sampled cycle on both sides.
 #[test]
 fn attribution_accounts_every_cycle() {
-    let cfg = CoreConfig {
-        fetch_policy: FetchPolicy::RoundRobin,
-        ..CoreConfig::base64(2)
-    };
+    let cfg = CoreConfig::base64(2);
     let program = straightline_program(64);
     let mut core = Core::new(
         cfg,
