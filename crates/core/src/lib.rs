@@ -30,6 +30,7 @@ pub mod config;
 pub mod counters;
 pub mod inst;
 pub mod pipeline;
+pub mod profile;
 pub mod sim;
 pub mod skip;
 pub mod steer;
@@ -42,6 +43,7 @@ pub use inst::{InstId, Slab, Slot, Stage, Steer};
 #[cfg(feature = "chaos")]
 pub use pipeline::{ChaosKind, ChaosPlan};
 pub use pipeline::{CommitEvent, Core, ThreadOccupancy};
+pub use profile::{Phase, StageProfile};
 pub use sim::{
     thread_program_seed, Completion, DeadlockReport, RunMeta, RunResult, SimError, Simulation,
     ThreadResult, UnknownBenchmark, Watchdog,
