@@ -137,6 +137,26 @@ impl Hierarchy {
 
     /// Timed data access starting at cycle `now`.
     ///
+    /// # Retry contract
+    ///
+    /// A rejection is final until its [`MshrFull::retry_at`], the data
+    /// file's earliest pending fill. Until that cycle every data register
+    /// stays in flight, so no data access allocates one (and none
+    /// prefetches), and the set of in-flight blocks does not change. Only
+    /// such an allocation installs a block that is neither resident nor in
+    /// flight, so the rejected block stays out of L1D too ([`warm_data`]
+    /// aside, which is for warm-up only). The same access at any cycle in
+    /// `now..retry_at` is therefore rejected again, and its only effect is
+    /// one more count in the data file's `rejections`: the caller may
+    /// replace it with [`Hierarchy::repeat_data_rejection`], which has
+    /// exactly that effect. At `retry_at` the access runs as it would have
+    /// had it never been repeated.
+    ///
+    /// A rejection costs no L2 lookup: capacity is checked before the fill
+    /// level is.
+    ///
+    /// [`warm_data`]: Hierarchy::warm_data
+    ///
     /// # Errors
     ///
     /// Returns [`MshrFull`] when the access misses L1 and no MSHR is free;
@@ -159,8 +179,9 @@ impl Hierarchy {
                 level: Level::L1,
             });
         }
-        // L1 miss: need an MSHR. Determine the fill level first (peek so a
-        // rejected request leaves no side effects).
+        // L1 miss: a new MSHR is needed. A rejection leaves no side effect
+        // but its count.
+        self.data_mshrs.check_free(now)?;
         let (latency, level) = if self.l2.peek(addr) {
             (self.config.l1d.latency + self.config.l2.latency, Level::L2)
         } else {
@@ -169,7 +190,8 @@ impl Hierarchy {
                 Level::Memory,
             )
         };
-        let fill = self.data_mshrs.request(block, now, now + latency as u64)?;
+        let fill = now + latency as u64;
+        self.data_mshrs.allocate(block, fill);
         self.l1d.access(addr, is_store);
         self.l2.access(addr, false);
         if self.config.next_line_prefetch {
@@ -188,6 +210,22 @@ impl Hierarchy {
             complete_cycle: fill,
             level,
         })
+    }
+
+    /// Counts the repeat of a data access that [`Hierarchy::access_data`]
+    /// rejected, at a cycle before the rejection's `retry_at`: by the
+    /// retry contract, the one effect that access would have had.
+    pub fn repeat_data_rejection(&mut self) {
+        self.data_mshrs.rejections += 1;
+    }
+
+    /// Side-effect-free probe: whether [`Hierarchy::access_data`] would
+    /// reject an access to `addr` at `now` (its block is not in flight,
+    /// misses L1D, and every data MSHR is in flight).
+    pub fn would_reject_data(&self, addr: u64, now: u64) -> bool {
+        !self.data_mshrs.is_in_flight(addr & self.block_mask, now)
+            && !self.l1d.peek(addr)
+            && self.data_mshrs.in_flight(now) >= self.data_mshrs.capacity()
     }
 
     /// Timed instruction fetch of the block containing `addr`.
@@ -211,6 +249,7 @@ impl Hierarchy {
                 level: Level::L1,
             });
         }
+        self.inst_mshrs.check_free(now)?;
         let (latency, level) = if self.l2.peek(addr) {
             (self.config.l1i.latency + self.config.l2.latency, Level::L2)
         } else {
@@ -219,7 +258,8 @@ impl Hierarchy {
                 Level::Memory,
             )
         };
-        let fill = self.inst_mshrs.request(block, now, now + latency as u64)?;
+        let fill = now + latency as u64;
+        self.inst_mshrs.allocate(block, fill);
         self.l1i.access(addr, false);
         self.l2.access(addr, false);
         Ok(Access {
