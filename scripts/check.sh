@@ -29,6 +29,9 @@ cargo test -q -p shelfsim-uarch --features sanitize
 echo "== cache exactness: the set-MRU filter against the reference LRU model"
 PROPTEST_CASES=2000 cargo test -q -p shelfsim-mem --test proptest_cache
 
+echo "== CDF exactness: the series-length table against the map-only reference"
+PROPTEST_CASES=2000 cargo test -q -p shelfsim-stats --test proptest_cdf
+
 echo "== fault smoke: a fault-injected sweep must quarantine and resume"
 journal="$(mktemp -d)/faults"
 faulted() {
@@ -111,7 +114,7 @@ cargo test -q -p shelfsim-validate --features shelfsim-core/sanitize --test skip
 cargo test -q -p shelfsim-core --test cycle_skipping partial_skip
 
 echo "== skip sanitizer smoke: cycle_skipping under per-cycle pipeline audits"
-cargo test -q -p shelfsim-core --features sanitize --test cycle_skipping
+cargo test -q -p shelfsim-core --features sanitize --test cycle_skipping --test mshr_retry
 
 echo "== skip coverage smoke: no window tick contradicts a stillness judgement"
 # Each of the three mixes prints park_aborts=N: a nonzero N means a window
@@ -125,6 +128,23 @@ echo "$out"
 for skipped in 16 42506 190158; do
   echo "$out" | grep -q ": skipped=$skipped " \
     || { echo "FAIL: park_coverage must skip exactly $skipped cycles on one mix"; exit 1; }
+done
+
+echo "== stage profile smoke: every phase row prints, and profiling changes no counter"
+# The example prints one counter fingerprint per simulation with or
+# without the profile feature; with it, one row per phase per design
+# (2 workloads x 3 designs at --tiny).
+off="$(cargo run --release -q -p shelfsim-core --example stage_profile -- --tiny)"
+on="$(cargo run --release -q -p shelfsim-core --features profile --example stage_profile -- --tiny)"
+fingerprints="$(echo "$off" | grep '^fingerprint ')"
+[ "$(echo "$fingerprints" | wc -l)" -eq 6 ] \
+  || { echo "FAIL: stage_profile --tiny should fingerprint 6 simulations"; echo "$off"; exit 1; }
+[ "$fingerprints" = "$(echo "$on" | grep '^fingerprint ')" ] \
+  || { echo "FAIL: the profile feature changed a counter"; echo "$off"; echo "$on"; exit 1; }
+for row in events commit+drain issue issue:mshr-rejected dispatch fetch decay+occupancy \
+  skip:judge+horizon skip:fast-forward untimed; do
+  [ "$(echo "$on" | grep -c "^  $row ")" -eq 6 ] \
+    || { echo "FAIL: stage_profile should print a $row row per design"; echo "$on"; exit 1; }
 done
 
 echo "== perfbench smoke: the benchmark builds, passes its tests and checks every workload's goldens"
